@@ -18,10 +18,6 @@
 //     absent from the baseline are skipped, so adding one never
 //     requires editing history).
 //
-// Each sweep leg's report records the mid-ramp integration memo's
-// hit/miss/eviction counters and hit rates (ramp_memo), parsed from
-// suitsweep's stderr telemetry.
-//
 // Usage:
 //
 //	suitbench [-out bench.json] [-compare BENCH_5.json] [-count 3] [-instr 2e6] [-skip-sweep]
@@ -36,7 +32,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -45,6 +40,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"suit/internal/workload"
 )
 
 // benchStat aggregates the -count repetitions of one benchmark: the
@@ -58,46 +55,27 @@ type benchStat struct {
 	MaxBytesOp  float64 `json:"max_bytes_per_op"`
 }
 
-// rampMemoStat records the mid-ramp integration memo's effectiveness
-// for one sweep leg, parsed from suitsweep's stderr telemetry line.
-// Rates are hits/(hits+misses); cold sweeps sit near zero (no endpoint
-// recurrence — the speedup there is the exponent-specialized kernel),
-// warm Reset replays near one.
-type rampMemoStat struct {
-	PairHits      uint64  `json:"pair_hits"`
-	PairMisses    uint64  `json:"pair_misses"`
-	PairEvictions uint64  `json:"pair_evictions"`
-	PowHits       uint64  `json:"pow_hits"`
-	PowMisses     uint64  `json:"pow_misses"`
-	PowEvictions  uint64  `json:"pow_evictions"`
-	PairHitRate   float64 `json:"pair_hit_rate"`
-	PowHitRate    float64 `json:"pow_hit_rate"`
-}
-
 // sweepStat is the end-to-end throughput of a cold smoke sweep: the
 // full 240-parameter × 5-workload grid (1200 scenario points) at a
 // reduced instruction count.
 type sweepStat struct {
-	Points       int           `json:"points"`
-	Instructions uint64        `json:"instructions_per_point"`
-	Seconds      float64       `json:"seconds"`
-	PointsPerSec float64       `json:"points_per_sec"`
-	Workers      int           `json:"workers"`
-	RampMemo     *rampMemoStat `json:"ramp_memo,omitempty"`
+	Points       int     `json:"points"`
+	Instructions uint64  `json:"instructions_per_point"`
+	Seconds      float64 `json:"seconds"`
+	PointsPerSec float64 `json:"points_per_sec"`
+	Workers      int     `json:"workers"`
 }
 
 type report struct {
 	GoVersion  string      `json:"go_version"`
 	BenchCount int         `json:"bench_count"`
 	Benchmarks []benchStat `json:"benchmarks"`
-	// Sweep is the headline batched-execution throughput; SweepUnbatched
-	// repeats the grid with -batch=false (no shared trace artifacts, no
-	// co-stepped machines), so the report tracks both the amortized and
-	// the per-point cost PR over PR.
-	Sweep          *sweepStat `json:"sweep,omitempty"`
-	SweepUnbatched *sweepStat `json:"sweep_unbatched,omitempty"`
-	AllocFree      bool       `json:"steady_state_alloc_free"`
-	ElapsedSecs    float64    `json:"harness_seconds"`
+	// Sweep is the smoke-sweep throughput. Baselines written before the
+	// batching toggle was removed also carry a sweep_unbatched leg;
+	// decoding ignores it.
+	Sweep       *sweepStat `json:"sweep,omitempty"`
+	AllocFree   bool       `json:"steady_state_alloc_free"`
+	ElapsedSecs float64    `json:"harness_seconds"`
 }
 
 func main() { os.Exit(run()) }
@@ -113,9 +91,9 @@ func run() int {
 		skipSweep = flag.Bool("skip-sweep", false, "measure only the benchmarks, not the smoke sweep")
 	)
 	flag.Parse()
-	instrF, err := strconv.ParseFloat(*instrStr, 64)
-	if err != nil || instrF < 1 {
-		fmt.Fprintf(os.Stderr, "bad -instr %q\n", *instrStr)
+	instr, err := workload.ParseInstructions(*instrStr, 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -instr: %v\n", err)
 		return 2
 	}
 
@@ -130,22 +108,14 @@ func run() int {
 	rep.Benchmarks = stats
 
 	if !*skipSweep {
-		sw, err := runSmokeSweep(uint64(instrF), *workers, true)
+		sw, err := runSmokeSweep(instr, *workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "suitbench:", err)
 			return 1
 		}
 		rep.Sweep = sw
-		fmt.Printf("smoke sweep (batched):   %d points in %.2fs = %.1f points/s (instr=%s, j=%d)\n",
+		fmt.Printf("smoke sweep: %d points in %.2fs = %.1f points/s (instr=%s, j=%d)\n",
 			sw.Points, sw.Seconds, sw.PointsPerSec, *instrStr, *workers)
-		swu, err := runSmokeSweep(uint64(instrF), *workers, false)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "suitbench:", err)
-			return 1
-		}
-		rep.SweepUnbatched = swu
-		fmt.Printf("smoke sweep (unbatched): %d points in %.2fs = %.1f points/s (instr=%s, j=%d)\n",
-			swu.Points, swu.Seconds, swu.PointsPerSec, *instrStr, *workers)
 	}
 
 	code := 0
@@ -244,30 +214,8 @@ func checkThroughput(what, path string, s *sweepStat) error {
 	return nil
 }
 
-// gateLeg gates one measured sweep leg against its baseline stat.
-func gateLeg(leg, path string, cur, base *sweepStat) error {
-	if err := checkThroughput("baseline ("+leg+")", path, base); err != nil {
-		return err
-	}
-	if err := checkThroughput("this run ("+leg+")", "current report", cur); err != nil {
-		return err
-	}
-	floor := base.PointsPerSec * regressionFloor
-	fmt.Printf("compare (%s): %.1f points/s vs baseline %.1f from %s (floor %.1f = -15%%)\n",
-		leg, cur.PointsPerSec, base.PointsPerSec, path, floor)
-	if cur.PointsPerSec < floor {
-		return fmt.Errorf("%s sweep throughput regressed >15%%: %.1f points/s < floor %.1f (baseline %.1f in %s)",
-			leg, cur.PointsPerSec, floor, base.PointsPerSec, path)
-	}
-	return nil
-}
-
-// compareBaseline gates the current report's smoke-sweep throughput —
-// both the batched and the unbatched leg — against a committed baseline
-// report. Baselines older than the batched-execution split carry a
-// single sweep stat; both legs gate against it then (the pre-split
-// sweep was unbatched, so that floor is conservative for the batched
-// leg and exact for the unbatched one).
+// compareBaseline gates the current report's benchmarks and smoke-sweep
+// throughput against a committed baseline report.
 func compareBaseline(path string, rep *report) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -280,17 +228,24 @@ func compareBaseline(path string, rep *report) error {
 	if err := gateBenchmarks(path, base.Benchmarks, rep.Benchmarks); err != nil {
 		return err
 	}
-	if rep.Sweep == nil && rep.SweepUnbatched == nil {
+	if rep.Sweep == nil {
 		return fmt.Errorf("this run skipped the smoke sweep (-skip-sweep); cannot compare against %s", path)
 	}
-	if err := gateLeg("batched", path, rep.Sweep, base.Sweep); err != nil {
+	if err := checkThroughput("baseline", path, base.Sweep); err != nil {
 		return err
 	}
-	baseUnbatched := base.SweepUnbatched
-	if baseUnbatched == nil {
-		baseUnbatched = base.Sweep
+	if err := checkThroughput("this run", "current report", rep.Sweep); err != nil {
+		return err
 	}
-	return gateLeg("unbatched", path, rep.SweepUnbatched, baseUnbatched)
+	cur, old := rep.Sweep.PointsPerSec, base.Sweep.PointsPerSec
+	floor := old * regressionFloor
+	fmt.Printf("compare (sweep): %.1f points/s vs baseline %.1f from %s (floor %.1f = -15%%)\n",
+		cur, old, path, floor)
+	if cur < floor {
+		return fmt.Errorf("sweep throughput regressed >15%%: %.1f points/s < floor %.1f (baseline %.1f in %s)",
+			cur, floor, old, path)
+	}
+	return nil
 }
 
 // runBenchmarks shells out to go test and aggregates the repetitions.
@@ -373,10 +328,8 @@ func trimCPUSuffix(name string) string {
 // runSmokeSweep builds cmd/suitsweep and times a cold full-grid run at
 // a smoke instruction count. 240 parameter points × 5 workloads = 1200
 // scenario points; the binary prints its ranking to stdout, which the
-// harness discards — only wall time matters here. batch selects the
-// suitsweep execution mode (shared trace artifacts + co-stepped
-// machines vs fully independent points; output bytes are identical).
-func runSmokeSweep(instr uint64, workers int, batch bool) (*sweepStat, error) {
+// harness discards — only wall time matters here.
+func runSmokeSweep(instr uint64, workers int) (*sweepStat, error) {
 	dir, err := os.MkdirTemp("", "suitbench")
 	if err != nil {
 		return nil, err
@@ -391,13 +344,9 @@ func runSmokeSweep(instr uint64, workers int, batch bool) (*sweepStat, error) {
 
 	sweep := exec.Command(bin, "-chip", "C",
 		"-instr", strconv.FormatUint(instr, 10),
-		"-batch="+strconv.FormatBool(batch),
 		"-j", strconv.Itoa(workers))
 	sweep.Stdout = nil // ranking discarded; determinism is tested elsewhere
-	// Tee stderr: the operator still sees suitsweep's progress, and the
-	// harness parses the rampmemo telemetry line out of the copy.
-	var errBuf bytes.Buffer
-	sweep.Stderr = io.MultiWriter(os.Stderr, &errBuf)
+	sweep.Stderr = os.Stderr
 	start := time.Now()
 	if err := sweep.Run(); err != nil {
 		return nil, fmt.Errorf("suitsweep smoke run: %w", err)
@@ -411,51 +360,5 @@ func runSmokeSweep(instr uint64, workers int, batch bool) (*sweepStat, error) {
 		Seconds:      elapsed,
 		PointsPerSec: float64(points) / elapsed,
 		Workers:      workers,
-		RampMemo:     parseRampMemoLine(&errBuf),
 	}, nil
-}
-
-// parseRampMemoLine extracts the memo counters from suitsweep's stderr
-// telemetry line:
-//
-//	suitsweep: rampmemo pair_hits=12 pair_misses=34 ... pow_evictions=0
-//
-// Returns nil when the line is absent (older binary) — telemetry is
-// best-effort and never fails the harness.
-func parseRampMemoLine(buf *bytes.Buffer) *rampMemoStat {
-	sc := bufio.NewScanner(buf)
-	for sc.Scan() {
-		line, ok := strings.CutPrefix(sc.Text(), "suitsweep: rampmemo ")
-		if !ok {
-			continue
-		}
-		vals := map[string]uint64{}
-		for _, kv := range strings.Fields(line) {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				continue
-			}
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				continue
-			}
-			vals[k] = n
-		}
-		st := &rampMemoStat{
-			PairHits:      vals["pair_hits"],
-			PairMisses:    vals["pair_misses"],
-			PairEvictions: vals["pair_evictions"],
-			PowHits:       vals["pow_hits"],
-			PowMisses:     vals["pow_misses"],
-			PowEvictions:  vals["pow_evictions"],
-		}
-		if t := st.PairHits + st.PairMisses; t > 0 {
-			st.PairHitRate = float64(st.PairHits) / float64(t)
-		}
-		if t := st.PowHits + st.PowMisses; t > 0 {
-			st.PowHitRate = float64(st.PowHits) / float64(t)
-		}
-		return st
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -66,10 +65,7 @@ func writeBaseline(t *testing.T, body string) string {
 }
 
 func goodReport() *report {
-	return &report{
-		Sweep:          &sweepStat{Points: 1200, PointsPerSec: 450},
-		SweepUnbatched: &sweepStat{Points: 1200, PointsPerSec: 300},
-	}
+	return &report{Sweep: &sweepStat{Points: 1200, PointsPerSec: 450}}
 }
 
 // A corrupt baseline — zero, negative, NaN, Inf or absent points/s —
@@ -84,7 +80,6 @@ func TestCompareBaselineRejectsCorruptBaseline(t *testing.T) {
 		{"negative", `{"sweep":{"points":1200,"points_per_sec":-12.5}}`},
 		{"missing sweep", `{"bench_count":3}`},
 		{"null sweep", `{"sweep":null}`},
-		{"zero unbatched", `{"sweep":{"points_per_sec":400},"sweep_unbatched":{"points_per_sec":0}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,25 +98,21 @@ func TestCompareBaselineRejectsCorruptBaseline(t *testing.T) {
 // The current run's own stats must be usable too: a NaN or Inf
 // points/s on our side would also make the comparison meaningless.
 func TestCompareBaselineRejectsUnusableCurrentRun(t *testing.T) {
-	path := writeBaseline(t,
-		`{"sweep":{"points_per_sec":400},"sweep_unbatched":{"points_per_sec":250}}`)
+	path := writeBaseline(t, `{"sweep":{"points_per_sec":400}}`)
 	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		rep := goodReport()
 		rep.Sweep.PointsPerSec = bad
 		if err := compareBaseline(path, rep); err == nil {
-			t.Errorf("current batched throughput %v accepted", bad)
-		}
-		rep = goodReport()
-		rep.SweepUnbatched.PointsPerSec = bad
-		if err := compareBaseline(path, rep); err == nil {
-			t.Errorf("current unbatched throughput %v accepted", bad)
+			t.Errorf("current throughput %v accepted", bad)
 		}
 	}
 }
 
-func TestCompareBaselineGatesBothLegs(t *testing.T) {
+// Baselines written while the batching toggle existed (BENCH_7 to
+// BENCH_10) also carry a sweep_unbatched leg; only sweep gates.
+func TestCompareBaselineGatesSweep(t *testing.T) {
 	path := writeBaseline(t,
-		`{"sweep":{"points_per_sec":400},"sweep_unbatched":{"points_per_sec":250}}`)
+		`{"sweep":{"points_per_sec":400},"sweep_unbatched":{"points_per_sec":5000}}`)
 
 	if err := compareBaseline(path, goodReport()); err != nil {
 		t.Fatalf("healthy report failed the gate: %v", err)
@@ -130,29 +121,30 @@ func TestCompareBaselineGatesBothLegs(t *testing.T) {
 	rep := goodReport()
 	rep.Sweep.PointsPerSec = 400 * regressionFloor * 0.99
 	if err := compareBaseline(path, rep); err == nil {
-		t.Error("batched regression below the floor passed the gate")
+		t.Error("regression below the floor passed the gate")
 	}
 
+	// The committed baseline CI compares against still parses and gates.
 	rep = goodReport()
-	rep.SweepUnbatched.PointsPerSec = 250 * regressionFloor * 0.99
-	if err := compareBaseline(path, rep); err == nil {
-		t.Error("unbatched regression below the floor passed the gate")
+	rep.Sweep.PointsPerSec = 1e6
+	if err := compareBaseline("../../BENCH_10.json", rep); err != nil {
+		t.Errorf("BENCH_10.json no longer usable as a baseline: %v", err)
 	}
 }
 
 // Baselines committed before the batched/unbatched split carry a
-// single sweep stat; both legs of a newer run gate against it.
+// single sweep stat, the same shape reports have now.
 func TestCompareBaselineLegacySingleSweep(t *testing.T) {
 	path := writeBaseline(t, `{"sweep":{"points":1200,"points_per_sec":290}}`)
 
 	if err := compareBaseline(path, goodReport()); err != nil {
-		t.Fatalf("legacy baseline should gate both legs against its one stat: %v", err)
+		t.Fatalf("legacy baseline rejected: %v", err)
 	}
 
 	rep := goodReport()
-	rep.SweepUnbatched.PointsPerSec = 290 * regressionFloor * 0.99
+	rep.Sweep.PointsPerSec = 290 * regressionFloor * 0.99
 	if err := compareBaseline(path, rep); err == nil {
-		t.Error("unbatched leg ignored the legacy baseline floor")
+		t.Error("sweep ignored the legacy baseline floor")
 	}
 }
 
@@ -207,8 +199,7 @@ func TestGateBenchmarks(t *testing.T) {
 func TestCompareBaselineGatesBenchmarks(t *testing.T) {
 	path := writeBaseline(t, `{
 		"benchmarks":[{"name":"BenchmarkMachineHotPath/dense-trap","min_ns_per_op":1000}],
-		"sweep":{"points_per_sec":400},
-		"sweep_unbatched":{"points_per_sec":250}}`)
+		"sweep":{"points_per_sec":400}}`)
 	rep := goodReport()
 	rep.Benchmarks = []benchStat{{Name: "BenchmarkMachineHotPath/dense-trap", MinNsPerOp: 2000}}
 	if err := compareBaseline(path, rep); err == nil {
@@ -217,28 +208,5 @@ func TestCompareBaselineGatesBenchmarks(t *testing.T) {
 	rep.Benchmarks[0].MinNsPerOp = 1100
 	if err := compareBaseline(path, rep); err != nil {
 		t.Errorf("benchmark within ceiling failed compareBaseline: %v", err)
-	}
-}
-
-func TestParseRampMemoLine(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("suitsweep: 1200 jobs (1200 unique), 1200 ran, 0 memo + 0 disk hits (0.0% hit rate), 590.4 jobs/s\n")
-	buf.WriteString("suitsweep: rampmemo pair_hits=25 pair_misses=75 pair_evictions=3 pow_hits=40 pow_misses=160 pow_evictions=9\n")
-	st := parseRampMemoLine(&buf)
-	if st == nil {
-		t.Fatal("telemetry line not parsed")
-	}
-	if st.PairHits != 25 || st.PairMisses != 75 || st.PairEvictions != 3 ||
-		st.PowHits != 40 || st.PowMisses != 160 || st.PowEvictions != 9 {
-		t.Fatalf("counters wrong: %+v", st)
-	}
-	if st.PairHitRate != 0.25 || st.PowHitRate != 0.2 {
-		t.Fatalf("hit rates wrong: %+v", st)
-	}
-
-	var empty bytes.Buffer
-	empty.WriteString("suitsweep: 10 jobs\n")
-	if parseRampMemoLine(&empty) != nil {
-		t.Error("absent telemetry line should yield nil, not a zero struct")
 	}
 }

@@ -10,11 +10,10 @@
 // parallelism level. Progress and throughput go to stderr; the table
 // itself goes to stdout.
 //
-// Execution mode: by default points share content-addressed trace
-// artifacts and co-step their run/base machines over one event stream
-// (-batch=true); -batch=false forces fully independent points. Both
-// modes print byte-identical output — batching only changes how the
-// same arithmetic is scheduled.
+// Execution: points share content-addressed trace artifacts, and each
+// point co-steps its run and base machines over one event stream when
+// their traces are shared. The output does not depend on how points
+// are batched or scheduled.
 //
 // Resilience flags: -retries re-runs transiently failing points with
 // the same derived seed (default 0: no retries; contrast suitd, whose
@@ -42,11 +41,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"time"
 
 	"suit/internal/core"
-	"suit/internal/cpu"
 	"suit/internal/dvfs"
 	"suit/internal/engine"
 	"suit/internal/metrics"
@@ -140,8 +137,6 @@ func run() int {
 		seed       = flag.Uint64("seed", 1, "base seed for deterministic per-point seed derivation")
 		top        = flag.Int("top", 10, "how many settings to print (>= 1)")
 		workers    = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
-		batch      = flag.Bool("batch", true, "share trace artifacts across points and co-step run/base machines; -batch=false forces fully independent points (identical output, slower)")
-		rampMemo   = flag.Bool("rampmemo", true, "memoize mid-ramp integration (pair-keyed segment memo + exponent-specialized Pow kernel); -rampmemo=false takes the reference path (identical output, slower)")
 		cacheDir   = flag.String("cache", "", "directory for the on-disk result cache (reused across runs)")
 		retries    = flag.Int("retries", 0, "per-job retry budget for transient failures (same derived seed on every attempt)")
 		onError    = flag.String("on-error", "fail", "failure policy: 'fail' stops at the first failed job, 'continue' finishes the sweep and reports failures")
@@ -166,12 +161,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "bad -top %d: need at least one setting to print\n", *top)
 		return exitUsage
 	}
-	totalF, err := strconv.ParseFloat(*instrStr, 64)
-	if err != nil || totalF < 1e6 {
-		fmt.Fprintf(os.Stderr, "bad -instr %q\n", *instrStr)
+	instr, err := workload.ParseInstructions(*instrStr, 1e6)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -instr: %v\n", err)
 		return exitUsage
 	}
-	instr := uint64(totalF)
 	var policy engine.FailurePolicy
 	switch *onError {
 	case "fail":
@@ -203,8 +197,6 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	core.SetRunContext(ctx)
-	core.SetBatchedExecution(*batch)
-	core.SetRampMemo(*rampMemo)
 
 	var cp *engine.Checkpoint
 	if *cacheDir != "" {
@@ -271,9 +263,6 @@ func run() int {
 		fmt.Printf("Table 7 reference: 𝒜&𝒞 30 µs/450 µs/3/14; ℬ 700 µs/14 ms/4/9\n")
 	}
 	fmt.Fprintf(os.Stderr, "suitsweep: %s\n", core.EngineStats())
-	rm := cpu.RampMemoStatsNow()
-	fmt.Fprintf(os.Stderr, "suitsweep: rampmemo pair_hits=%d pair_misses=%d pair_evictions=%d pow_hits=%d pow_misses=%d pow_evictions=%d\n",
-		rm.PairHits, rm.PairMisses, rm.PairEvictions, rm.PowHits, rm.PowMisses, rm.PowEvictions)
 	if len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "suitsweep: %d scenarios failed; their grid points were dropped from the ranking:\n", len(failed))
 		for _, k := range failed {

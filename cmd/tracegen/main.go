@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"suit/internal/report"
 	"suit/internal/trace"
@@ -62,12 +61,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	totalF, err := strconv.ParseFloat(*totalStr, 64)
-	if err != nil || totalF < 1 {
-		fmt.Fprintf(os.Stderr, "bad -total %q\n", *totalStr)
+	total, err := workload.ParseInstructions(*totalStr, 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -total: %v\n", err)
 		os.Exit(2)
 	}
-	tr, err := b.GenerateTrace(uint64(totalF), *seed)
+	tr, err := b.GenerateTrace(total, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

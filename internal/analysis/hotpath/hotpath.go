@@ -21,18 +21,18 @@ var hotPackages = []string{"internal/cpu"}
 // Analyzer flags math.Pow calls in the simulator hot path.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc: "flag math.Pow in internal/cpu's per-event code; the sanctioned pow-kernel/memo " +
-		"helpers (powKernel, rampMemo, newPowKernel) replicate math.Pow bit-for-bit and may " +
+	Doc: "flag math.Pow in internal/cpu's per-event code; the sanctioned pow-kernel " +
+		"helpers (powKernel, newPowKernel) replicate math.Pow bit-for-bit and may " +
 		"call it freely — every other call needs //lint:allow hotpath <reason>",
 	Run: run,
 }
 
-// sanctioned reports whether fd is one of the pow-kernel/memo helpers
-// that exist precisely to wrap math.Pow: methods on powKernel or
-// rampMemo (the exponent-specialized kernel and the ramp memo, whose
-// math.Pow calls are the deliberate, bit-identical fallback ladder) and
-// the kernel constructor. Calls inside them are the replacement for
-// per-event math.Pow, not a reintroduction of it.
+// sanctioned reports whether fd is one of the pow-kernel helpers that
+// exist precisely to wrap math.Pow: methods on powKernel (the
+// exponent-specialized kernel, whose math.Pow calls are the deliberate,
+// bit-identical fallback ladder) and the kernel constructor. Calls
+// inside them are the replacement for per-event math.Pow, not a
+// reintroduction of it.
 func sanctioned(fd *ast.FuncDecl) bool {
 	if fd.Name.Name == "newPowKernel" {
 		return true
@@ -45,7 +45,7 @@ func sanctioned(fd *ast.FuncDecl) bool {
 		t = star.X
 	}
 	id, ok := t.(*ast.Ident)
-	return ok && (id.Name == "powKernel" || id.Name == "rampMemo")
+	return ok && id.Name == "powKernel"
 }
 
 func run(pass *analysis.Pass) error {
@@ -67,8 +67,8 @@ func run(pass *analysis.Pass) error {
 					return true
 				}
 				pass.Reportf(sel.Pos(),
-					"math.Pow on a per-event path; route it through the ramp memo's "+
-						"exponent-specialized kernel (rampMemo.pow), keep it behind the "+
+					"math.Pow on a per-event path; route it through the "+
+						"exponent-specialized kernel (powKernel.eval), keep it behind the "+
 						"settled-ramp voltage cache (refreshVoltCache), or explain with "+
 						"//lint:allow hotpath <reason> why this site is off the steady state")
 				return true

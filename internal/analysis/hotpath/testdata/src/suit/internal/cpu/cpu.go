@@ -26,18 +26,16 @@ func (calc) Pow(v, e float64) float64 { return v * e }
 
 func uses(c calc) float64 { return c.Pow(2, 3) }
 
-// The pow-kernel/memo helpers are sanctioned: their math.Pow calls are
-// the deliberate bit-identical fallback ladder, not a hot-path leak.
+// The pow-kernel helpers are sanctioned: their math.Pow calls are the
+// deliberate bit-identical fallback ladder, not a hot-path leak.
 type powKernel struct{ exp float64 }
 
 func (k *powKernel) eval(x float64) float64 {
 	return math.Pow(x, k.exp) // sanctioned receiver: no diagnostic
 }
 
-type rampMemo struct{ kern powKernel }
-
-func (mm rampMemo) pow(v float64) float64 {
-	return math.Pow(v, mm.kern.exp) // sanctioned value receiver: no diagnostic
+func (k powKernel) evalValue(x float64) float64 {
+	return math.Pow(x, k.exp) // sanctioned value receiver: no diagnostic
 }
 
 func newPowKernel(exp float64) powKernel {

@@ -246,7 +246,6 @@ func Run(s Scenario) (Outcome, error) {
 	// traces and receives the same immutable artifacts instead of a
 	// regeneration, and concurrent sweep points sharing a (workload,
 	// seed) pair coalesce on one build.
-	shared := batchingEnabled()
 	traces := make([]*trace.Trace, s.Cores, s.Cores+len(s.CoBenches))
 	for i := range traces {
 		tr, err := sharedTrace(bench, total, s.Seed+uint64(i)*7919+1, s.Kind == KindNoSIMD)
@@ -297,10 +296,9 @@ func Run(s Scenario) (Outcome, error) {
 		Seed:           s.Seed,
 		RecordTimeline: s.RecordTimeline,
 		SampleEvery:    s.SampleEvery,
-		NoRampMemo:     !rampMemoEnabled(),
 		// Artifact traces were validated once at generation; re-walking
 		// them per machine would cost more than a sweep point's stepping.
-		TrustedTraces: shared,
+		TrustedTraces: true,
 	}
 	if s.Kind == KindUnsafe {
 		// A pre-SUIT part: stock IMUL, no hardening overhead.
@@ -348,10 +346,11 @@ func Run(s Scenario) (Outcome, error) {
 	}
 
 	var base, run cpu.Result
-	if shared && tracesShared(baseTraces, traces) {
+	if tracesShared(baseTraces, traces) {
 		// Batched stepping: co-step the baseline and run machines over
 		// the shared event stream (see cpu.Batch). Each machine's event
 		// sequence — and so each Result — is bit-identical to a solo Run.
+		// noSIMD and emulation points step solo: their run traces differ.
 		batch, err := cpu.NewBatch([]*cpu.Machine{baseMachine, runMachine})
 		if err != nil {
 			return Outcome{}, err

@@ -48,7 +48,6 @@ type traceArtifact struct {
 
 type traceArtifactStore struct {
 	mu      sync.Mutex
-	enabled bool
 	entries map[string]*traceArtifact
 	order   []string // completed-key FIFO, eviction order
 	usage   uint64   // total events of completed entries
@@ -57,7 +56,6 @@ type traceArtifactStore struct {
 }
 
 var traceArtifacts = &traceArtifactStore{
-	enabled: true,
 	entries: map[string]*traceArtifact{},
 }
 
@@ -91,23 +89,10 @@ func artifactKey(spec trace.Spec, nosimd bool) string {
 }
 
 // sharedTrace returns the trace for (bench, total, seed), optionally
-// noSIMD-filtered, through the artifact store. With sharing disabled it
-// generates a private copy, exactly as core.Run always did.
+// noSIMD-filtered, through the artifact store.
 func sharedTrace(b workload.Benchmark, total, seed uint64, nosimd bool) (*trace.Trace, error) {
-	generate := func() (*trace.Trace, error) {
-		tr, err := b.GenerateTrace(total, seed)
-		if err != nil || !nosimd {
-			return tr, err
-		}
-		return tr.WithoutSIMD(), nil
-	}
-
 	s := traceArtifacts
 	s.mu.Lock()
-	if !s.enabled {
-		s.mu.Unlock()
-		return generate()
-	}
 	key := artifactKey(b.TraceSpec(total, seed), nosimd)
 	if a, ok := s.entries[key]; ok {
 		s.hits++
@@ -120,16 +105,14 @@ func sharedTrace(b workload.Benchmark, total, seed uint64, nosimd bool) (*trace.
 	s.misses++
 	s.mu.Unlock()
 
-	a.tr, a.err = generate()
+	a.tr, a.err = b.GenerateTrace(total, seed)
+	if a.err == nil && nosimd {
+		a.tr = a.tr.WithoutSIMD()
+	}
 	close(a.ready)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.entries[key] != a {
-		// The store was reset (SetBatchedExecution toggle) mid-flight;
-		// the result is still valid for this requester, just unretained.
-		return a.tr, a.err
-	}
 	if a.err != nil {
 		delete(s.entries, key)
 		return nil, a.err
@@ -146,33 +129,4 @@ func sharedTrace(b workload.Benchmark, total, seed uint64, nosimd bool) (*trace.
 		}
 	}
 	return a.tr, a.err
-}
-
-// batchingEnabled reports whether SetBatchedExecution left batched
-// execution (trace sharing + co-stepped run/baseline machines) on.
-func batchingEnabled() bool {
-	s := traceArtifacts
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.enabled
-}
-
-// SetBatchedExecution toggles batched sweep execution process-wide:
-// the shared trace-artifact store and the co-stepped run/baseline
-// machine batch in Run. On by default; turning it off reverts to fully
-// independent per-point execution (the suitbench "unbatched" leg and
-// suitsweep's -batch=false). Outputs are bit-identical either way —
-// this knob trades only speed and memory. Turning it off drops every
-// cached artifact.
-func SetBatchedExecution(on bool) {
-	s := traceArtifacts
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.enabled == on {
-		return
-	}
-	s.enabled = on
-	s.entries = map[string]*traceArtifact{}
-	s.order = nil
-	s.usage = 0
 }

@@ -7,6 +7,17 @@ import (
 	"suit/internal/dvfs"
 )
 
+// resetTraceArtifacts empties the shared trace-artifact store, so the
+// next Run starts cold. Counters keep running; tests compare deltas.
+func resetTraceArtifacts() {
+	s := traceArtifacts
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.entries = map[string]*traceArtifact{}
+	s.order = nil
+	s.usage = 0
+}
+
 // TestTraceArtifactCacheSecondRunHitsOnly asserts the tentpole cache
 // property: re-running an identical scenario performs zero trace
 // generation — every trace request hits an existing artifact — and the
@@ -38,8 +49,7 @@ func TestTraceArtifactCacheSecondRunHitsOnly(t *testing.T) {
 // (bench, total, seed) triple, so the baseline's requests hit the run's
 // freshly built artifacts instead of regenerating them.
 func TestTraceArtifactRunBaseShare(t *testing.T) {
-	SetBatchedExecution(false) // drop every cached artifact...
-	SetBatchedExecution(true)  // ...and re-enable sharing, store empty
+	resetTraceArtifacts()
 
 	before := TraceArtifactStatsNow()
 	run(t, Scenario{Chip: dvfs.XeonSilver4208(), Bench: bench(t, "525.x264"),
@@ -55,8 +65,7 @@ func TestTraceArtifactRunBaseShare(t *testing.T) {
 // distinct artifact evicts the first, and checks the store's resident
 // size stays within budget while results remain correct.
 func TestTraceArtifactEviction(t *testing.T) {
-	SetBatchedExecution(false)
-	SetBatchedExecution(true)
+	resetTraceArtifacts()
 	old := traceArtifactBudget
 	traceArtifactBudget = 1 // any second completed artifact evicts the first
 	defer func() { traceArtifactBudget = old }()
@@ -85,26 +94,5 @@ func TestTraceArtifactEviction(t *testing.T) {
 	sc.Seed = 1
 	if b := run(t, sc); !reflect.DeepEqual(a, b) {
 		t.Errorf("post-eviction rerun diverged:\nfirst: %+v\nrerun: %+v", a, b)
-	}
-}
-
-// TestSetBatchedExecutionDisablesStore asserts -batch=false semantics:
-// no artifact traffic at all, and identical outcomes.
-func TestSetBatchedExecutionDisablesStore(t *testing.T) {
-	sc := Scenario{Chip: dvfs.XeonSilver4208(), Bench: bench(t, "557.xz"),
-		Kind: KindFV, Instructions: 20_000_000, Seed: 3}
-	batched := run(t, sc)
-
-	SetBatchedExecution(false)
-	defer SetBatchedExecution(true)
-	before := TraceArtifactStatsNow()
-	unbatched := run(t, sc)
-	after := TraceArtifactStatsNow()
-
-	if before != after {
-		t.Errorf("disabled store still saw traffic: %+v -> %+v", before, after)
-	}
-	if !reflect.DeepEqual(batched, unbatched) {
-		t.Errorf("batched and unbatched outcomes diverge:\nbatched:   %+v\nunbatched: %+v", batched, unbatched)
 	}
 }

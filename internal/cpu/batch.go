@@ -34,25 +34,6 @@ func NewBatch(ms []*Machine) (*Batch, error) {
 			return nil, fmt.Errorf("cpu: batch machine %d is nil", i)
 		}
 	}
-	// Share one ramp memo across members with the same exponent: the
-	// co-stepped run/base machines ramp between the same operating
-	// points, so one member's segment integrands serve the others'.
-	// Legal because Batch.Run steps members sequentially (never
-	// concurrently) and the memo is pure — a cached entry is a function
-	// of its key bits alone, so cross-member pollution cannot change any
-	// result bit (the batched-vs-solo differential test pins this).
-	// Built eagerly here (ahead of runInit's lazy construction) so the
-	// whole batch allocates the ~100KB tables once.
-	if lead := ms[0]; lead.voltExp != 2 && !lead.cfg.NoRampMemo {
-		if lead.memo == nil {
-			lead.memo = newRampMemo(lead.voltExp)
-		}
-		for _, m := range ms[1:] {
-			if m.memo == nil && m.voltExp == lead.voltExp && !m.cfg.NoRampMemo {
-				m.memo = lead.memo
-			}
-		}
-	}
 	return &Batch{ms: ms}, nil
 }
 

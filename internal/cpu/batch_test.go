@@ -121,9 +121,10 @@ func TestDifferentialBatchedVsSolo(t *testing.T) {
 }
 
 // TestDifferentialFastForwardVsStepped pins the analytic fast-forward
-// against the plain event-queue stepper on the same machine: with the
-// noFastForward hook set, every core arrival goes through the heap, and
-// the dispatched sequence plus the Result must still match bitwise.
+// against the plain event-queue stepper on the same machine: stepped
+// through popEvent and dispatch alone, every core arrival goes through
+// the heap, and the dispatched sequence plus the Result must still
+// match bitwise.
 func TestDifferentialFastForwardVsStepped(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 404))
 	for iter := 0; iter < 12; iter++ {
@@ -155,8 +156,12 @@ func TestDifferentialFastForwardVsStepped(t *testing.T) {
 			}
 			var log []eventRecord
 			m.evLog = &log
-			m.noFastForward = noFF
-			res, err := m.Run()
+			var res Result
+			if noFF {
+				res, err = runStepped(m, m.popEvent)
+			} else {
+				res, err = m.Run()
+			}
 			if err != nil {
 				t.Fatalf("iter %d (noFF=%v): %v", iter, noFF, err)
 			}

@@ -2,7 +2,7 @@ package cpu
 
 // This file implements the indexed event scheduler that replaced the
 // per-event linear scan of nextEvent (kept as nextEventLinear, the
-// test-only reference implementation in run.go).
+// reference implementation in eventq_test.go).
 //
 // Design. Every potential event source is a *slot* with a fixed
 // identity:

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -10,6 +11,86 @@ import (
 	"suit/internal/trace"
 	"suit/internal/units"
 )
+
+// runStepped runs m to completion like Run, but takes every event from
+// next and hands it to dispatch, with no fast-forward. The differential
+// tests use it to swap the event source without a hook in runStep.
+func runStepped(m *Machine, next func() (units.Second, evKind, int)) (Result, error) {
+	m.runInit()
+	for !m.runDone {
+		if err := m.dispatch(next()); err != nil {
+			return Result{}, err
+		}
+	}
+	return m.finishRun(), nil
+}
+
+// nextEventLinear is the pre-scheduler linear scan, kept verbatim as the
+// reference implementation for the differential oracle (production
+// always uses popEvent). The only change from the original nextEvent is
+// skipping tombstoned scheduled entries, whose stable indices reproduce
+// the insertion-order tie-break of the old compacting slice.
+func (m *Machine) nextEventLinear() (units.Second, evKind, int) {
+	best := units.Second(math.Inf(1))
+	kind := evNone
+	who := -1
+	consider := func(t units.Second, k evKind, w int) {
+		if k == evNone || t >= best && kind != evNone {
+			return
+		}
+		best, kind, who = t, k, w
+	}
+	// Deferred handler effects come first so that, at equal timestamps,
+	// an instruction-enable lands before the trapped core retries.
+	for i := range m.scheduled {
+		if m.scheduled[i].done {
+			continue
+		}
+		consider(m.scheduled[i].t, evSched, i)
+	}
+	for i, d := range m.domains {
+		if p := d.pending; p != nil {
+			if p.freqApply > 0 && p.freqTarget != 0 {
+				if p.stallFrom >= 0 && p.stallFrom > m.now {
+					consider(p.stallFrom, evStallStart, i)
+				}
+				consider(p.freqApply, evFreqApply, i)
+			} else {
+				consider(p.end, evTransitionEnd, i)
+			}
+		}
+		if d.deadlineAt > 0 {
+			consider(d.deadlineAt, evDeadline, i)
+		}
+	}
+	for i, c := range m.cores {
+		if c.finished {
+			continue
+		}
+		if c.blockedUntil > m.now {
+			consider(c.blockedUntil, evCoreUnblock, i)
+			continue
+		}
+		d := m.domainOf(c.id)
+		if d.stalledAt(m.now) {
+			// The core resumes at the frequency application; that event
+			// is already a candidate.
+			continue
+		}
+		nextIdx := c.tr.Total
+		if c.idx < len(c.tr.Events) {
+			nextIdx = c.tr.Events[c.idx].Index
+		}
+		remaining := float64(nextIdx) - c.pos
+		if remaining <= 0 {
+			consider(m.now, evCoreArrive, i)
+			continue
+		}
+		rate := c.tr.IPC * float64(d.freq) / c.rate // instructions/second
+		consider(m.now+units.Second(remaining/rate), evCoreArrive, i)
+	}
+	return best, kind, who
+}
 
 // fvThrash is fvLite plus thrashing prevention: it exercises
 // ExceptionsWithin (and thus the exception-ring kept-count formula) on
@@ -107,9 +188,13 @@ func TestDifferentialHeapVsLinear(t *testing.T) {
 			}
 			var log []eventRecord
 			m.evLog = &log
-			m.linearScan = linear
-			m.audit = !linear
-			res, err := m.Run()
+			var res Result
+			if linear {
+				res, err = runStepped(m, m.nextEventLinear)
+			} else {
+				m.audit = true
+				res, err = m.Run()
+			}
 			if err != nil {
 				t.Fatalf("iter %d (linear=%v): %v", iter, linear, err)
 			}

@@ -130,15 +130,6 @@ type Config struct {
 	// internal/sched).
 	DomainOf []int
 
-	// NoRampMemo disables the algebraic mid-ramp integration memo (the
-	// pair-keyed segment memo and the bits-keyed Pow memo backed by the
-	// exponent-specialized kernel): every mid-ramp segment then takes
-	// the retained reference path voltPowIntegralsRef. Outputs are
-	// bit-identical either way — this knob trades only speed, and exists
-	// so suitsweep -rampmemo=false and the differential tests can pin
-	// that equivalence.
-	NoRampMemo bool
-
 	// TrustedTraces skips per-trace validation in Validate. Set it only
 	// for traces that were already validated once — e.g. shared immutable
 	// artifacts from internal/core's trace cache, where re-walking a
@@ -400,8 +391,8 @@ type domain struct {
 
 	// Pow chain cache for the mid-ramp slow path: successive integration
 	// segments share an endpoint (this segment's start voltage is the
-	// previous segment's end voltage), so the last math.Pow(v, exp) result
-	// is memoized. Pow is pure, so the cache never needs invalidation.
+	// previous segment's end voltage), so the last v**exp result is
+	// memoized. Pow is pure, so the cache never needs invalidation.
 	pvOK     bool
 	pvV, pvP float64
 
@@ -451,14 +442,10 @@ type Machine struct {
 	// applied once); uncoreW the precomputed package floor in watts.
 	voltExp float64
 	uncoreW float64
-	// memo is the algebraic mid-ramp integration memo (pair-keyed
-	// segment integrands + bits-keyed Pow backed by the
-	// exponent-specialized kernel; see powkernel.go). Nil when the
-	// exponent is quadratic (no Pow on any path) or Config.NoRampMemo
-	// selects the reference path. Pure — survives Reset by design, and a
-	// Batch may point all members with the same exponent at one shared
-	// table (see NewBatch).
-	memo *rampMemo
+	// kern evaluates v**voltExp bit-equal to math.Pow (powkernel.go);
+	// every Pow of the ramp integrator and the settled-voltage cache
+	// goes through it.
+	kern powKernel
 	// physMargin is Faults.PhysicalMargin per opcode, precomputed so the
 	// per-arrival safety monitor indexes an array instead of hashing into
 	// the model's margin map.
@@ -490,14 +477,10 @@ type Machine struct {
 	// fastForward's inline arrival processing is specialised for.
 	ffEligible bool
 
-	// Test hooks: linearScan selects the reference nextEventLinear scan
-	// instead of the heap; audit cross-checks the heap after every event;
-	// evLog records the dispatched (t, kind, who) sequence;
-	// noFastForward forces every arrival through the event queue.
-	linearScan    bool
-	audit         bool
-	evLog         *[]eventRecord
-	noFastForward bool
+	// Test hooks: audit cross-checks the heap after every event; evLog
+	// records the dispatched (t, kind, who) sequence.
+	audit bool
+	evLog *[]eventRecord
 
 	res Result
 }
@@ -579,6 +562,7 @@ func New(cfg Config, strategy Strategy) (*Machine, error) {
 	if m.voltExp == 0 {
 		m.voltExp = 2
 	}
+	m.kern = newPowKernel(m.voltExp)
 	for op := 0; op < isa.NumOpcodes; op++ {
 		m.physMargin[op] = cfg.Faults.PhysicalMargin(isa.Opcode(op), cfg.HardenedIMUL)
 	}
@@ -670,9 +654,8 @@ func (m *Machine) Reset() {
 		// reset-or-pure rule: vcOK (settled integrands), pvOK (the Pow
 		// chain cache — previously left populated across replays, safe
 		// only by purity) and consVOK (conservative-curve voltage). The
-		// machine-level ramp memo is the deliberate exception: it is pure
-		// by construction (keyed on raw float64 bits, backed by a
-		// deterministic kernel), so replays keep its tables warm.
+		// Pow kernel holds no cache, only constants derived from the
+		// exponent, so there is nothing to rewind there.
 		d.vcOK = false
 		d.pvOK = false
 		d.consVOK = false

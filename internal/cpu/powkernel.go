@@ -1,51 +1,14 @@
-// Algebraic mid-ramp integration support: an exponent-specialized Pow
-// kernel plus pure, zero-allocation memo tables for the ramp-segment
-// integrands (see DESIGN.md "Algebraic ramp integration").
+// Exponent-specialized Pow kernel for the ramp integrator (see DESIGN.md
+// "Algebraic ramp integration").
 //
-// The hot-path contract of this file is bit-identity: every value a
-// memo returns, and every value the kernel computes, must be the exact
-// float64 math.Pow / voltPowIntegralsRef would have produced. The memos
-// are therefore keyed on raw float64 bits (never on a rounded or
-// quantized value) and the kernel replicates math.Pow's evaluation
+// The hot-path contract of this file is bit-identity: every value the
+// kernel computes must be the exact float64 math.Pow would have
+// produced. The kernel therefore replicates math.Pow's evaluation
 // sequence operation for operation, falling back to math.Pow itself for
-// every input class outside the replicated regime. Purity is what makes
-// the caches legal under the reset-or-pure rule: a cached entry is a
-// function of its key bits alone, so Machine.Reset can leave the tables
-// populated and a warm replay still reproduces a cold run byte for byte.
+// every input class outside the replicated regime.
 package cpu
 
-import (
-	"math"
-	"sync/atomic"
-
-	"suit/internal/units"
-)
-
-// Memo geometry. Both tables are direct-mapped (open addressing with a
-// probe window of one and overwrite eviction): a lookup touches exactly
-// one entry, so a miss costs two compares on top of the computation it
-// would have done anyway — essential because cold sweeps see almost no
-// endpoint-pair recurrence, while Reset replays (warm suitd points, the
-// hot-path benchmark) hit nearly 100%.
-const (
-	pairMemoBits = 11
-	pairMemoSize = 1 << pairMemoBits
-	powMemoBits  = 11
-	powMemoSize  = 1 << powMemoBits
-
-	// Adaptive probing: cold sweeps see essentially zero endpoint-pair
-	// recurrence (measured: 11,176,844 distinct pairs in 11,179,935
-	// segments), so for them every table probe is a wasted semi-random
-	// cache access. After memoProbeWindow lookups in one run, a table
-	// whose hit count is below window/memoProbeDivisor stops probing and
-	// storing for the rest of that run; runInit re-arms probing, so warm
-	// Reset replays (suitd, the hot-path benchmark) — which hit nearly
-	// 100% — never trip the cutoff. Bit-safe by purity: a hit returns
-	// exactly the value a miss would recompute, so when probing stops the
-	// results are unchanged, only the lookups are.
-	memoProbeWindow  = 1024
-	memoProbeDivisor = 64
-)
+import "math"
 
 // powKind selects the evaluation strategy a powKernel resolved at
 // construction.
@@ -177,254 +140,4 @@ func (k *powKernel) eval(x float64) float64 {
 	// 2**ae is exactly representable, so this single multiply is the
 	// same correctly-rounded product Ldexp(a1, ae) computes.
 	return a1 * math.Float64frombits(uint64(1023+ae)<<52)
-}
-
-// pairEntry caches the per-unit-length integrands of one ramp-segment
-// endpoint pair; powEntry caches one Pow evaluation.
-type pairEntry struct {
-	ka, kb uint64
-	i2, ie float64
-}
-
-type powEntry struct {
-	k uint64
-	p float64
-}
-
-// rampMemo is the per-machine (batch-shareable) memo for the mid-ramp
-// integration path. All state is preallocated; lookups and inserts are
-// allocation-free (the //suit:hotpath roots reach integrate/pow).
-// Counters are plain local fields — the memo is only ever touched from
-// one goroutine at a time (a machine, or the members of one
-// sequentially co-stepped Batch) — and are drained into the
-// process-wide atomics by flush at the end of each run.
-type rampMemo struct {
-	kern powKernel
-	pair [pairMemoSize]pairEntry
-	pows [powMemoSize]powEntry
-	// Occupancy is tracked in side arrays whose zero value means empty,
-	// so a fresh memo needs no key-sentinel initialization pass — the
-	// runtime's zeroing of the allocation is the whole setup. A slot can
-	// only hit after an insert set its flag, which rules out false hits
-	// for every key pattern (including NaN bit patterns).
-	pairLive [pairMemoSize]bool
-	powLive  [powMemoSize]bool
-
-	pairHits, pairMisses, pairEvictions uint64
-	powHits, powMisses, powEvictions    uint64
-
-	// Probe arms (see memoProbeWindow). Re-armed by arm() at runInit;
-	// the miss/hit counters they are judged against reset at flush.
-	pairProbe, powProbe bool
-}
-
-// arm re-enables adaptive probing for both tables at the start of a run.
-func (mm *rampMemo) arm() {
-	mm.pairProbe = true
-	mm.powProbe = true
-}
-
-// newRampMemo builds an empty memo for one exponent.
-func newRampMemo(exp float64) *rampMemo {
-	mm := &rampMemo{kern: newPowKernel(exp)}
-	mm.arm()
-	return mm
-}
-
-// pairIdx hashes an endpoint-pair key into the pair table. The rotate
-// keeps (va, vb) and (vb, va) from colliding structurally; the
-// multiplicative mix spreads the near-identical mantissas of
-// millivolt-scale ramp voltages across the index bits.
-func pairIdx(ka, kb uint64) uint64 {
-	h := (ka ^ (kb<<32 | kb>>32)) * 0x9E3779B97F4A7C15
-	return h >> (64 - pairMemoBits)
-}
-
-// powIdx hashes one voltage-bits key into the pow table.
-func powIdx(k uint64) uint64 {
-	return (k * 0x9E3779B97F4A7C15) >> (64 - powMemoBits)
-}
-
-// pow returns v**exp through the bits-keyed memo, backing misses with
-// the exponent-specialized kernel. Pure: the cached value is a function
-// of the key bits alone.
-func (mm *rampMemo) pow(v float64) float64 {
-	if !mm.powProbe {
-		mm.powMisses++
-		return mm.kern.eval(v)
-	}
-	k := math.Float64bits(v)
-	i := powIdx(k)
-	e := &mm.pows[i]
-	if mm.powLive[i] && e.k == k {
-		mm.powHits++
-		return e.p
-	}
-	mm.powMisses++
-	p := mm.kern.eval(v)
-	if mm.powLive[i] {
-		mm.powEvictions++
-	} else {
-		mm.powLive[i] = true
-	}
-	e.k, e.p = k, p
-	if mm.powHits+mm.powMisses == memoProbeWindow &&
-		mm.powHits < memoProbeWindow/memoProbeDivisor {
-		mm.powProbe = false
-	}
-	return p
-}
-
-// integrate is the memoized mid-ramp integration path: the same
-// ∫V²dτ / ∫Vᵉdτ computation as voltPowIntegralsRef, restructured around
-// the observation that both per-segment integrals are per-unit-length
-// pure functions of the endpoint pair — seg enters only as the final
-// multiply. The reference evaluates (…)/3 * seg left-to-right, so
-// caching the (…)/3 prefix and multiplying by seg afterwards reproduces
-// its float64 results bit for bit; a pair hit skips all three Pow
-// evaluations. On a miss the segment-start Pow still prefers the
-// domain's chain cache (consecutive segments share an endpoint), then
-// the bits-keyed pow memo.
-func (mm *rampMemo) integrate(d *domain, t0, t1 units.Second) (i2, ie float64) {
-	if mm.kern.exp == 2 {
-		// The quadratic exponent needs no Pow at all; the reference path
-		// is already optimal and keeps the ie == i2 invariant exact.
-		return d.voltPowIntegralsRef(t0, t1, 2)
-	}
-	// Segment split and ordering: identical to voltPowIntegralsRef. The
-	// common mid-ramp case — no ramp breakpoint strictly inside (t0, t1)
-	// — is a single segment, for which the sort below is a no-op; it is
-	// skipped outright (same segments, same order, same bits).
-	var points [4]units.Second
-	points[0], points[1] = t0, t1
-	n := 2
-	if d.voltT0 > t0 && d.voltT0 < t1 {
-		points[n] = d.voltT0
-		n++
-	}
-	if d.voltT1 > t0 && d.voltT1 < t1 {
-		points[n] = d.voltT1
-		n++
-	}
-	if n > 2 {
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && points[j] < points[j-1]; j-- {
-				points[j], points[j-1] = points[j-1], points[j]
-			}
-		}
-	}
-	for i := 1; i < n; i++ {
-		a, b := points[i-1], points[i]
-		if b <= a {
-			continue
-		}
-		va, vb := float64(d.voltAt(a)), float64(d.voltAt(b))
-		seg := float64(b - a)
-		var i2u, ieu float64
-		hit := false
-		var idx uint64
-		if mm.pairProbe {
-			ka, kb := math.Float64bits(va), math.Float64bits(vb)
-			idx = pairIdx(ka, kb)
-			e := &mm.pair[idx]
-			if mm.pairLive[idx] && e.ka == ka && e.kb == kb {
-				mm.pairHits++
-				i2u, ieu = e.i2, e.ie
-				hit = true
-			}
-		}
-		if !hit {
-			mm.pairMisses++
-			i2u = (va*va + va*vb + vb*vb) / 3
-			var pa float64
-			if d.pvOK && d.pvV == va {
-				pa = d.pvP
-			} else {
-				pa = mm.pow(va)
-			}
-			vm := (va + vb) / 2
-			pmid := mm.pow(vm)
-			pb := mm.pow(vb)
-			d.pvV, d.pvP, d.pvOK = vb, pb, true
-			ieu = (pa + 4*pmid + pb) / 6
-			if mm.pairProbe {
-				if mm.pairLive[idx] {
-					mm.pairEvictions++
-				} else {
-					mm.pairLive[idx] = true
-				}
-				e := &mm.pair[idx]
-				e.ka, e.kb = math.Float64bits(va), math.Float64bits(vb)
-				e.i2, e.ie = i2u, ieu
-				if mm.pairHits+mm.pairMisses == memoProbeWindow &&
-					mm.pairHits < memoProbeWindow/memoProbeDivisor {
-					mm.pairProbe = false
-				}
-			}
-		}
-		i2 += i2u * seg
-		ie += ieu * seg
-	}
-	return i2, ie
-}
-
-// Process-wide memo effectiveness counters, drained from per-memo
-// locals by flush. Telemetry only: results never depend on them.
-var (
-	rampPairHits      atomic.Uint64
-	rampPairMisses    atomic.Uint64
-	rampPairEvictions atomic.Uint64
-	rampPowHits       atomic.Uint64
-	rampPowMisses     atomic.Uint64
-	rampPowEvictions  atomic.Uint64
-)
-
-// flush folds the memo's local counters into the process-wide totals
-// and zeroes them, so a batch-shared memo flushed by every member
-// counts each event once.
-func (mm *rampMemo) flush() {
-	if mm.pairHits != 0 {
-		rampPairHits.Add(mm.pairHits)
-		mm.pairHits = 0
-	}
-	if mm.pairMisses != 0 {
-		rampPairMisses.Add(mm.pairMisses)
-		mm.pairMisses = 0
-	}
-	if mm.pairEvictions != 0 {
-		rampPairEvictions.Add(mm.pairEvictions)
-		mm.pairEvictions = 0
-	}
-	if mm.powHits != 0 {
-		rampPowHits.Add(mm.powHits)
-		mm.powHits = 0
-	}
-	if mm.powMisses != 0 {
-		rampPowMisses.Add(mm.powMisses)
-		mm.powMisses = 0
-	}
-	if mm.powEvictions != 0 {
-		rampPowEvictions.Add(mm.powEvictions)
-		mm.powEvictions = 0
-	}
-}
-
-// RampMemoStats is a snapshot of the process-wide ramp-memo counters.
-type RampMemoStats struct {
-	PairHits, PairMisses, PairEvictions uint64
-	PowHits, PowMisses, PowEvictions    uint64
-}
-
-// RampMemoStatsNow snapshots the cumulative ramp-memo effectiveness
-// counters (telemetry for suitbench, suitsweep's stderr line and
-// /metrics; results never depend on them).
-func RampMemoStatsNow() RampMemoStats {
-	return RampMemoStats{
-		PairHits:      rampPairHits.Load(),
-		PairMisses:    rampPairMisses.Load(),
-		PairEvictions: rampPairEvictions.Load(),
-		PowHits:       rampPowHits.Load(),
-		PowMisses:     rampPowMisses.Load(),
-		PowEvictions:  rampPowEvictions.Load(),
-	}
 }

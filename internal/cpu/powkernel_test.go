@@ -107,7 +107,7 @@ func TestPowKernelKinds(t *testing.T) {
 }
 
 // rampDomain builds a bare domain with the given linear ramp state, the
-// minimum integrate and voltPowIntegralsRef need.
+// minimum voltPowIntegrals and voltPowIntegralsRef need.
 func rampDomain(volt, voltGoal float64, voltT0, voltT1 units.Second) *domain {
 	return &domain{
 		volt:     units.Volt(volt),
@@ -117,12 +117,66 @@ func rampDomain(volt, voltGoal float64, voltT0, voltT1 units.Second) *domain {
 	}
 }
 
-// FuzzVoltPowIntegrals fuzzes the memoized mid-ramp integration against
-// the retained reference path: for arbitrary ramp state, query window
-// and exponent, rampMemo.integrate must return bit-identical integrals
-// to voltPowIntegralsRef — including across repeat queries that turn
-// memo hits, and including the chain-cache interplay. It also pins the
-// exp == 2 invariant ie == i2.
+// voltPowIntegralsRef is the math.Pow reference for voltPowIntegrals,
+// kept verbatim from the pre-kernel integrator as the differential
+// oracle of FuzzVoltPowIntegrals.
+func (d *domain) voltPowIntegralsRef(t0, t1 units.Second, exp float64) (i2, ie float64) {
+	// Split at the ramp boundaries. A fixed array keeps the hot loop
+	// allocation-free.
+	var points [4]units.Second
+	points[0], points[1] = t0, t1
+	n := 2
+	if d.voltT0 > t0 && d.voltT0 < t1 {
+		points[n] = d.voltT0
+		n++
+	}
+	if d.voltT1 > t0 && d.voltT1 < t1 {
+		points[n] = d.voltT1
+		n++
+	}
+	// Simple 4-element sort.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && points[j] < points[j-1]; j-- {
+			points[j], points[j-1] = points[j-1], points[j]
+		}
+	}
+	for i := 1; i < n; i++ {
+		a, b := points[i-1], points[i]
+		if b <= a {
+			continue
+		}
+		va, vb := float64(d.voltAt(a)), float64(d.voltAt(b))
+		seg := float64(b - a)
+		// Exact: ∫(va + (vb-va)·s)² = (va² + va·vb + vb²)/3 × length.
+		i2 += (va*va + va*vb + vb*vb) / 3 * seg
+		if exp == 2 {
+			continue
+		}
+		var pa float64
+		if d.pvOK && d.pvV == va {
+			pa = d.pvP
+		} else {
+			pa = math.Pow(va, exp)
+		}
+		vm := (va + vb) / 2
+		pmid := math.Pow(vm, exp)
+		pb := math.Pow(vb, exp)
+		d.pvV, d.pvP, d.pvOK = vb, pb, true
+		ie += (pa + 4*pmid + pb) / 6 * seg
+	}
+	if exp == 2 {
+		// With a quadratic dynamic exponent both integrals accumulate the
+		// identical term sequence, so reuse keeps them bit-equal.
+		ie = i2
+	}
+	return i2, ie
+}
+
+// FuzzVoltPowIntegrals fuzzes the production mid-ramp integrator against
+// the math.Pow reference: for arbitrary ramp state, query window and
+// exponent, voltPowIntegrals must return bit-identical integrals to
+// voltPowIntegralsRef — including across repeat queries and the
+// chain-cache interplay. It also pins the exp == 2 invariant ie == i2.
 func FuzzVoltPowIntegrals(f *testing.F) {
 	f.Add(0.0, 1e-6, 0.0, 1e-6, 0.95, 0.80, 3.5)
 	f.Add(1e-7, 9e-7, 0.0, 1e-6, 0.80, 0.95, 3.5)
@@ -140,23 +194,23 @@ func FuzzVoltPowIntegrals(f *testing.F) {
 		if t1 < t0 || vT1 < vT0 {
 			t.Skip()
 		}
-		mm := newRampMemo(exp)
-		dMemo := rampDomain(volt, goal, units.Second(vT0), units.Second(vT1))
+		k := newPowKernel(exp)
+		dKern := rampDomain(volt, goal, units.Second(vT0), units.Second(vT1))
 		dRef := rampDomain(volt, goal, units.Second(vT0), units.Second(vT1))
-		// Three rounds: cold (pair misses), warm (pair hits), and a
-		// shifted window that exercises the chain cache both paths
-		// carried out of round two.
+		// Three rounds: cold, a repeat of the same window, and a shifted
+		// window that exercises the chain cache both paths carried out
+		// of round two.
 		windows := [][2]units.Second{
 			{units.Second(t0), units.Second(t1)},
 			{units.Second(t0), units.Second(t1)},
 			{units.Second(t1), units.Second(t1 + (t1 - t0))},
 		}
 		for round, w := range windows {
-			gi2, gie := mm.integrate(dMemo, w[0], w[1])
+			gi2, gie := dKern.voltPowIntegrals(w[0], w[1], &k)
 			wi2, wie := dRef.voltPowIntegralsRef(w[0], w[1], exp)
 			if math.Float64bits(gi2) != math.Float64bits(wi2) ||
 				math.Float64bits(gie) != math.Float64bits(wie) {
-				t.Fatalf("round %d window [%g, %g] exp=%g: memo (%g [0x%016x], %g [0x%016x]) != ref (%g [0x%016x], %g [0x%016x])",
+				t.Fatalf("round %d window [%g, %g] exp=%g: kernel (%g [0x%016x], %g [0x%016x]) != ref (%g [0x%016x], %g [0x%016x])",
 					round, float64(w[0]), float64(w[1]), exp,
 					gi2, math.Float64bits(gi2), gie, math.Float64bits(gie),
 					wi2, math.Float64bits(wi2), wie, math.Float64bits(wie))
@@ -169,92 +223,65 @@ func FuzzVoltPowIntegrals(f *testing.F) {
 	})
 }
 
-// TestRampMemoHitsOnReplay checks the memo actually memoizes: replaying
-// the same window hits the pair table and skips every kernel call.
-func TestRampMemoHitsOnReplay(t *testing.T) {
-	mm := newRampMemo(3.5)
-	d := rampDomain(0.95, 0.80, 0, 1e-6)
-	mm.integrate(d, 0, 5e-7)
-	mm.integrate(d, 5e-7, 1e-6)
-	if mm.pairMisses == 0 {
-		t.Fatal("cold pass should miss")
-	}
-	misses, powMisses := mm.pairMisses, mm.powMisses
-	d.pvOK = false // fresh replay state, as after Machine.Reset
-	mm.integrate(d, 0, 5e-7)
-	mm.integrate(d, 5e-7, 1e-6)
-	if mm.pairMisses != misses {
-		t.Errorf("replay added %d pair misses, want 0", mm.pairMisses-misses)
-	}
-	if mm.powMisses != powMisses {
-		t.Errorf("replay added %d pow misses, want 0", mm.powMisses-powMisses)
-	}
-	if mm.pairHits == 0 {
-		t.Error("replay recorded no pair hits")
-	}
-}
-
-// TestRampMemoProbeCutoffAndRearm checks adaptive probing: a run with
-// no recurrence stops probing after the window, and arm() (runInit)
-// re-enables it so a warm replay still hits.
-func TestRampMemoProbeCutoffAndRearm(t *testing.T) {
-	mm := newRampMemo(3.5)
-	d := rampDomain(0.95, 0.80, 0, 1)
-	// memoProbeWindow distinct single-segment windows: all misses.
-	for i := 0; i < memoProbeWindow; i++ {
-		a := units.Second(float64(i) * 1e-6)
-		mm.integrate(d, a, a+5e-7)
-	}
-	if mm.pairProbe {
-		t.Fatal("pair probing still enabled after a zero-hit window")
-	}
-	stored := mm.pairMisses
-	a := units.Second(0)
-	mm.integrate(d, a, a+5e-7) // would hit, but probing is off
-	if mm.pairHits != 0 {
-		t.Fatal("disabled probe recorded a hit")
-	}
-	if mm.pairMisses != stored+1 {
-		t.Fatal("disabled probe must still count lookups as misses")
-	}
-	mm.arm()
-	mm.integrate(d, a, a+5e-7) // stored during the probe window: hits now
-	if mm.pairHits == 0 {
-		t.Fatal("re-armed probe did not hit a stored pair")
-	}
-}
-
 // TestResetClearsVoltAndPowCaches is the Reset regression test: poison
 // every per-domain value cache between two replays and require the
 // results to stay identical. Before pvOK joined vcOK in Reset's clear
-// list, the poisoned chain cache survived into the replay; with the
-// ramp memo disabled the reference path then consumed the stale Pow
-// value directly.
+// list, the poisoned chain cache survived into the replay and the
+// mid-ramp integrator consumed the stale Pow value directly. The traces
+// carry faultable events so that fvLite's traps drive voltage ramps
+// through that integrator; without them the run never leaves the
+// settled-voltage path and the chain cache is never read.
+//
+// The subtest names date from the memoized integrator. "rampmemo" runs
+// the production exponent-specialized kernel; "reference" forces the
+// powFallback kernel, which takes every Pow from math.Pow and so runs
+// the machine on the reference integrator. Both must also agree with
+// each other bit for bit.
 func TestResetClearsVoltAndPowCaches(t *testing.T) {
-	for _, noMemo := range []bool{false, true} {
+	build := func(t *testing.T) *Machine {
+		t.Helper()
+		cfg := testConfig(testTrace(20000, 1, 3000, 9000), testTrace(20000, 2, 5000))
+		m, err := New(cfg, fvLite{deadline: units.Microseconds(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.kern.kind == powFallback {
+			t.Fatalf("voltExp %g resolved to powFallback; the production kernel must be specialized here", m.voltExp)
+		}
+		return m
+	}
+	for _, reference := range []bool{false, true} {
 		name := "rampmemo"
-		if noMemo {
+		if reference {
 			name = "reference"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := testConfig(testTrace(2000, 40), testTrace(2000, 55))
-			cfg.NoRampMemo = noMemo
-			m, err := New(cfg, fvLite{})
-			if err != nil {
-				t.Fatal(err)
+			m := build(t)
+			if reference {
+				m.kern = powKernel{exp: m.voltExp, kind: powFallback}
 			}
 			first, err := m.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
+			if reference {
+				want, err := build(t).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(first, want) {
+					t.Fatal("math.Pow reference run diverged from the specialized-kernel run")
+				}
+			}
 			for round := 0; round < 2; round++ {
 				// Poison before Reset: Reset must clear all of it. pvV is
-				// set to the base operating voltage — the first ramp's
-				// actual start voltage — so a surviving chain cache would
-				// feed a wrong Pow into the first mid-ramp segment.
+				// set to the efficient-curve voltage fvLite boots into —
+				// the first ramp's actual start voltage — so a surviving
+				// chain cache would feed a wrong Pow into the first
+				// mid-ramp segment.
 				for _, d := range m.domains {
 					d.pvOK = true
-					d.pvV = float64(m.pts.Base.V)
+					d.pvV = float64(m.pts.E.V)
 					d.pvP = 123.456
 					d.vcOK = true
 					d.vcGoal = d.voltGoal
@@ -270,42 +297,9 @@ func TestResetClearsVoltAndPowCaches(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, first) {
-					t.Fatalf("NoRampMemo=%v round %d: replay after poisoned caches diverged from first run", noMemo, round)
+					t.Fatalf("reference=%v round %d: replay after poisoned caches diverged from first run", reference, round)
 				}
 			}
 		})
-	}
-}
-
-// TestBatchSharesRampMemo pins NewBatch's eager memo sharing: members
-// with the lead's exponent point at one table; a NoRampMemo member
-// keeps nil.
-func TestBatchSharesRampMemo(t *testing.T) {
-	cfg := testConfig(testTrace(600, 40))
-	a, err := New(cfg, fvLite{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(cfg, fvLite{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgOff := cfg
-	cfgOff.NoRampMemo = true
-	c, err := New(cfgOff, fvLite{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewBatch([]*Machine{a, b, c}); err != nil {
-		t.Fatal(err)
-	}
-	if a.memo == nil {
-		t.Fatal("lead memo not built by NewBatch")
-	}
-	if b.memo != a.memo {
-		t.Error("same-exponent member did not share the lead memo")
-	}
-	if c.memo != nil {
-		t.Error("NoRampMemo member was given a memo")
 	}
 }

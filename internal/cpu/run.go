@@ -3,7 +3,6 @@ package cpu
 import (
 	"errors"
 	"fmt"
-	"math"
 	"suit/internal/isa"
 
 	"suit/internal/msr"
@@ -41,20 +40,6 @@ func (m *Machine) runInit() {
 	m.runDone = false
 	m.stepCount = 0
 	m.handlerTime = 0
-	if m.voltExp != 2 && !m.cfg.NoRampMemo {
-		if m.memo == nil {
-			// Lazy: the ~100KB memo tables are built on first run (or
-			// shared in by NewBatch before this point) rather than in
-			// New, so each batched sweep point allocates one memo
-			// instead of one per member machine.
-			m.memo = newRampMemo(m.voltExp)
-		} else {
-			// Re-arm adaptive probing: a warm replay over a populated
-			// table should probe (and hit) even if the previous cold
-			// run tripped the probe cutoff.
-			m.memo.arm()
-		}
-	}
 	m.strategy.Init(controller{m})
 	// Transitions requested during Init complete instantaneously: the
 	// workload is defined to start on the strategy's initial curve
@@ -88,26 +73,24 @@ func (m *Machine) runInit() {
 //
 //suit:hotpath
 func (m *Machine) runStep() error {
-	if m.ffEligible && !m.linearScan && !m.noFastForward && m.schedLive == 0 {
+	if m.ffEligible && m.schedLive == 0 {
 		m.fastForward()
 		if m.runDone {
 			return nil
 		}
 	}
+	t, kind, who := m.popEvent()
+	return m.dispatch(t, kind, who)
+}
+
+// dispatch applies one event the scheduler selected: it advances the
+// clock to t and runs the event's handler. evNone ends the run. The
+// differential tests drive it directly from their own event sources.
+func (m *Machine) dispatch(t units.Second, kind evKind, who int) error {
 	if m.stepCount >= maxSteps {
 		return errors.New("cpu: event-loop step limit exceeded") //lint:allow allocfree constructed once on the runaway-configuration abort path
 	}
 	m.stepCount++
-	var (
-		t    units.Second
-		kind evKind
-		who  int
-	)
-	if m.linearScan {
-		t, kind, who = m.nextEventLinear()
-	} else {
-		t, kind, who = m.popEvent()
-	}
 	if kind == evNone {
 		m.runDone = true
 		return nil
@@ -179,12 +162,6 @@ func (m *Machine) finishRun() Result {
 		m.res.AvgPower = units.Power(m.res.Energy, maxDone)
 	}
 	m.res.RAPLCounter = m.rapl.Counter()
-	if m.memo != nil {
-		// Drain memo-effectiveness counters into the process-wide totals.
-		// A batch-shared memo is flushed by every member; flush zeroes the
-		// locals so each event is counted once.
-		m.memo.flush()
-	}
 	return m.res
 }
 
@@ -329,75 +306,6 @@ const (
 	evCoreArrive
 	evCoreUnblock
 )
-
-// nextEventLinear is the pre-scheduler linear scan, kept verbatim as the
-// reference implementation for the differential oracle (enabled via the
-// test-only m.linearScan flag; production always uses popEvent). The
-// only change from the original nextEvent is skipping tombstoned
-// scheduled entries, whose stable indices reproduce the insertion-order
-// tie-break of the old compacting slice.
-func (m *Machine) nextEventLinear() (units.Second, evKind, int) {
-	best := units.Second(math.Inf(1))
-	kind := evNone
-	who := -1
-	//lint:allow allocfree non-escaping closure in the test-only linear-scan reference path; production uses popEvent
-	consider := func(t units.Second, k evKind, w int) {
-		if k == evNone || t >= best && kind != evNone {
-			return
-		}
-		best, kind, who = t, k, w
-	}
-	// Deferred handler effects come first so that, at equal timestamps,
-	// an instruction-enable lands before the trapped core retries.
-	for i := range m.scheduled {
-		if m.scheduled[i].done {
-			continue
-		}
-		consider(m.scheduled[i].t, evSched, i)
-	}
-	for i, d := range m.domains {
-		if p := d.pending; p != nil {
-			if p.freqApply > 0 && p.freqTarget != 0 {
-				if p.stallFrom >= 0 && p.stallFrom > m.now {
-					consider(p.stallFrom, evStallStart, i)
-				}
-				consider(p.freqApply, evFreqApply, i)
-			} else {
-				consider(p.end, evTransitionEnd, i)
-			}
-		}
-		if d.deadlineAt > 0 {
-			consider(d.deadlineAt, evDeadline, i)
-		}
-	}
-	for i, c := range m.cores {
-		if c.finished {
-			continue
-		}
-		if c.blockedUntil > m.now {
-			consider(c.blockedUntil, evCoreUnblock, i)
-			continue
-		}
-		d := m.domainOf(c.id)
-		if d.stalledAt(m.now) {
-			// The core resumes at the frequency application; that event
-			// is already a candidate.
-			continue
-		}
-		nextIdx := c.tr.Total
-		if c.idx < len(c.tr.Events) {
-			nextIdx = c.tr.Events[c.idx].Index
-		}
-		remaining := float64(nextIdx) - c.pos
-		if remaining <= 0 {
-			consider(m.now, evCoreArrive, i)
-			continue
-		}
-		rate := c.tr.IPC * float64(d.freq) / c.rate // instructions/second
-		consider(m.now+units.Second(remaining/rate), evCoreArrive, i)
-	}
-	return best, kind, who
-}
 
 // applyFreq commits a pending frequency change; if the voltage ramp is
 // still outstanding, the transition stays pending until its end.
@@ -580,10 +488,8 @@ func (m *Machine) advanceTo(t units.Second) {
 			}
 			v2 = d.vcV2 * fdt
 			ve = d.vcVe * fdt
-		} else if m.memo != nil {
-			v2, ve = m.memo.integrate(d, m.now, t)
 		} else {
-			v2, ve = d.voltPowIntegralsRef(m.now, t, m.voltExp)
+			v2, ve = d.voltPowIntegrals(m.now, t, &m.kern)
 		}
 		// Hoisted per-domain factors. Only multiplications are factored
 		// out (left-associated exactly as the per-core expression was),
@@ -619,50 +525,38 @@ func (m *Machine) advanceTo(t units.Second) {
 }
 
 // refreshVoltCache computes the constant-voltage integrands at voltGoal.
-// The expressions replicate, term by term, what voltPowIntegralsRef
-// would evaluate over a single settled segment (va == vb == voltGoal):
-// the quadrature sum is formed the same way and divided before scaling
-// by dt, so the fast path is bit-identical to the slow path it bypasses.
-// With the ramp memo active the Pow evaluation routes through the
-// bits-keyed memo and the exponent-specialized kernel, both bit-equal
-// to math.Pow by construction.
+// The expressions replicate, term by term, what voltPowIntegrals would
+// evaluate over a single settled segment (va == vb == voltGoal): the
+// quadrature sum is formed the same way and divided before scaling by
+// dt, so the fast path is bit-identical to the slow path it bypasses.
 func (m *Machine) refreshVoltCache(d *domain) {
 	v := float64(d.voltGoal)
 	s := v * v
 	d.vcV2 = (s + s + s) / 3
-	switch {
-	case m.voltExp == 2:
+	if m.voltExp == 2 {
 		d.vcVe = d.vcV2
-	case m.memo != nil:
-		p := m.memo.pow(v)
-		d.vcVe = (p + 4*p + p) / 6
-	default:
-		p := math.Pow(v, m.voltExp) //lint:allow hotpath reference path with the ramp memo disabled; cache refresh runs once per settled voltage level, not per event
+	} else {
+		p := m.kern.eval(v)
 		d.vcVe = (p + 4*p + p) / 6
 	}
 	d.vcGoal = d.voltGoal
 	d.vcOK = true
 }
 
-// voltPowIntegralsRef computes ∫V²dτ (leakage) and ∫Vᵉdτ (dynamic) over
+// voltPowIntegrals computes ∫V²dτ (leakage) and ∫Vᵉdτ (dynamic) over
 // [t0, t1] in one pass over the domain's piecewise-linear voltage
-// profile. The quadratic integral is exact; other exponents use
-// Simpson's rule per linear segment, which is accurate to ~10⁻⁸
-// relative over the millivolt-scale ramps that occur here. Only
+// profile, with e = k.exp. The quadratic integral is exact; other
+// exponents use Simpson's rule per linear segment, which is accurate to
+// ~10⁻⁸ relative over the millivolt-scale ramps that occur here. Only
 // mid-ramp segments reach this slow path; settled domains use the
 // per-domain cache in advanceTo.
 //
-// Consecutive advanceTo segments within a ramp share an endpoint, so
-// math.Pow at the segment start is served from the domain's chain cache
-// (pvV/pvP) — one Pow per segment is the previous segment's end.
-//
-// This is the retained reference implementation, kept verbatim as the
-// differential oracle for rampMemo.integrate (the analogue of
-// nextEventLinear for the event queue): production machines take the
-// memoized path unless Config.NoRampMemo (suitsweep -rampmemo=false)
-// selects this one, and FuzzVoltPowIntegrals asserts the two are
-// bit-identical.
-func (d *domain) voltPowIntegralsRef(t0, t1 units.Second, exp float64) (i2, ie float64) {
+// Every Pow goes through the exponent-specialized kernel, bit-equal to
+// math.Pow, and consecutive advanceTo segments within a ramp share an
+// endpoint, so the Pow at the segment start is served from the domain's
+// chain cache (pvV/pvP). FuzzVoltPowIntegrals holds this path
+// bit-identical to the math.Pow reference kept in the tests.
+func (d *domain) voltPowIntegrals(t0, t1 units.Second, k *powKernel) (i2, ie float64) {
 	// Split at the ramp boundaries. A fixed array keeps the hot loop
 	// allocation-free.
 	var points [4]units.Second
@@ -691,22 +585,22 @@ func (d *domain) voltPowIntegralsRef(t0, t1 units.Second, exp float64) (i2, ie f
 		seg := float64(b - a)
 		// Exact: ∫(va + (vb-va)·s)² = (va² + va·vb + vb²)/3 × length.
 		i2 += (va*va + va*vb + vb*vb) / 3 * seg
-		if exp == 2 {
+		if k.exp == 2 {
 			continue
 		}
 		var pa float64
 		if d.pvOK && d.pvV == va {
 			pa = d.pvP
 		} else {
-			pa = math.Pow(va, exp) //lint:allow hotpath reference-path Simpson segment start; production uses rampMemo.integrate
+			pa = k.eval(va)
 		}
 		vm := (va + vb) / 2
-		pmid := math.Pow(vm, exp) //lint:allow hotpath reference-path Simpson midpoint; production uses rampMemo.integrate
-		pb := math.Pow(vb, exp)   //lint:allow hotpath reference-path Simpson endpoint; production uses rampMemo.integrate
+		pmid := k.eval(vm)
+		pb := k.eval(vb)
 		d.pvV, d.pvP, d.pvOK = vb, pb, true
 		ie += (pa + 4*pmid + pb) / 6 * seg
 	}
-	if exp == 2 {
+	if k.exp == 2 {
 		// With a quadratic dynamic exponent both integrals accumulate the
 		// identical term sequence, so reuse keeps them bit-equal.
 		ie = i2

@@ -24,14 +24,19 @@ type jobView struct {
 	Rslt  *Result `json:"result,omitempty"`
 }
 
+// viewOf renders j; with withResult, a done job's result rides along.
+// State and result are read under one lock, so a job that finishes
+// while its view is built never shows as done without its result —
+// clients take a done view's result as final.
 func viewOf(j *Job, withResult bool) jobView {
-	snap := j.Snapshot()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	v := jobView{
-		ID: j.ID, State: snap.State, Done: snap.Done, Total: snap.Total,
-		Error: snap.Error, Spec: j.Spec, Href: "/v1/sweeps/" + j.ID,
+		ID: j.ID, State: j.state, Done: j.done, Total: j.total,
+		Error: j.err, Spec: j.Spec, Href: "/v1/sweeps/" + j.ID,
 	}
 	if withResult {
-		v.Rslt = j.Result()
+		v.Rslt = j.result
 	}
 	return v
 }
@@ -99,10 +104,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	switch outcome {
 	case SubmitQueued:
-		writeJSON(w, http.StatusCreated, viewOf(job, false))
+		// A job whose points are all engine-memo hits can be done
+		// already; its view then carries the result.
+		writeJSON(w, http.StatusCreated, viewOf(job, true))
 	case SubmitCoalesced, SubmitStored:
 		// Content-addressed hit: same spec, same job, no new execution.
-		writeJSON(w, http.StatusOK, viewOf(job, job.State() == StateDone))
+		writeJSON(w, http.StatusOK, viewOf(job, true))
 	case SubmitQueueFull:
 		retry := s.RetryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))

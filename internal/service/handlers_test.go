@@ -63,6 +63,27 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) *http.Resp
 	return resp
 }
 
+// viewOf shows the result exactly when it shows the job done, even
+// while the job finishes concurrently. POST relies on this: a new job
+// whose points are all engine-memo hits can be done before its response
+// is rendered, and clients take a done view's result as final.
+func TestViewOfResultExactlyWhenDone(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		j := newJob("j", Spec{}, 1)
+		res := &Result{ID: "j"}
+		go j.finish(StateDone, res, "")
+		for {
+			v := viewOf(j, true)
+			if (v.State == StateDone) != (v.Rslt != nil) {
+				t.Fatalf("view in state %s has result %v", v.State, v.Rslt != nil)
+			}
+			if v.State == StateDone {
+				break
+			}
+		}
+	}
+}
+
 func TestHTTPSubmitLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 

@@ -3,8 +3,6 @@ package service
 import (
 	"fmt"
 	"io"
-
-	"suit/internal/cpu"
 )
 
 // WriteMetrics renders the service's telemetry in Prometheus text
@@ -74,15 +72,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		sample{"suitd_dist_live_workers", "Workers seen within the liveness window.", "gauge", float64(ds.LiveWorkers)},
 		sample{"suitd_dist_quarantined_workers", "Workers currently quarantined.", "gauge", float64(ds.QuarantinedWorkers)},
 		sample{"suitd_dist_tripped", "Whether the dispatcher breaker is open (1) or closed (0).", "gauge", tripped},
-	)
-	rm := cpu.RampMemoStatsNow()
-	samples = append(samples,
-		sample{"suitd_rampmemo_pair_hits_total", "Mid-ramp segment integrations served from the pair memo.", "counter", float64(rm.PairHits)},
-		sample{"suitd_rampmemo_pair_misses_total", "Mid-ramp segment integrations computed (pair memo misses).", "counter", float64(rm.PairMisses)},
-		sample{"suitd_rampmemo_pair_evictions_total", "Pair memo entries overwritten by colliding keys.", "counter", float64(rm.PairEvictions)},
-		sample{"suitd_rampmemo_pow_hits_total", "Pow evaluations served from the bits-keyed memo.", "counter", float64(rm.PowHits)},
-		sample{"suitd_rampmemo_pow_misses_total", "Pow evaluations computed by the exponent-specialized kernel.", "counter", float64(rm.PowMisses)},
-		sample{"suitd_rampmemo_pow_evictions_total", "Pow memo entries overwritten by colliding keys.", "counter", float64(rm.PowEvictions)},
 	)
 	for _, m := range samples {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", m.name, m.help, m.name, m.typ, m.name, m.value); err != nil {

@@ -2,11 +2,10 @@
 # bench_summary.sh BASELINE.json CURRENT.json
 #
 # Renders a markdown delta table comparing a fresh suitbench report
-# against the committed baseline: sweep throughput per leg, hot-path
-# ns/op per benchmark, and ramp-memo hit rates when the report carries
-# them. CI appends the output to $GITHUB_STEP_SUMMARY so the numbers
-# land on the job page without downloading the artifact; locally it
-# just prints to stdout.
+# against the committed baseline: smoke-sweep throughput and hot-path
+# ns/op per benchmark. CI appends the output to $GITHUB_STEP_SUMMARY so
+# the numbers land on the job page without downloading the artifact;
+# locally it just prints to stdout.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -18,19 +17,17 @@ cur=$2
 
 echo "## Hot-path bench: $(basename "$cur") vs $(basename "$base")"
 echo
-echo "| Sweep leg | baseline pts/s | current pts/s | delta |"
+echo "| Sweep | baseline pts/s | current pts/s | delta |"
 echo "|---|---:|---:|---:|"
-for leg in sweep sweep_unbatched; do
-  jq -r --slurpfile b "$base" --arg leg "$leg" '
-    ($b[0][$leg].points_per_sec // null) as $old
-    | (.[$leg].points_per_sec // null) as $new
-    | if $new == null then empty
-      elif $old == null or $old <= 0 then
-        "| \($leg) | n/a | \($new | . * 100 | round / 100) | new |"
-      else
-        "| \($leg) | \($old | . * 100 | round / 100) | \($new | . * 100 | round / 100) | \((($new / $old - 1) * 1000 | round) / 10)% |"
-      end' "$cur"
-done
+jq -r --slurpfile b "$base" '
+  ($b[0].sweep.points_per_sec // null) as $old
+  | (.sweep.points_per_sec // null) as $new
+  | if $new == null then empty
+    elif $old == null or $old <= 0 then
+      "| sweep | n/a | \($new | . * 100 | round / 100) | new |"
+    else
+      "| sweep | \($old | . * 100 | round / 100) | \($new | . * 100 | round / 100) | \((($new / $old - 1) * 1000 | round) / 10)% |"
+    end' "$cur"
 echo
 echo "| Benchmark | baseline ns/op | current ns/op | delta |"
 echo "|---|---:|---:|---:|"
@@ -44,15 +41,3 @@ jq -r --slurpfile b "$base" '
       "| \(.name) | \($prev) | \(.min_ns_per_op) | \(((.min_ns_per_op / $prev - 1) * 1000 | round) / 10)% |"
     end' "$cur"
 
-# Ramp-memo telemetry rides on each sweep leg when the binary reports
-# it; older baselines predate the memo, so only the current side prints.
-rm_rows=$(jq -r '
-  [ ["sweep", .sweep.ramp_memo], ["sweep_unbatched", .sweep_unbatched.ramp_memo] ][]
-  | select(.[1] != null)
-  | "| \(.[0]) | \(.[1].pair_hit_rate * 1000 | round / 10)% | \(.[1].pow_hit_rate * 1000 | round / 10)% | \(.[1].pair_evictions + .[1].pow_evictions) |"' "$cur")
-if [ -n "$rm_rows" ]; then
-  echo
-  echo "| Sweep leg | pair hit rate | pow hit rate | evictions |"
-  echo "|---|---:|---:|---:|"
-  echo "$rm_rows"
-fi
