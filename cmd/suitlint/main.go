@@ -13,8 +13,8 @@
 //	panicpath    panic only for machine invariants; I/O and command
 //	             paths return errors
 //	hotpath      math.Pow in internal/cpu's per-event code must carry
-//	             an explained allow (the constant-voltage fast path
-//	             makes the slow path exceptional)
+//	             an explained allow (energy is charged once per epoch,
+//	             so Pow belongs where an epoch closes, not per arrival)
 //	allocfree    no allocation sites reachable from //suit:hotpath
 //	             roots; hotness propagates over static calls and method
 //	             values, and "may allocate" facts cross package

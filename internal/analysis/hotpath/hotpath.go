@@ -1,11 +1,13 @@
 // Package hotpath guards the simulator's per-event cost model. The
-// constant-voltage fast path in internal/cpu exists so that math.Pow —
-// tens of nanoseconds per call, ~60% of a cold sweep's profile before
-// the cache landed — runs only while a voltage ramp is actually in
-// flight. Any new math.Pow in internal/cpu reintroduces that cost on a
-// path that may execute once per event, so each call site must carry an
-// explained //lint:allow hotpath <reason> stating why it is off the
-// steady-state path (or why it cannot be cached).
+// simulator charges energy once per epoch — a stretch over which a
+// domain's power coefficient and voltage trajectory stay fixed — so the
+// math.Pow of the ramp closed form runs when an epoch closes, not on
+// every arrival. Any new math.Pow in internal/cpu may land on a path
+// that executes once per event and bring back the per-arrival cost the
+// epochs removed (tens of nanoseconds per call; the per-segment
+// integrator it replaced was ~40% of a cold sweep's profile), so each
+// call site must carry an explained //lint:allow hotpath <reason>
+// stating why it is off the per-arrival path.
 package hotpath
 
 import (
@@ -21,31 +23,10 @@ var hotPackages = []string{"internal/cpu"}
 // Analyzer flags math.Pow calls in the simulator hot path.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc: "flag math.Pow in internal/cpu's per-event code; the sanctioned pow-kernel " +
-		"helpers (powKernel, newPowKernel) replicate math.Pow bit-for-bit and may " +
-		"call it freely — every other call needs //lint:allow hotpath <reason>",
+	Doc: "flag math.Pow in internal/cpu's per-event code; every call needs " +
+		"//lint:allow hotpath <reason> explaining why it runs once per epoch " +
+		"or off the steady state rather than once per arrival",
 	Run: run,
-}
-
-// sanctioned reports whether fd is one of the pow-kernel helpers that
-// exist precisely to wrap math.Pow: methods on powKernel (the
-// exponent-specialized kernel, whose math.Pow calls are the deliberate,
-// bit-identical fallback ladder) and the kernel constructor. Calls
-// inside them are the replacement for per-event math.Pow, not a
-// reintroduction of it.
-func sanctioned(fd *ast.FuncDecl) bool {
-	if fd.Name.Name == "newPowKernel" {
-		return true
-	}
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	return ok && id.Name == "powKernel"
 }
 
 func run(pass *analysis.Pass) error {
@@ -53,27 +34,21 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && sanctioned(fd) {
-				continue
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "math" || fn.Name() != "Pow" {
-					return true
-				}
-				pass.Reportf(sel.Pos(),
-					"math.Pow on a per-event path; route it through the "+
-						"exponent-specialized kernel (powKernel.eval), keep it behind the "+
-						"settled-ramp voltage cache (refreshVoltCache), or explain with "+
-						"//lint:allow hotpath <reason> why this site is off the steady state")
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
 				return true
-			})
-		}
+			}
+			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "math" || fn.Name() != "Pow" {
+				return true
+			}
+			pass.Reportf(sel.Pos(),
+				"math.Pow on a per-event path; charge it when an energy epoch "+
+					"closes (closeEpoch) rather than per arrival, or explain with "+
+					"//lint:allow hotpath <reason> why this site is off the steady state")
+			return true
+		})
 	}
 	return nil
 }

@@ -7,10 +7,10 @@ func advanceTo(v, e float64) float64 {
 	return math.Pow(v, e) // want `math.Pow on a per-event path`
 }
 
-// refreshVoltCache is the one legitimate slow-path site: it runs only
-// when a ramp settles, not per event.
-func refreshVoltCache(v, e float64) float64 {
-	//lint:allow hotpath runs once per ramp settle, not per event
+// rampMean is the one legitimate site: it runs when an energy epoch
+// closes, not per event.
+func rampMean(v, e float64) float64 {
+	//lint:allow hotpath runs once per epoch, not per arrival
 	return math.Pow(v, e)
 }
 
@@ -26,29 +26,10 @@ func (calc) Pow(v, e float64) float64 { return v * e }
 
 func uses(c calc) float64 { return c.Pow(2, 3) }
 
-// The pow-kernel helpers are sanctioned: their math.Pow calls are the
-// deliberate bit-identical fallback ladder, not a hot-path leak.
-type powKernel struct{ exp float64 }
+// No receiver or function name is exempt: a helper wrapping math.Pow is
+// flagged like any other call site.
+type powWrapper struct{ exp float64 }
 
-func (k *powKernel) eval(x float64) float64 {
-	return math.Pow(x, k.exp) // sanctioned receiver: no diagnostic
-}
-
-func (k powKernel) evalValue(x float64) float64 {
-	return math.Pow(x, k.exp) // sanctioned value receiver: no diagnostic
-}
-
-func newPowKernel(exp float64) powKernel {
-	if math.Pow(2, exp) > 1 { // sanctioned constructor: no diagnostic
-		return powKernel{exp: exp}
-	}
-	return powKernel{}
-}
-
-// A lookalike type is NOT sanctioned: sanctioning is by exact receiver
-// base name.
-type powKernelView struct{ k powKernel }
-
-func (v *powKernelView) eval(x float64) float64 {
-	return math.Pow(x, v.k.exp) // want `math.Pow on a per-event path`
+func (w *powWrapper) eval(x float64) float64 {
+	return math.Pow(x, w.exp) // want `math.Pow on a per-event path`
 }

@@ -5,7 +5,7 @@
 // interface of Listing 1. The machine models DVFS domains with the
 // measured transition delays, the #DO trap with its measured exception
 // delay, the deadline timer with hardware reset-on-faultable-execution,
-// per-segment package power integration, and a fault monitor that records
+// per-epoch package energy accounting, and a fault monitor that records
 // any faultable instruction executed below its safe voltage — the
 // security property SUIT must uphold and unsafe undervolting violates.
 package cpu
@@ -351,13 +351,10 @@ type domain struct {
 	cores []*core
 	msrs  *msr.File
 
-	mode     Mode // residency attribution: last *completed* target
-	target   Mode // requested target
-	freq     units.Hertz
-	volt     units.Volt // voltage at voltT (start of current ramp segment)
-	voltGoal units.Volt
-	voltT0   units.Second // ramp start time
-	voltT1   units.Second // ramp end (== voltT0 when settled)
+	mode   Mode // residency attribution: last *completed* target
+	target Mode // requested target
+	freq   units.Hertz
+	ramp   // voltage trajectory
 
 	disabled bool // faultable instructions disabled (hardware state)
 	// disabledView is the OS-visible value: handler writes become
@@ -380,21 +377,8 @@ type domain struct {
 	exceptions []units.Second
 	excTotal   uint64 // total #DO recorded over the run
 
-	// Constant-voltage integrand cache for advanceTo's fast path:
-	// when the ramp is settled, vcV2/vcVe hold the per-second ∫V²/∫Vᵉ
-	// integrands at vcGoal. Keyed on voltGoal — starting a new ramp
-	// changes voltGoal or un-settles voltT1, either of which bypasses or
-	// refreshes the cache.
-	vcOK       bool
-	vcGoal     units.Volt
-	vcV2, vcVe float64
-
-	// Pow chain cache for the mid-ramp slow path: successive integration
-	// segments share an endpoint (this segment's start voltage is the
-	// previous segment's end voltage), so the last v**exp result is
-	// memoized. Pow is pure, so the cache never needs invalidation.
-	pvOK     bool
-	pvV, pvP float64
+	// ep is the open energy epoch (see closeEpoch in run.go).
+	ep epoch
 
 	// Conservative-curve voltage at the current frequency, memoized for
 	// the per-arrival safety monitor. VoltageAt is a pure function of the
@@ -404,16 +388,36 @@ type domain struct {
 	consV     units.Volt
 }
 
-// voltAt returns the domain voltage at time t (linear regulator ramp).
-func (d *domain) voltAt(t units.Second) units.Volt {
-	if t >= d.voltT1 || d.voltT1 == d.voltT0 {
-		return d.voltGoal
+// ramp is a domain's voltage trajectory: volt until voltT0, a linear
+// regulator ramp to voltGoal over [voltT0, voltT1], voltGoal after. A
+// settled trajectory (voltT1 == voltT0) is voltGoal throughout.
+type ramp struct {
+	volt     units.Volt // voltage at voltT0 (start of the ramp)
+	voltGoal units.Volt
+	voltT0   units.Second // ramp start time
+	voltT1   units.Second // ramp end (== voltT0 when settled)
+}
+
+// voltAt returns the voltage at time t.
+func (r *ramp) voltAt(t units.Second) units.Volt {
+	if t >= r.voltT1 || r.voltT1 == r.voltT0 {
+		return r.voltGoal
 	}
-	if t <= d.voltT0 {
-		return d.volt
+	if t <= r.voltT0 {
+		return r.volt
 	}
-	frac := float64(t-d.voltT0) / float64(d.voltT1-d.voltT0)
-	return d.volt + units.Volt(frac)*(d.voltGoal-d.volt)
+	frac := float64(t-r.voltT0) / float64(r.voltT1-r.voltT0)
+	return r.volt + units.Volt(frac)*(r.voltGoal-r.volt)
+}
+
+// epoch is a stretch of time over which a domain's power draw is one
+// fixed function of time: the dynamic coefficient CoreCeff·f·Σactivity
+// and the voltage trajectory both stayed put since t0. Its energy is
+// charged in closed form when either changes (see closeEpoch).
+type epoch struct {
+	t0   units.Second // opened at
+	dyn  float64      // CoreCeff·f·Σactivity in force since t0
+	ramp ramp         // trajectory in force since t0
 }
 
 // stalledAt reports whether the domain cores are stalled by a frequency
@@ -434,18 +438,15 @@ type Machine struct {
 	pcg     *rand.PCG // rng's source, reseedable in place by Reset
 
 	now      units.Second
-	meter    power.Integrator
 	rapl     *power.RAPL
 	strategy Strategy
+	// energy is the core energy in joules of every closed epoch.
+	energy float64
 
 	// voltExp is the resolved dynamic-power exponent (Config default
 	// applied once); uncoreW the precomputed package floor in watts.
 	voltExp float64
 	uncoreW float64
-	// kern evaluates v**voltExp bit-equal to math.Pow (powkernel.go);
-	// every Pow of the ramp integrator and the settled-voltage cache
-	// goes through it.
-	kern powKernel
 	// physMargin is Faults.PhysicalMargin per opcode, precomputed so the
 	// per-arrival safety monitor indexes an array instead of hashing into
 	// the model's margin map.
@@ -562,7 +563,6 @@ func New(cfg Config, strategy Strategy) (*Machine, error) {
 	if m.voltExp == 0 {
 		m.voltExp = 2
 	}
-	m.kern = newPowKernel(m.voltExp)
 	for op := 0; op < isa.NumOpcodes; op++ {
 		m.physMargin[op] = cfg.Faults.PhysicalMargin(isa.Opcode(op), cfg.HardenedIMUL)
 	}
@@ -600,8 +600,8 @@ func New(cfg Config, strategy Strategy) (*Machine, error) {
 		}
 	}
 	m.res.PerCore = make([]units.Second, len(m.cores))
-	// Identical expression to the uncore term advanceTo used to evaluate
-	// per event; hoisting the sum preserves the bit pattern.
+	// The package floor draws the same power all run long, so finishRun
+	// charges it once over the whole duration.
 	pm := cfg.Chip.Power
 	m.uncoreW = float64(pm.Uncore) + float64(pm.UncorePerCore)*float64(len(m.cores))
 	m.ffEligible = len(m.cores) == 1 && len(m.domains) == 1
@@ -624,7 +624,7 @@ func (m *Machine) Reset() {
 	m.handlerTime = 0
 	m.handlerCore = -1
 	m.nextSample = 0
-	m.meter.Reset()
+	m.energy = 0
 	m.rapl.Reset()
 	m.pcg.Seed(m.cfg.Seed, m.cfg.Seed^0x5DEECE66D)
 	m.scheduled = m.scheduled[:0]
@@ -643,21 +643,16 @@ func (m *Machine) Reset() {
 	for _, d := range m.domains {
 		d.mode, d.target = ModeBase, ModeBase
 		d.freq = start.F
-		d.volt, d.voltGoal = start.V, start.V
-		d.voltT0, d.voltT1 = 0, 0
+		d.ramp = ramp{volt: start.V, voltGoal: start.V}
 		d.disabled, d.disabledView = false, false
 		d.pending = nil
 		d.deadlineAt, d.deadlineDur = 0, 0
 		d.exceptions = d.exceptions[:0]
 		d.excTotal = 0
-		// Every per-domain value cache is dropped, pure or not, under the
-		// reset-or-pure rule: vcOK (settled integrands), pvOK (the Pow
-		// chain cache — previously left populated across replays, safe
-		// only by purity) and consVOK (conservative-curve voltage). The
-		// Pow kernel holds no cache, only constants derived from the
-		// exponent, so there is nothing to rewind there.
-		d.vcOK = false
-		d.pvOK = false
+		// The open energy epoch rewinds to an empty one at time zero, and
+		// the conservative-curve voltage memo is dropped too, pure or not,
+		// under the reset-or-pure rule.
+		d.ep = epoch{}
 		d.consVOK = false
 		for _, a := range resetMSRs {
 			d.msrs.Poke(a, 0)
@@ -678,14 +673,13 @@ func (m *Machine) Reset() {
 
 func newDomain(id int, cores []*core, start Point) *domain {
 	d := &domain{
-		id:       id,
-		cores:    cores,
-		msrs:     msr.NewFile(),
-		mode:     ModeBase,
-		target:   ModeBase,
-		freq:     start.F,
-		volt:     start.V,
-		voltGoal: start.V,
+		id:     id,
+		cores:  cores,
+		msrs:   msr.NewFile(),
+		mode:   ModeBase,
+		target: ModeBase,
+		freq:   start.F,
+		ramp:   ramp{volt: start.V, voltGoal: start.V},
 		// The exception ring (64 KiB per domain at excRingCap) is
 		// allocated lazily on the first #DO in recordException: trap-free
 		// runs — every non-SUIT baseline machine — never pay for it.

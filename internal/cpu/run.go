@@ -3,6 +3,8 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"math"
+
 	"suit/internal/isa"
 
 	"suit/internal/msr"
@@ -157,10 +159,14 @@ func (m *Machine) finishRun() Result {
 		m.res.Instructions += c.tr.Total
 	}
 	m.res.Duration = maxDone
-	m.res.Energy = m.meter.Energy()
+	for _, d := range m.domains {
+		m.closeEpoch(d)
+	}
+	m.res.Energy = units.Joule(m.energy) + units.Energy(units.Watt(m.uncoreW), m.now)
 	if maxDone > 0 {
 		m.res.AvgPower = units.Power(m.res.Energy, maxDone)
 	}
+	m.rapl.Deposit(m.res.Energy)
 	m.res.RAPLCounter = m.rapl.Counter()
 	return m.res
 }
@@ -441,19 +447,16 @@ func (m *Machine) coreArrive(c *core) {
 	m.syncCore(c)
 }
 
-// advanceTo integrates power and residency from m.now to t and moves the
-// clock. Within the segment each domain's frequency and each core's
-// activity are constant; the voltage may be mid-ramp and is integrated
-// analytically.
+// advanceTo moves the clock to t, advancing core progress and residency
+// over [m.now, t). Within the segment each domain's frequency and each
+// core's activity are constant; the voltage may be mid-ramp.
 //
-// Fast path: a settled domain (voltT1 <= m.now) has a constant voltage,
-// so its ∫V²dt and ∫Vᵉdt integrands are cached per domain and the
-// per-event Simpson/math.Pow work is skipped. The cached constants use
-// the exact same floating-point expressions the general integral would
-// evaluate for a single constant-voltage segment, keeping the energy
-// totals bit-identical; the cache keys on voltGoal, which is the settled
-// voltage, so any new ramp (which changes voltGoal or voltT1) naturally
-// invalidates it.
+// Energy is not integrated here. Each domain's power draw over the
+// segment is fixed by its dynamic coefficient and voltage trajectory;
+// while both match the open epoch the segment simply extends it, and
+// only a change closes the epoch and charges it in closed form. The cost
+// of energy accounting therefore grows with state changes, not with
+// arrivals.
 //
 //suit:hotpath
 func (m *Machine) advanceTo(t units.Second) {
@@ -477,39 +480,24 @@ func (m *Machine) advanceTo(t units.Second) {
 			m.nextSample += iv
 		}
 	}
-	pm := m.cfg.Chip.Power
 	fdt := float64(dt)
-	energy := m.uncoreW * fdt
 	for _, d := range m.domains {
-		var v2, ve float64
-		if d.voltT1 <= m.now {
-			if !d.vcOK || d.vcGoal != d.voltGoal {
-				m.refreshVoltCache(d)
-			}
-			v2 = d.vcV2 * fdt
-			ve = d.vcVe * fdt
-		} else {
-			v2, ve = d.voltPowIntegrals(m.now, t, &m.kern)
-		}
-		// Hoisted per-domain factors. Only multiplications are factored
-		// out (left-associated exactly as the per-core expression was),
-		// so every core's contribution keeps its original bit pattern.
-		dyn := pm.CoreCeff * ve * float64(d.freq)
-		leak := pm.LeakGV * v2
+		stalled := d.stalledAt(m.now)
+		act := 0.0
 		for _, c := range d.cores {
-			activity := 1.0
 			switch {
 			case c.finished:
-				activity = 0.02
-			case c.blockedUntil > m.now || d.stalledAt(m.now):
-				activity = 0.1
-			}
-			// Core progress for running cores.
-			if activity == 1.0 && !c.finished {
+				act += 0.02
+			case c.blockedUntil > m.now || stalled:
+				act += 0.1
+			default:
+				act++
 				c.pos += c.effRate(d.freq) * fdt
 			}
-			energy += dyn * activity
-			energy += leak
+		}
+		if dyn := m.cfg.Chip.Power.CoreCeff * float64(d.freq) * act; dyn != d.ep.dyn || d.ramp != d.ep.ramp {
+			m.closeEpoch(d)
+			d.ep.dyn, d.ep.ramp = dyn, d.ramp
 		}
 		// Residency for the first domain (reports use domain 0).
 		if d == m.domains[0] {
@@ -519,91 +507,57 @@ func (m *Machine) advanceTo(t units.Second) {
 			}
 		}
 	}
-	m.meter.Add(units.Power(units.Joule(energy), dt), dt)
-	m.rapl.Deposit(units.Joule(energy))
 	m.now = t
 }
 
-// refreshVoltCache computes the constant-voltage integrands at voltGoal.
-// The expressions replicate, term by term, what voltPowIntegrals would
-// evaluate over a single settled segment (va == vb == voltGoal): the
-// quadrature sum is formed the same way and divided before scaling by
-// dt, so the fast path is bit-identical to the slow path it bypasses.
-func (m *Machine) refreshVoltCache(d *domain) {
-	v := float64(d.voltGoal)
-	s := v * v
-	d.vcV2 = (s + s + s) / 3
-	if m.voltExp == 2 {
-		d.vcVe = d.vcV2
-	} else {
-		p := m.kern.eval(v)
-		d.vcVe = (p + 4*p + p) / 6
+// closeEpoch charges d's open epoch, [d.ep.t0, m.now), into m.energy
+// and reopens it at m.now: dyn·∫Vᵉdτ for the cores' switching plus
+// LeakGV·∫V²dτ per core for leakage, both over the epoch's trajectory.
+func (m *Machine) closeEpoch(d *domain) {
+	if m.now > d.ep.t0 {
+		i2, ie := d.ep.ramp.integrals(d.ep.t0, m.now, m.voltExp)
+		m.energy += d.ep.dyn*ie + m.cfg.Chip.Power.LeakGV*float64(len(d.cores))*i2
 	}
-	d.vcGoal = d.voltGoal
-	d.vcOK = true
+	d.ep.t0 = m.now
 }
 
-// voltPowIntegrals computes ∫V²dτ (leakage) and ∫Vᵉdτ (dynamic) over
-// [t0, t1] in one pass over the domain's piecewise-linear voltage
-// profile, with e = k.exp. The quadratic integral is exact; other
-// exponents use Simpson's rule per linear segment, which is accurate to
-// ~10⁻⁸ relative over the millivolt-scale ramps that occur here. Only
-// mid-ramp segments reach this slow path; settled domains use the
-// per-domain cache in advanceTo.
-//
-// Every Pow goes through the exponent-specialized kernel, bit-equal to
-// math.Pow, and consecutive advanceTo segments within a ramp share an
-// endpoint, so the Pow at the segment start is served from the domain's
-// chain cache (pvV/pvP). FuzzVoltPowIntegrals holds this path
-// bit-identical to the math.Pow reference kept in the tests.
-func (d *domain) voltPowIntegrals(t0, t1 units.Second, k *powKernel) (i2, ie float64) {
-	// Split at the ramp boundaries. A fixed array keeps the hot loop
-	// allocation-free.
-	var points [4]units.Second
-	points[0], points[1] = t0, t1
-	n := 2
-	if d.voltT0 > t0 && d.voltT0 < t1 {
-		points[n] = d.voltT0
-		n++
-	}
-	if d.voltT1 > t0 && d.voltT1 < t1 {
-		points[n] = d.voltT1
-		n++
-	}
-	// Simple 4-element sort.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && points[j] < points[j-1]; j-- {
-			points[j], points[j-1] = points[j-1], points[j]
-		}
-	}
-	for i := 1; i < n; i++ {
-		a, b := points[i-1], points[i]
+// integrals returns ∫V²dτ and ∫Vᵉdτ over [t0, t1] along the trajectory.
+// The trajectory's breakpoints, clamped into the window, cut it into at
+// most three linear pieces, each integrated exactly: V² by its
+// polynomial, Vᵉ by rampMean. With e == 2 both are the same integral,
+// and ie is i2 bit for bit.
+func (r *ramp) integrals(t0, t1 units.Second, exp float64) (i2, ie float64) {
+	pts := [4]units.Second{t0, min(max(r.voltT0, t0), t1), min(max(r.voltT1, t0), t1), t1}
+	for i := 1; i < len(pts); i++ {
+		a, b := pts[i-1], pts[i]
 		if b <= a {
 			continue
 		}
-		va, vb := float64(d.voltAt(a)), float64(d.voltAt(b))
-		seg := float64(b - a)
-		// Exact: ∫(va + (vb-va)·s)² = (va² + va·vb + vb²)/3 × length.
-		i2 += (va*va + va*vb + vb*vb) / 3 * seg
-		if k.exp == 2 {
-			continue
+		va, vb := float64(r.voltAt(a)), float64(r.voltAt(b))
+		dt := float64(b - a)
+		// ∫(va + (vb−va)·s)² ds over [0, 1] = (va² + va·vb + vb²)/3.
+		i2 += (va*va + va*vb + vb*vb) / 3 * dt
+		if exp != 2 {
+			ie += rampMean(va, vb, exp) * dt
 		}
-		var pa float64
-		if d.pvOK && d.pvV == va {
-			pa = d.pvP
-		} else {
-			pa = k.eval(va)
-		}
-		vm := (va + vb) / 2
-		pmid := k.eval(vm)
-		pb := k.eval(vb)
-		d.pvV, d.pvP, d.pvOK = vb, pb, true
-		ie += (pa + 4*pmid + pb) / 6 * seg
 	}
-	if k.exp == 2 {
-		// With a quadratic dynamic exponent both integrals accumulate the
-		// identical term sequence, so reuse keeps them bit-equal.
+	if exp == 2 {
 		ie = i2
 	}
 	return i2, ie
+}
+
+// rampMean returns the mean of Vᵉ over a linear ramp from va to vb,
+// (vb^(e+1) − va^(e+1)) / ((e+1)·(vb − va)). It is evaluated as
+// va^e · expm1((e+1)·log1p(u)) / ((e+1)·u) with u = (vb − va)/va: the
+// difference of two nearly equal powers is never formed, so a
+// nanovolt ramp keeps full precision, and u == 0 (a constant piece)
+// reduces to va^e.
+func rampMean(va, vb, e float64) float64 {
+	p := math.Pow(va, e) //lint:allow hotpath evaluated once per epoch piece when an epoch closes, not once per arrival
+	u := (vb - va) / va
+	if u == 0 {
+		return p
+	}
+	return p * (math.Expm1((e+1)*math.Log1p(u)) / ((e + 1) * u))
 }

@@ -47,12 +47,22 @@ const tmpPattern = ".tmp-*"
 // is never touched.
 const staleTempAge = 10 * time.Minute
 
+// resultsRevision versions what a cached result means. A fingerprint
+// describes the work, not the simulator that did it, so a change that
+// moves result bits without moving any fingerprint bumps this: entries
+// written by earlier builds then live at other paths and are plain
+// misses. Revision 2: per-epoch closed-form energy (revision 1, whose
+// paths carried no revision, integrated energy per segment by Simpson's
+// rule).
+const resultsRevision = 2
+
 // CachePath returns the on-disk cache file for a (cache dir, base seed,
-// fingerprint) triple: entries bucket by the SHA-256 of the key plus
-// base seed, so caches warmed under different -seed values never alias.
+// fingerprint) triple: entries bucket by the SHA-256 of the key, base
+// seed and results revision, so caches warmed under different -seed
+// values or by builds with different result semantics never alias.
 // Exported so chaos tests and tooling can locate a specific entry.
 func CachePath(dir string, baseSeed uint64, key string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|base=%d", key, baseSeed)))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|base=%d|rev=%d", key, baseSeed, resultsRevision)))
 	return filepath.Join(dir, hex.EncodeToString(sum[:16])+".json")
 }
 

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -331,5 +334,50 @@ func TestNilCheckpointIsInert(t *testing.T) {
 	}
 	if err := cp.Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEarlierRevisionEntryIsPlainMiss: an entry a build of an earlier
+// results revision wrote — well-formed, correctly keyed and digested,
+// but holding results the current simulator would not produce — sits at
+// the revision-less path of that build. It must be neither served nor
+// quarantined: the job recomputes and the old file stays untouched.
+func TestEarlierRevisionEntryIsPlainMiss(t *testing.T) {
+	dir := t.TempDir()
+	in := specs(1)
+	key := specKey(in[0])
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|base=%d", key, 3)))
+	oldPath := filepath.Join(dir, hex.EncodeToString(sum[:16])+".json")
+	if oldPath == CachePath(dir, 3, key) {
+		t.Fatal("current cache path equals the revision-1 path")
+	}
+	stale, err := json.Marshal(testResult{ID: 0, Val: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(cacheEntry{Key: key, Result: stale, Sum: entrySum(key, stale)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(oldPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(specKey, computeFn, Options{BaseSeed: 3, CacheDir: dir})
+	got, err := e.Run(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Val == -1 {
+		t.Fatal("served the earlier revision's result")
+	}
+	if st := e.Stats(); st.Ran != 1 || st.DiskHits != 0 || st.Quarantined != 0 {
+		t.Errorf("stats = %+v, want one recomputation, no disk hit, no quarantine", st)
+	}
+	if after, err := os.ReadFile(oldPath); err != nil || string(after) != string(data) {
+		t.Errorf("earlier-revision entry was touched (err %v)", err)
+	}
+	if _, err := os.Stat(oldPath + quarantineSuffix); !os.IsNotExist(err) {
+		t.Errorf("earlier-revision entry was quarantined (stat err %v)", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package power implements the CMOS power model of §2.1 of the paper
-// (P_dyn = C_L · V_DD² · f_CLK), a leakage term, an energy integrator for
-// the event-driven simulation, and a RAPL-style quantised energy counter
-// matching how the paper measures package power (§5.4).
+// (P_dyn = C_L · V_DD² · f_CLK), a leakage term, and a RAPL-style
+// quantised energy counter matching how the paper measures package power
+// (§5.4).
 package power
 
 import (
@@ -136,41 +136,6 @@ func CalibrateCeffExp(pkg units.Watt, v units.Volt, f units.Hertz, nCores int, l
 	}
 	return dyn / (math.Pow(float64(v), exp) * float64(f)), nil
 }
-
-// Integrator accumulates energy over piecewise-constant power segments.
-// The zero value is ready to use.
-type Integrator struct {
-	energy  units.Joule
-	elapsed units.Second
-}
-
-// Add accounts for dt seconds at power p. Negative durations are rejected
-// by panicking: they indicate a simulator time-ordering bug that must not
-// be silently absorbed into energy totals.
-func (i *Integrator) Add(p units.Watt, dt units.Second) {
-	if dt < 0 {
-		panic(fmt.Sprintf("power: negative duration %v", dt)) //lint:allow allocfree panic formatting on a time-ordering invariant; never taken on the steady path
-	}
-	i.energy += units.Energy(p, dt)
-	i.elapsed += dt
-}
-
-// Energy returns the accumulated energy.
-func (i *Integrator) Energy() units.Joule { return i.energy }
-
-// Elapsed returns the accumulated time.
-func (i *Integrator) Elapsed() units.Second { return i.elapsed }
-
-// AveragePower returns energy/elapsed, or 0 before any time has passed.
-func (i *Integrator) AveragePower() units.Watt {
-	if i.elapsed == 0 {
-		return 0
-	}
-	return units.Power(i.energy, i.elapsed)
-}
-
-// Reset clears the integrator.
-func (i *Integrator) Reset() { *i = Integrator{} }
 
 // RAPL models Intel's Running Average Power Limit energy counter
 // (MSR_PKG_ENERGY_STATUS): a 32-bit cumulative counter in fixed energy

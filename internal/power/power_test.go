@@ -136,38 +136,6 @@ func TestUndervoltingReducesPower(t *testing.T) {
 	}
 }
 
-func TestIntegrator(t *testing.T) {
-	var in Integrator
-	if in.AveragePower() != 0 {
-		t.Error("zero-value integrator average power must be 0")
-	}
-	in.Add(100, 2)
-	in.Add(50, 2)
-	if in.Energy() != 300 {
-		t.Errorf("Energy = %v, want 300 J", in.Energy())
-	}
-	if in.Elapsed() != 4 {
-		t.Errorf("Elapsed = %v, want 4 s", in.Elapsed())
-	}
-	if in.AveragePower() != 75 {
-		t.Errorf("AveragePower = %v, want 75 W", in.AveragePower())
-	}
-	in.Reset()
-	if in.Energy() != 0 || in.Elapsed() != 0 {
-		t.Error("Reset did not clear integrator")
-	}
-}
-
-func TestIntegratorPanicsOnNegativeDuration(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative duration did not panic")
-		}
-	}()
-	var in Integrator
-	in.Add(10, -1)
-}
-
 func TestRAPLQuantisation(t *testing.T) {
 	r := NewRAPL(0)
 	if r.Unit() != DefaultRAPLUnit {

@@ -3,7 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -423,5 +427,50 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	s.jobSecondsMilli.Store(2_000_000) // mean 1000 s: the clamp must hold
 	if got := s.RetryAfterSeconds(); got != 300 {
 		t.Errorf("clamp: RetryAfterSeconds = %d, want 300", got)
+	}
+}
+
+// TestEarlierVersionStoredResultNotServed: a state directory from a
+// build whose fingerprints carried the suitd/v1 prefix holds results
+// computed with that build's energy model. Resubmitting the same spec
+// must run it afresh, not serve the v1 entry stored under the v1 job ID.
+func TestEarlierVersionStoredResultNotServed(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := tinySpec(2, 5).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := strings.Replace(spec.Fingerprint(), "suitd/v2|", "suitd/v1|", 1)
+	if v1 == spec.Fingerprint() {
+		t.Fatalf("fingerprint %q lacks the suitd/v2 prefix", spec.Fingerprint())
+	}
+	sum := sha256.Sum256([]byte(v1))
+	v1ID := hex.EncodeToString(sum[:16])
+	if v1ID == spec.ID() {
+		t.Fatal("v1 and v2 job IDs coincide")
+	}
+	store, err := newResultStore(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.put(v1ID, v1, &Result{})
+
+	svc, err := New(Config{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainNow(t, svc)
+	job, outcome, err := svc.Submit(tinySpec(2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome == SubmitStored || job.ID == v1ID {
+		t.Fatalf("outcome %d, job %s: the v1 stored result answered a v2 submission", outcome, job.ID)
+	}
+	if snap := waitTerminal(t, job); snap.State != StateDone {
+		t.Fatalf("job: %s (%s)", snap.State, snap.Error)
+	}
+	if ran := svc.EngineStats().Ran; ran == 0 {
+		t.Error("the resubmitted spec was not recomputed")
 	}
 }

@@ -143,10 +143,13 @@ func (s Spec) Normalize() (Spec, error) {
 // Fingerprint is the canonical description of a normalized spec — the
 // content address of the work. Every field that influences the result
 // appears; an empty Params means "the chip's full Table 7 grid", which
-// is stable across submissions by construction.
+// is stable across submissions by construction. The version prefix
+// stands for the simulator's result semantics: v2 results carry
+// per-epoch closed-form energies, so v1 job IDs and stored results
+// never answer a v2 submission.
 func (s Spec) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "suitd/v1|kind=%s|chip=%s|offset=%d|instr=%d|seed=%d|top=%d|benches=%s",
+	fmt.Fprintf(&b, "suitd/v2|kind=%s|chip=%s|offset=%d|instr=%d|seed=%d|top=%d|benches=%s",
 		s.Kind, s.Chip, s.OffsetMV, s.Instructions, s.Seed, s.Top, strings.Join(s.Benches, ","))
 	if len(s.Params) == 0 {
 		b.WriteString("|grid=table7")
