@@ -12,7 +12,8 @@
 //     to eliminate;
 //   - with -compare BASELINE.json, a smoke-sweep throughput below 85%
 //     of the baseline report's points/s fails the run, so the committed
-//     baseline pins a trajectory every PR must hold;
+//     baseline pins a trajectory every PR must hold; a baseline swept at
+//     another worker count (-j, default 1) fails it too;
 //   - also with -compare, any hot-path benchmark whose min ns/op
 //     exceeds 125% of its baseline entry fails the run (benchmarks
 //     absent from the baseline are skipped, so adding one never
@@ -20,7 +21,7 @@
 //
 // Usage:
 //
-//	suitbench [-out bench.json] [-compare BENCH_5.json] [-count 3] [-instr 2e6] [-skip-sweep]
+//	suitbench [-out bench.json] [-compare BENCH_16.json] [-count 3] [-instr 2e6] [-j 1] [-skip-sweep]
 //
 // Run it from the repository root: it shells out to the go tool for the
 // benchmarks and builds cmd/suitsweep for the throughput timing.
@@ -87,7 +88,7 @@ func run() int {
 		count     = flag.Int("count", 3, "benchmark repetitions (-count for go test)")
 		benchPat  = flag.String("bench", "BenchmarkMachineHotPath", "benchmark pattern (-bench for go test)")
 		instrStr  = flag.String("instr", "2e6", "instructions per sweep point for the smoke grid")
-		workers   = flag.Int("j", runtime.GOMAXPROCS(0), "sweep workers")
+		workers   = flag.Int("j", 1, "sweep workers; -compare requires the baseline's count")
 		skipSweep = flag.Bool("skip-sweep", false, "measure only the benchmarks, not the smoke sweep")
 	)
 	flag.Parse()
@@ -236,6 +237,12 @@ func compareBaseline(path string, rep *report) error {
 	}
 	if err := checkThroughput("this run", "current report", rep.Sweep); err != nil {
 		return err
+	}
+	// Throughput scales with the worker count, so a floor taken at one
+	// count says nothing about a run at another.
+	if b, c := base.Sweep.Workers, rep.Sweep.Workers; b != c {
+		return fmt.Errorf("baseline sweep in %s ran at -j %d, this run at -j %d; rerun with -j %d or record a new baseline",
+			path, b, c, b)
 	}
 	cur, old := rep.Sweep.PointsPerSec, base.Sweep.PointsPerSec
 	floor := old * regressionFloor

@@ -65,7 +65,7 @@ func writeBaseline(t *testing.T, body string) string {
 }
 
 func goodReport() *report {
-	return &report{Sweep: &sweepStat{Points: 1200, PointsPerSec: 450}}
+	return &report{Sweep: &sweepStat{Points: 1200, PointsPerSec: 450, Workers: 1}}
 }
 
 // A corrupt baseline — zero, negative, NaN, Inf or absent points/s —
@@ -112,7 +112,7 @@ func TestCompareBaselineRejectsUnusableCurrentRun(t *testing.T) {
 // BENCH_10) also carry a sweep_unbatched leg; only sweep gates.
 func TestCompareBaselineGatesSweep(t *testing.T) {
 	path := writeBaseline(t,
-		`{"sweep":{"points_per_sec":400},"sweep_unbatched":{"points_per_sec":5000}}`)
+		`{"sweep":{"points_per_sec":400,"workers":1},"sweep_unbatched":{"points_per_sec":5000}}`)
 
 	if err := compareBaseline(path, goodReport()); err != nil {
 		t.Fatalf("healthy report failed the gate: %v", err)
@@ -127,15 +127,15 @@ func TestCompareBaselineGatesSweep(t *testing.T) {
 	// The committed baseline CI compares against still parses and gates.
 	rep = goodReport()
 	rep.Sweep.PointsPerSec = 1e6
-	if err := compareBaseline("../../BENCH_10.json", rep); err != nil {
-		t.Errorf("BENCH_10.json no longer usable as a baseline: %v", err)
+	if err := compareBaseline("../../BENCH_16.json", rep); err != nil {
+		t.Errorf("BENCH_16.json no longer usable as a baseline: %v", err)
 	}
 }
 
 // Baselines committed before the batched/unbatched split carry a
 // single sweep stat, the same shape reports have now.
 func TestCompareBaselineLegacySingleSweep(t *testing.T) {
-	path := writeBaseline(t, `{"sweep":{"points":1200,"points_per_sec":290}}`)
+	path := writeBaseline(t, `{"sweep":{"points":1200,"points_per_sec":290,"workers":1}}`)
 
 	if err := compareBaseline(path, goodReport()); err != nil {
 		t.Fatalf("legacy baseline rejected: %v", err)
@@ -199,7 +199,7 @@ func TestGateBenchmarks(t *testing.T) {
 func TestCompareBaselineGatesBenchmarks(t *testing.T) {
 	path := writeBaseline(t, `{
 		"benchmarks":[{"name":"BenchmarkMachineHotPath/dense-trap","min_ns_per_op":1000}],
-		"sweep":{"points_per_sec":400}}`)
+		"sweep":{"points_per_sec":400,"workers":1}}`)
 	rep := goodReport()
 	rep.Benchmarks = []benchStat{{Name: "BenchmarkMachineHotPath/dense-trap", MinNsPerOp: 2000}}
 	if err := compareBaseline(path, rep); err == nil {
@@ -208,5 +208,26 @@ func TestCompareBaselineGatesBenchmarks(t *testing.T) {
 	rep.Benchmarks[0].MinNsPerOp = 1100
 	if err := compareBaseline(path, rep); err != nil {
 		t.Errorf("benchmark within ceiling failed compareBaseline: %v", err)
+	}
+}
+
+// A sweep floor only means something at the worker count it was taken
+// at: a baseline swept at another -j, or one that never recorded its
+// count, fails the comparison with a message naming both counts.
+func TestCompareBaselineRejectsWorkerMismatch(t *testing.T) {
+	for _, tc := range []struct{ body, want string }{
+		{`{"sweep":{"points_per_sec":400,"workers":2}}`, "-j 2, this run at -j 1"},
+		{`{"sweep":{"points_per_sec":400}}`, "-j 0, this run at -j 1"},
+	} {
+		err := compareBaseline(writeBaseline(t, tc.body), goodReport())
+		if err == nil {
+			t.Errorf("baseline %s accepted at a different worker count", tc.body)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("baseline %s: error %q should contain %q", tc.body, err, tc.want)
+		}
+	}
+	// The same count still gates on throughput alone.
+	if err := compareBaseline(writeBaseline(t, `{"sweep":{"points_per_sec":400,"workers":1}}`), goodReport()); err != nil {
+		t.Errorf("matching worker count rejected: %v", err)
 	}
 }

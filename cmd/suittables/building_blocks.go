@@ -164,8 +164,10 @@ func runTable5(c cfg, w *os.File) error {
 	t.AddRow("IMUL latency (stock)", fmt.Sprintf("%d cycles, pipelined", u.IMULLatency))
 	t.AddRow("branch mispredict", fmt.Sprintf("%.1f %% @ %d cycles", u.BranchMispredictRate*100, u.MispredictPenalty))
 	t.AddRow("LLC miss", fmt.Sprintf("%.1f %% @ %d cycles", u.LoadMissRate*100, u.MissLatency))
-	for k, n := range u.FUs {
-		t.AddRow("FU "+k.String(), fmt.Sprintf("%d", n))
+	for k := isa.FUKind(0); int(k) < isa.NumFUKinds; k++ {
+		if n, ok := u.FUs[k]; ok {
+			t.AddRow("FU "+k.String(), fmt.Sprintf("%d", n))
+		}
 	}
 	return t.Render(w)
 }

@@ -2,10 +2,15 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"suit/internal/isa"
 	"suit/internal/report"
 	"suit/internal/trace"
+	"suit/internal/uarch"
 	"suit/internal/workload"
 )
 
@@ -144,6 +149,46 @@ func TestAllChips(t *testing.T) {
 	for _, c := range chips {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
+		}
+	}
+}
+
+// TestTable5FURowsInKindOrder renders table5 repeatedly and requires the
+// functional-unit rows in isa.FUKind order every time. Go randomises map
+// iteration by a start offset only, so two renders of a map-ordered
+// table agree about one run in eight; twenty renders do not.
+func TestTable5FURowsInKindOrder(t *testing.T) {
+	var want []string
+	fus := uarch.DefaultConfig().FUs
+	for k := isa.FUKind(0); int(k) < isa.NumFUKinds; k++ {
+		if _, ok := fus[k]; ok {
+			want = append(want, "FU "+k.String())
+		}
+	}
+	path := filepath.Join(t.TempDir(), "table5.txt")
+	for i := 0; i < 20; i++ {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := runTable5(cfg{}, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if f := strings.Fields(line); len(f) >= 2 && f[0] == "FU" {
+				got = append(got, "FU "+f[1])
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("render %d: FU rows %q, want %q", i, got, want)
 		}
 	}
 }

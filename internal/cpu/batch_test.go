@@ -120,74 +120,6 @@ func TestDifferentialBatchedVsSolo(t *testing.T) {
 	}
 }
 
-// TestDifferentialFastForwardVsStepped pins the analytic fast-forward
-// against the plain event-queue stepper on the same machine: stepped
-// through popEvent and dispatch alone, every core arrival goes through
-// the heap, and the dispatched sequence plus the Result must still
-// match bitwise.
-func TestDifferentialFastForwardVsStepped(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 404))
-	for iter := 0; iter < 12; iter++ {
-		// Single core, single domain: the only shape fast-forward
-		// engages on, so the comparison is never vacuous.
-		total := uint64(150_000 + rng.IntN(400_000))
-		cfg := testConfig(randomDiffTrace(rng, total))
-		cfg.Seed = rng.Uint64()
-		var s Strategy
-		switch rng.IntN(4) {
-		case 0:
-			s = fvLite{deadline: units.Microseconds(float64(5 + rng.IntN(50)))}
-		case 1:
-			s = fvThrash{
-				deadline:      units.Microseconds(float64(5 + rng.IntN(50))),
-				window:        units.Microseconds(float64(100 + rng.IntN(900))),
-				maxExceptions: 1 + rng.IntN(5),
-			}
-		case 2:
-			s = emulAll{}
-		default:
-			s = pinnedBase{}
-		}
-
-		runOne := func(noFF bool) ([]eventRecord, Result) {
-			m, err := New(cfg, s)
-			if err != nil {
-				t.Fatalf("iter %d: %v", iter, err)
-			}
-			var log []eventRecord
-			m.evLog = &log
-			var res Result
-			if noFF {
-				res, err = runStepped(m, m.popEvent)
-			} else {
-				res, err = m.Run()
-			}
-			if err != nil {
-				t.Fatalf("iter %d (noFF=%v): %v", iter, noFF, err)
-			}
-			return log, res
-		}
-		ffLog, ffRes := runOne(false)
-		stepLog, stepRes := runOne(true)
-
-		if len(ffLog) != len(stepLog) {
-			t.Fatalf("iter %d (%s): fast-forward dispatched %d events, stepped %d",
-				iter, s.Name(), len(ffLog), len(stepLog))
-		}
-		for i := range ffLog {
-			if ffLog[i] != stepLog[i] {
-				t.Fatalf("iter %d (%s): event %d diverges: ff (t=%v kind=%d who=%d) vs stepped (t=%v kind=%d who=%d)",
-					iter, s.Name(), i,
-					ffLog[i].t, ffLog[i].kind, ffLog[i].who,
-					stepLog[i].t, stepLog[i].kind, stepLog[i].who)
-			}
-		}
-		if !reflect.DeepEqual(ffRes, stepRes) {
-			t.Fatalf("iter %d (%s): results diverge:\nff:      %+v\nstepped: %+v", iter, s.Name(), ffRes, stepRes)
-		}
-	}
-}
-
 func TestNewBatchValidation(t *testing.T) {
 	if _, err := NewBatch(nil); err == nil {
 		t.Error("empty batch accepted")

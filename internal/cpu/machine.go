@@ -451,6 +451,9 @@ type Machine struct {
 	// per-arrival safety monitor indexes an array instead of hashing into
 	// the model's margin map.
 	physMargin [isa.NumOpcodes]units.Volt
+	// trapped marks the opcodes the disable MSR traps: the faultable set,
+	// plus IMUL under the TrapIMUL ablation.
+	trapped [isa.NumOpcodes]bool
 
 	// handlerTime is the OS-handler clock while a strategy hook runs.
 	handlerTime units.Second
@@ -477,6 +480,10 @@ type Machine struct {
 	// ffEligible marks a single-core single-domain topology, the shape
 	// fastForward's inline arrival processing is specialised for.
 	ffEligible bool
+	// ff counts what fastForward took: arrivals, and streaks that began
+	// while the voltage was still ramping. Tests read it to show the
+	// fast-forward oracle is not vacuous; it is kept off Result.
+	ff struct{ arrivals, rampStreaks int }
 
 	// Test hooks: audit cross-checks the heap after every event; evLog
 	// records the dispatched (t, kind, who) sequence.
@@ -565,6 +572,7 @@ func New(cfg Config, strategy Strategy) (*Machine, error) {
 	}
 	for op := 0; op < isa.NumOpcodes; op++ {
 		m.physMargin[op] = cfg.Faults.PhysicalMargin(isa.Opcode(op), cfg.HardenedIMUL)
+		m.trapped[op] = isa.FaultableMask.Has(isa.Opcode(op)) || (cfg.TrapIMUL && isa.Opcode(op) == isa.OpIMUL)
 	}
 
 	for i, tr := range cfg.Traces {
@@ -630,6 +638,7 @@ func (m *Machine) Reset() {
 	m.scheduled = m.scheduled[:0]
 	m.schedLive = 0
 	m.eq.init(len(m.cores) + 4*len(m.domains))
+	m.ff.arrivals, m.ff.rampStreaks = 0, 0
 	for _, c := range m.cores {
 		c.idx = 0
 		c.pos = 0
@@ -700,15 +709,16 @@ func (m *Machine) MSRs(domain int) *msr.File { return m.domains[domain].msrs }
 // Now returns the current simulation time.
 func (m *Machine) Now() units.Second { return m.now }
 
-// safeOffset returns how far the instantaneous voltage sits below the
-// conservative curve for the domain's current frequency.
-func (m *Machine) safeOffset(d *domain, t units.Second) units.Volt {
+// consVolt returns the conservative-curve voltage at the domain's current
+// frequency; the safety monitor subtracts it from the instantaneous
+// voltage to get how far the domain sits below the curve.
+func (m *Machine) consVolt(d *domain) units.Volt {
 	if !d.consVOK || d.consVFreq != d.freq {
 		d.consV = m.cons.VoltageAt(d.freq)
 		d.consVFreq = d.freq
 		d.consVOK = true
 	}
-	return d.voltAt(t) - d.consV
+	return d.consV
 }
 
 // effExceptionDelay returns the configured #DO entry/exit cost, with a

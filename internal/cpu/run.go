@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"suit/internal/isa"
-
 	"suit/internal/msr"
 	"suit/internal/units"
 )
@@ -77,9 +75,6 @@ func (m *Machine) runInit() {
 func (m *Machine) runStep() error {
 	if m.ffEligible && m.schedLive == 0 {
 		m.fastForward()
-		if m.runDone {
-			return nil
-		}
 	}
 	t, kind, who := m.popEvent()
 	return m.dispatch(t, kind, who)
@@ -171,56 +166,60 @@ func (m *Machine) finishRun() Result {
 	return m.res
 }
 
-// fastForward processes consecutive core arrivals of a single-core,
-// single-domain machine inline, without any event-queue traffic. It is
-// the analytic closed form of the inter-exception interval: between two
-// queue-worthy events (a trap, a transition boundary, a deadline, an
-// unblock) every arrival is a pure function of (m.now, c.pos, d.freq),
-// so the next-event computation, the dispatch switch and the heap
-// pop/sync round-trips collapse into one loop. Each iteration computes
-// the arrival time with the exact expressions evalCore uses and charges
-// it through the same advanceTo, so timestamps, energy and the evLog
-// sequence stay bit-identical to the queue path (the differential
-// heap-vs-linear oracle runs with fast-forward enabled on the heap
-// side).
+// fastForward takes the core arrivals of a single-core, single-domain
+// machine inline, without event-queue traffic. Between two queue-worthy
+// events (a trap, a transition boundary, a deadline, an unblock) the
+// domain's frequency, mode, disable state, pending transition, voltage
+// ramp and open energy epoch cannot change, so the loop keeps the clock,
+// the core's progress, the deadline and domain 0's residency in locals
+// and per arrival does only what can change: the arrival time, the break
+// tests, the trapped-set lookup, the residency sum, the safety monitor
+// and the deadline push. Each is the expression the reference path
+// (popEvent, dispatch, advanceTo, coreArrive) evaluates, in the same
+// order, so timestamps, energy and the evLog sequence stay bit-identical.
 //
-// A streak ends as soon as the arrival stops being uncontended: the
-// break conditions mirror evalDomainSub/evalCore term for term, and at
-// equal timestamps a due domain event outranks a core arrival exactly
-// as the (time, rank) heap order does. The event queue is only
+// An arrival the loop cannot take plainly is declined and stays in the
+// queue for the reference path: a #DO trap, a would-be fault, the
+// stream's last event or its end, a due operating-point sample, or the
+// step limit. At equal timestamps a due domain event outranks a core
+// arrival exactly as the (time, rank) heap order does. The queue is
 // re-synced at streak exit; in between, cached heap times can only be
-// stale-early (time moves forward), which popEvent's lazy re-evaluation
-// already handles.
+// stale-early, which popEvent's lazy re-evaluation already handles.
 //
 //suit:hotpath
 func (m *Machine) fastForward() {
-	c := m.cores[0]
-	d := m.domains[0]
-	n := 0
-	for m.stepCount < maxSteps {
-		if c.finished || c.blockedUntil > m.now || d.stalledAt(m.now) {
-			break
+	c, d := m.cores[0], m.domains[0]
+	if c.finished || c.blockedUntil > m.now || d.stalledAt(m.now) {
+		return
+	}
+	evs, start := c.tr.Events, c.idx
+	stop := min(len(evs)-1, start+maxSteps-m.stepCount)
+	now, pos, dl := m.now, c.pos, d.deadlineAt
+	rate := c.effRate(d.freq) // instructions/second
+	p, disabled := d.pending, d.disabled
+	sampleAt := units.Second(math.Inf(1))
+	if m.cfg.SampleEvery > 0 {
+		sampleAt = m.nextSample
+	}
+	// Per-streak set-up, run by the first arrival that passes the break
+	// tests, so a streak ending at its first arrival costs nothing more.
+	var (
+		consV, settledOff         units.Volt
+		rampEnd, resid            units.Second
+		dyn                       float64
+		midRamp, staleEpoch, push bool
+	)
+	idx := start
+	for ; idx < stop; idx++ {
+		ev := &evs[idx]
+		t := now
+		if remaining := float64(ev.Index) - pos; remaining > 0 {
+			t = now + units.Second(remaining/rate)
 		}
-		// Next arrival, exactly as evalCore computes it.
-		nextIdx := c.tr.Total
-		end := true
-		var op isa.Opcode
-		if c.idx < len(c.tr.Events) {
-			nextIdx = c.tr.Events[c.idx].Index
-			op = c.tr.Events[c.idx].Op
-			end = false
-		}
-		t := m.now
-		if remaining := float64(nextIdx) - c.pos; remaining > 0 {
-			rate := c.effRate(d.freq) // instructions/second
-			t = m.now + units.Second(remaining/rate)
-		}
-		// A domain event due at or before the arrival wins the tie-break
-		// (domain rank < core rank): hand control back to the queue. The
-		// conditions mirror evalDomainSub per sub-slot.
-		if p := d.pending; p != nil {
+		// The conditions mirror evalDomainSub per sub-slot.
+		if p != nil {
 			if p.freqApply > 0 && p.freqTarget != 0 {
-				if p.stallFrom >= 0 && p.stallFrom > m.now && p.stallFrom <= t {
+				if p.stallFrom >= 0 && p.stallFrom > now && p.stallFrom <= t {
 					break
 				}
 				if p.freqApply <= t {
@@ -230,64 +229,69 @@ func (m *Machine) fastForward() {
 				break
 			}
 		}
-		if d.deadlineAt > 0 && d.deadlineAt <= t {
+		if dl > 0 && dl <= t || sampleAt <= t {
 			break
 		}
-		trapped := false
-		if !end {
-			trapped = op.IsFaultable() || (m.cfg.TrapIMUL && op == isa.OpIMUL)
-			if d.disabled && trapped {
-				// A #DO trap runs the strategy handler: back to the full
-				// dispatch loop (the core slot's cached time is at most
-				// the true arrival, so the queue re-delivers it).
-				break
-			}
+		trapped := m.trapped[ev.Op]
+		if trapped && disabled {
+			break
 		}
-		m.stepCount++
-		n++
+		if idx == start {
+			if int(d.mode) >= int(numModes) {
+				break // advanceTo keeps no residency for an unknown mode
+			}
+			consV = m.consVolt(d)
+			settledOff = d.voltGoal - consV
+			rampEnd = d.voltT1
+			midRamp = t < rampEnd
+			resid = m.res.Residency[d.mode]
+			dyn = m.cfg.Chip.Power.CoreCeff * float64(d.freq) // Σactivity = 1: one running core
+			staleEpoch = dyn != d.ep.dyn || d.ramp != d.ep.ramp
+			push = dl > 0 && !m.cfg.NoDeadlineReset
+		}
+		// Safety monitor: the voltage is constant once the ramp settled.
+		off := settledOff
+		if t < rampEnd {
+			off = d.voltAt(t) - consV
+		}
+		if -off > m.physMargin[ev.Op] {
+			break
+		}
 		if m.evLog != nil {
 			*m.evLog = append(*m.evLog, eventRecord{t: t, kind: evCoreArrive, who: 0}) //lint:allow allocfree test-only differential-oracle log; evLog is nil in production runs
 		}
-		m.advanceTo(t)
-		if end {
-			c.pos = float64(c.tr.Total)
-			c.finished = true
-			c.done = m.now
-			break
+		if t != now {
+			// The streak's first advance starts at m.now and, as in
+			// advanceTo, closes the open epoch there if dyn or the ramp
+			// moved since it opened; every later advance extends it.
+			if staleEpoch {
+				m.closeEpoch(d)
+				d.ep.dyn, d.ep.ramp = dyn, d.ramp
+				staleEpoch = false
+			}
+			resid += t - now
 		}
-		c.pos = float64(nextIdx)
-		// Execute: safety monitor and hardware deadline reset, exactly as
-		// coreArrive's execute path (minus the per-event queue sync).
-		off := m.safeOffset(d, m.now)
-		if -off > m.physMargin[op] {
-			//lint:allow allocfree faults only occur on misconfigured runs; the zero-fault steady state never appends
-			m.res.Faults = append(m.res.Faults, FaultRecord{
-				T: m.now, Core: c.id, Op: op, V: d.voltAt(m.now),
-				Margin: -off - m.cfg.Faults.PhysicalMargin(op, m.cfg.HardenedIMUL),
-			})
+		if trapped && push {
+			dl = t + d.deadlineDur
 		}
-		if d.deadlineAt > 0 && trapped && !m.cfg.NoDeadlineReset {
-			d.deadlineAt = m.now + d.deadlineDur
-		}
-		c.retry = false
-		c.pos = float64(nextIdx) + 1
-		c.idx++
-		if c.idx >= len(c.tr.Events) && c.pos >= float64(c.tr.Total) {
-			c.finished = true
-			c.done = m.now
-			break
-		}
+		now, pos = t, float64(ev.Index)+1
 	}
-	if n > 0 {
-		// Re-sync the slots the streak mutated. Deadline pushes during the
-		// streak only move the due time later, so the deferred sync is
-		// safe: a stale-early cached time is re-keyed at pop.
-		m.syncCore(c)
-		m.syncDeadline(d)
-		if m.allDone() {
-			m.runDone = true
-		}
+	n := idx - start
+	if n == 0 {
+		return
 	}
+	m.stepCount += n
+	m.ff.arrivals += n
+	if midRamp {
+		m.ff.rampStreaks++
+	}
+	m.now, c.pos, c.idx, c.retry = now, pos, idx, false
+	d.deadlineAt = dl
+	m.res.Residency[d.mode] = resid
+	// Re-sync the slots the streak mutated. Deadline pushes only move the
+	// due time later, so a stale-early cached time is re-keyed at pop.
+	m.syncCore(c)
+	m.syncDeadline(d)
 }
 
 // allDone reports whether every core has committed its whole stream.
@@ -399,7 +403,7 @@ func (m *Machine) coreArrive(c *core) {
 	c.pos = float64(ev.Index)
 	d := m.domainOf(c.id)
 
-	trapped := ev.Op.IsFaultable() || (m.cfg.TrapIMUL && ev.Op == isa.OpIMUL)
+	trapped := m.trapped[ev.Op]
 	if d.disabled && trapped {
 		// #DO trap (§3.3). The instruction re-executes after the handler
 		// unless the strategy emulates it.
@@ -423,7 +427,7 @@ func (m *Machine) coreArrive(c *core) {
 	// Execute. Safety monitor: a faultable (or IMUL) instruction running
 	// below its margin silently corrupts (§2.3) — SUIT configurations
 	// must never reach this.
-	off := m.safeOffset(d, m.now)
+	off := d.voltAt(m.now) - m.consVolt(d)
 	if -off > m.physMargin[ev.Op] {
 		//lint:allow allocfree faults only occur on misconfigured runs; the zero-fault steady state never appends
 		m.res.Faults = append(m.res.Faults, FaultRecord{
