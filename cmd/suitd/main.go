@@ -42,6 +42,9 @@
 // dir resumes an interrupted sweep where it stopped and reproduces its
 // result byte-identically. A clean drain exits 0.
 //
+// Exit codes: 0 after a clean drain, 1 usage or configuration error
+// (a missing -state, an unknown flag), 2 the listener failed.
+//
 // Example:
 //
 //	suitd -addr :8470 -state /var/lib/suitd
@@ -52,6 +55,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -69,30 +74,40 @@ const (
 	exitErr   = 2
 )
 
-func main() { os.Exit(run()) }
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-func run() int {
+// run is main with its context, arguments, streams and exit status
+// lifted out, so tests can drive the daemon in-process. Cancelling ctx
+// starts the graceful drain that SIGTERM starts in main. The daemon
+// writes only to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("suitd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr         = flag.String("addr", ":8470", "listen address")
-		stateDir     = flag.String("state", "", "persistent state directory (scenario cache, result store, checkpoint journals); required")
-		workers      = flag.Int("j", runtime.GOMAXPROCS(0), "engine scenario workers")
-		execJobs     = flag.Int("exec", 2, "jobs executed concurrently (they share the engine pool)")
-		queueDepth   = flag.Int("queue", 64, "admission queue capacity; submissions beyond it get 429 + Retry-After")
-		retries      = flag.Int("retries", 1, "per-scenario retry budget; 0 disables retries, as suitsweep defaults to (same derived seed every attempt)")
-		jobTimeout   = flag.Duration("job-timeout", 0, "per-scenario watchdog timeout (0 disables)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long running sweeps may finish after SIGTERM before their runs are cancelled")
+		addr         = fs.String("addr", ":8470", "listen address")
+		stateDir     = fs.String("state", "", "persistent state directory (scenario cache, result store, checkpoint journals); required")
+		workers      = fs.Int("j", runtime.GOMAXPROCS(0), "engine scenario workers")
+		execJobs     = fs.Int("exec", 2, "jobs executed concurrently (they share the engine pool)")
+		queueDepth   = fs.Int("queue", 64, "admission queue capacity; submissions beyond it get 429 + Retry-After")
+		retries      = fs.Int("retries", 1, "per-scenario retry budget; 0 disables retries, as suitsweep defaults to (same derived seed every attempt)")
+		jobTimeout   = fs.Duration("job-timeout", 0, "per-scenario watchdog timeout (0 disables)")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long running sweeps may finish after SIGTERM before their runs are cancelled")
 
-		leaseTTL       = flag.Duration("lease-ttl", 3*time.Second, "work-unit lease TTL: a worker that stops heartbeating for this long loses the unit to reassignment")
-		remoteAttempts = flag.Int("remote-attempts", 3, "failed leases a work unit may burn before falling back to local execution")
-		remoteOnly     = flag.Bool("remote-only", false, "never execute scenarios in-process; wait for workers instead (readiness degrades while the dispatcher is tripped)")
-		workerToken    = flag.String("worker-token", os.Getenv("SUITD_WORKER_TOKEN"), "bearer token required on /v1/work requests; empty leaves the work endpoints open to anyone who can connect (default $SUITD_WORKER_TOKEN)")
+		leaseTTL       = fs.Duration("lease-ttl", 3*time.Second, "work-unit lease TTL: a worker that stops heartbeating for this long loses the unit to reassignment")
+		remoteAttempts = fs.Int("remote-attempts", 3, "failed leases a work unit may burn before falling back to local execution")
+		remoteOnly     = fs.Bool("remote-only", false, "never execute scenarios in-process; wait for workers instead (readiness degrades while the dispatcher is tripped)")
+		workerToken    = fs.String("worker-token", os.Getenv("SUITD_WORKER_TOKEN"), "bearer token required on /v1/work requests; empty leaves the work endpoints open to anyone who can connect (default $SUITD_WORKER_TOKEN)")
 	)
-	flag.CommandLine.Init("suitd", flag.ContinueOnError)
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
 	if *stateDir == "" {
-		fmt.Fprintln(os.Stderr, "suitd: -state is required: the daemon's cache, result store and journals live there")
+		fmt.Fprintln(stderr, "suitd: -state is required: the daemon's cache, result store and journals live there")
 		return exitUsage
 	}
 
@@ -111,39 +126,42 @@ func run() int {
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "suitd:", err)
+		fmt.Fprintln(stderr, "suitd:", err)
 		return exitUsage
 	}
 
-	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(stderr, "suitd:", err)
+		return exitErr
+	}
+	server := &http.Server{Handler: svc.Handler()}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- server.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "suitd: serving on %s (state %s, %d engine workers, queue %d)\n",
-		*addr, *stateDir, *workers, *queueDepth)
+	go func() { serveErr <- server.Serve(ln) }()
+	fmt.Fprintf(stderr, "suitd: serving on %s (state %s, %d engine workers, queue %d)\n",
+		ln.Addr(), *stateDir, *workers, *queueDepth)
 
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
 	select {
-	case <-sigCtx.Done():
+	case <-ctx.Done():
 		// Graceful drain: stop accepting, let running sweeps finish
 		// inside the drain budget, then cancel — the journals and the
 		// scenario cache make the cancellation lossless.
-		fmt.Fprintf(os.Stderr, "suitd: signal received, draining (timeout %s)\n", *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		fmt.Fprintf(stderr, "suitd: signal received, draining (timeout %s)\n", *drainTimeout)
+		drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
 		defer cancel()
-		if err := svc.Drain(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "suitd: drain timeout hit; interrupted sweeps are journaled and will resume on restart")
+		if err := svc.Drain(drainCtx); err != nil {
+			fmt.Fprintln(stderr, "suitd: drain timeout hit; interrupted sweeps are journaled and will resume on restart")
 		}
-		if err := server.Shutdown(ctx); err != nil {
+		if err := server.Shutdown(drainCtx); err != nil {
 			server.Close()
 		}
-		fmt.Fprintln(os.Stderr, "suitd: drained")
+		fmt.Fprintln(stderr, "suitd: drained")
 		return exitOK
 	case err := <-serveErr:
 		if errors.Is(err, http.ErrServerClosed) {
 			return exitOK
 		}
-		fmt.Fprintln(os.Stderr, "suitd:", err)
+		fmt.Fprintln(stderr, "suitd:", err)
 		return exitErr
 	}
 }

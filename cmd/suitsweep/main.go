@@ -11,9 +11,8 @@
 // itself goes to stdout.
 //
 // Execution: points share content-addressed trace artifacts, and each
-// point co-steps its run and base machines over one event stream when
-// their traces are shared. The output does not depend on how points
-// are batched or scheduled.
+// point runs its base machine and then its run machine over them. The
+// output does not depend on how points are scheduled.
 //
 // Resilience flags: -retries re-runs transiently failing points with
 // the same derived seed (default 0: no retries; contrast suitd, whose

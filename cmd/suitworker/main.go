@@ -17,6 +17,9 @@
 // Any number of workers — including zero — leave the daemon's stored
 // results byte-identical; workers only change where the cycles burn.
 //
+// Exit codes: 0 after a stop, 1 usage error (a missing -daemon, an
+// unknown flag).
+//
 // Example:
 //
 //	suitworker -daemon http://127.0.0.1:8470 -slots 4
@@ -26,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -40,23 +44,32 @@ const (
 	exitUsage = 1
 )
 
-func main() { os.Exit(run()) }
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-func run() int {
+// run is main with its context, arguments, streams and exit status
+// lifted out, so tests can drive the worker in-process. Cancelling ctx
+// stops it as SIGTERM does in main. The worker writes only to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("suitworker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		daemon  = flag.String("daemon", "", "base URL of the suitd daemon to pull work from; required")
-		id      = flag.String("id", "", "worker ID for lease accounting and quarantine (default host/pid derived)")
-		slots   = flag.Int("slots", runtime.GOMAXPROCS(0), "units simulated concurrently")
-		poll    = flag.Duration("poll", 250*time.Millisecond, "pause between empty claim polls")
-		retries = flag.Int("result-attempts", 4, "delivery attempts per result on transport/5xx failures (the daemon dedups duplicates by digest)")
-		token   = flag.String("token", os.Getenv("SUITD_WORKER_TOKEN"), "bearer token for daemons running with -worker-token (default $SUITD_WORKER_TOKEN)")
+		daemon  = fs.String("daemon", "", "base URL of the suitd daemon to pull work from; required")
+		id      = fs.String("id", "", "worker ID for lease accounting and quarantine (default host/pid derived)")
+		slots   = fs.Int("slots", runtime.GOMAXPROCS(0), "units simulated concurrently")
+		poll    = fs.Duration("poll", 250*time.Millisecond, "pause between empty claim polls")
+		retries = fs.Int("result-attempts", 4, "delivery attempts per result on transport/5xx failures (the daemon dedups duplicates by digest)")
+		token   = fs.String("token", os.Getenv("SUITD_WORKER_TOKEN"), "bearer token for daemons running with -worker-token (default $SUITD_WORKER_TOKEN)")
 	)
-	flag.CommandLine.Init("suitworker", flag.ContinueOnError)
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
 	if *daemon == "" {
-		fmt.Fprintln(os.Stderr, "suitworker: -daemon is required (e.g. http://127.0.0.1:8470)")
+		fmt.Fprintln(stderr, "suitworker: -daemon is required (e.g. http://127.0.0.1:8470)")
 		return exitUsage
 	}
 	if *id == "" {
@@ -76,16 +89,14 @@ func run() int {
 		ResultAttempts: *retries,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "suitworker:", err)
+		fmt.Fprintln(stderr, "suitworker:", err)
 		return exitUsage
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-	fmt.Fprintf(os.Stderr, "suitworker: %s pulling from %s (%d slots)\n", *id, *daemon, *slots)
+	fmt.Fprintf(stderr, "suitworker: %s pulling from %s (%d slots)\n", *id, *daemon, *slots)
 	w.Run(ctx) //nolint:errcheck // the only error is the shutdown signal's
 	st := w.Stats()
-	fmt.Fprintf(os.Stderr, "suitworker: stopping after %d claims, %d completed, %d errors\n",
+	fmt.Fprintf(stderr, "suitworker: stopping after %d claims, %d completed, %d errors\n",
 		st.Claims, st.Completed, st.Errors)
 	return exitOK
 }

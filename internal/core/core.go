@@ -171,21 +171,6 @@ func buildStrategy(kind StrategyKind, p strategy.Params) (cpu.Strategy, error) {
 	}
 }
 
-// tracesShared reports whether the two machines were handed the very
-// same trace artifacts (pointer identity), the precondition for
-// batching them over a shared event stream.
-func tracesShared(a, b []*trace.Trace) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Run evaluates one scenario: the SUIT configuration and the pre-SUIT
 // baseline run the same workload; the outcome reports the relative
 // changes.
@@ -345,28 +330,13 @@ func Run(s Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	var base, run cpu.Result
-	if tracesShared(baseTraces, traces) {
-		// Batched stepping: co-step the baseline and run machines over
-		// the shared event stream (see cpu.Batch). Each machine's event
-		// sequence — and so each Result — is bit-identical to a solo Run.
-		// noSIMD and emulation points step solo: their run traces differ.
-		batch, err := cpu.NewBatch([]*cpu.Machine{baseMachine, runMachine})
-		if err != nil {
-			return Outcome{}, err
-		}
-		rs, err := batch.Run()
-		if err != nil {
-			return Outcome{}, err
-		}
-		base, run = rs[0], rs[1]
-	} else {
-		if base, err = baseMachine.Run(); err != nil {
-			return Outcome{}, err
-		}
-		if run, err = runMachine.Run(); err != nil {
-			return Outcome{}, err
-		}
+	base, err := baseMachine.Run()
+	if err != nil {
+		return Outcome{}, err
+	}
+	run, err := runMachine.Run()
+	if err != nil {
+		return Outcome{}, err
 	}
 
 	if base.Duration <= 0 || run.Duration <= 0 {

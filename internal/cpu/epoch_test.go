@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/big"
 	"math/rand/v2"
-	"reflect"
 	"testing"
 
 	"suit/internal/units"
@@ -236,42 +235,5 @@ func TestIntegralsSplitAtBreakpoints(t *testing.T) {
 	s := ramp{volt: 0.9, voltGoal: 0.8, voltT0: 3e-6, voltT1: 3e-6}
 	if i2, _ := s.integrals(0, 4e-6, shippedExp); math.Abs(i2-0.64*4e-6) > 1e-14*0.64*4e-6 {
 		t.Errorf("settled i2 = %.17g, want %.17g", i2, 0.64*4e-6)
-	}
-}
-
-// TestResetClearsEnergyEpochs is the Reset regression test for the
-// epoch state: poison every domain's open epoch, the charged-energy
-// total and the conservative-voltage memo between replays, and require
-// each replay to equal the first run. The traces carry faultable events
-// so fvLite's traps open and close epochs mid-ramp.
-func TestResetClearsEnergyEpochs(t *testing.T) {
-	cfg := testConfig(testTrace(20000, 1, 3000, 9000), testTrace(20000, 2, 5000))
-	m, err := New(cfg, fvLite{deadline: units.Microseconds(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Switches == 0 {
-		t.Fatal("no transitions: the run never left a settled epoch")
-	}
-	for round := 0; round < 2; round++ {
-		m.energy = 1e9
-		for _, d := range m.domains {
-			d.ep = epoch{t0: -1, dyn: 7, ramp: ramp{volt: 2, voltGoal: 3, voltT0: 1, voltT1: 2}}
-			d.consVOK = true
-			d.consVFreq = d.freq
-			d.consV = 42
-		}
-		m.Reset()
-		got, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, first) {
-			t.Fatalf("round %d: replay after poisoned epochs diverged from the first run", round)
-		}
 	}
 }

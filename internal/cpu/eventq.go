@@ -86,8 +86,7 @@ type eventQueue struct {
 	spos  []int32 // scheduled slot -> index into nodes, parallel to m.scheduled
 }
 
-// init sizes the fixed-slot table and empties the heap. Backing arrays
-// are retained so a Reset+Run cycle does not allocate.
+// init sizes the fixed-slot table and empties the heap.
 func (q *eventQueue) init(fixedSlots int) {
 	q.nodes = q.nodes[:0]
 	if cap(q.pos) < fixedSlots {
@@ -121,7 +120,7 @@ func (q *eventQueue) set(slot int32, t units.Second, rank uint64) {
 		q.fix(i)
 		return
 	}
-	q.nodes = append(q.nodes, eqNode{t: t, rank: rank, slot: slot}) //lint:allow allocfree heap reaches its full slot capacity during boot; Reset retains the backing array, steady-state set re-keys in place
+	q.nodes = append(q.nodes, eqNode{t: t, rank: rank, slot: slot}) //lint:allow allocfree heap reaches its full slot capacity during boot; steady-state set re-keys in place
 	i := len(q.nodes) - 1
 	*p = int32(i)
 	q.up(i)

@@ -221,63 +221,10 @@ func TestDifferentialHeapVsLinear(t *testing.T) {
 	}
 }
 
-// TestResetReplaysByteIdentical checks the zero-allocation replay path:
-// a Reset machine must reproduce the exact Result of a fresh build,
-// including timeline and sample recording.
-func TestResetReplaysByteIdentical(t *testing.T) {
-	tr := hotPathTrace(5_000_000, 2_000)
-	cfg := testConfig(tr)
-	cfg.RecordTimeline = true
-	cfg.SampleEvery = units.Microseconds(20)
-
-	clone := func(r Result) Result {
-		r.PerCore = append([]units.Second(nil), r.PerCore...)
-		r.Faults = append([]FaultRecord(nil), r.Faults...)
-		r.Timeline = append([]ModeChange(nil), r.Timeline...)
-		r.Samples = append([]StateSample(nil), r.Samples...)
-		return r
-	}
-
-	m, err := New(cfg, fvLite{deadline: units.Microseconds(30)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := clone(r1)
-	m.Reset()
-	r2, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := clone(r2)
-
-	m2, err := New(cfg, fvLite{deadline: units.Microseconds(30)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := m2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(first, clone(fresh)) {
-		t.Errorf("first run diverges from fresh machine:\n%+v\n%+v", first, fresh)
-	}
-	if !reflect.DeepEqual(second, clone(fresh)) {
-		t.Errorf("reset replay diverges from fresh machine:\n%+v\n%+v", second, fresh)
-	}
-	if first.Exceptions == 0 || first.Switches == 0 {
-		t.Fatalf("degenerate run: %+v", first)
-	}
-}
-
 // TestExceptionRingSteadyStateFlat is the regression test for the old
 // unbounded-growth-then-copy d.exceptions pattern: over a dense-trap
-// 10⁷-instruction run the ring must stay at its fixed capacity, and the
-// whole steady-state Run cycle must not allocate.
+// 10⁷-instruction run the ring must stay at its fixed capacity.
+// TestStepLoopAllocations holds the ring to its one allocation.
 func TestExceptionRingSteadyStateFlat(t *testing.T) {
 	tr := hotPathTrace(10_000_000, 500) // ~20k traps, > excRingCap
 	cfg := testConfig(tr)
@@ -312,17 +259,6 @@ func TestExceptionRingSteadyStateFlat(t *testing.T) {
 			t.Fatalf("excNth(%d) = %v newer than excNth(%d) = %v", i, cur, i-1, prev)
 		}
 		prev = cur
-	}
-
-	m.Reset()
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		m.Reset()
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Run+Reset allocates %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -309,8 +309,7 @@ type core struct {
 	// Effective-rate memo: IPC·f/rate is a pure function of the domain
 	// frequency (IPC and the slowdown divisor are fixed per core), so the
 	// division — evaluated once per arrival and per power segment — is
-	// cached keyed on freq alone. Pure, hence legal to keep across Reset;
-	// cleared there anyway under the reset-or-pure defense-in-depth rule.
+	// cached keyed on freq alone.
 	rateOK   bool
 	rateFreq units.Hertz
 	rateVal  float64
@@ -435,7 +434,6 @@ type Machine struct {
 	domains []*domain
 	cores   []*core
 	rng     *rand.Rand
-	pcg     *rand.PCG // rng's source, reseedable in place by Reset
 
 	now      units.Second
 	rapl     *power.RAPL
@@ -473,8 +471,8 @@ type Machine struct {
 	// coreDomain maps core → domain when Config.DomainOf is set.
 	coreDomain []int
 
-	// Run-loop state, held on the machine so a Batch can interleave
-	// runStep calls across members (see batch.go).
+	// Run-loop state, held on the machine so tests can drive the step
+	// loop one runStep at a time.
 	runDone   bool
 	stepCount int
 	// ffEligible marks a single-core single-domain topology, the shape
@@ -555,13 +553,11 @@ func New(cfg Config, strategy Strategy) (*Machine, error) {
 		Cv:   Point{F: baseState.F, V: chip.Vendor.VoltageAt(baseState.F)},
 	}
 
-	seededPCG := rand.NewPCG(cfg.Seed, cfg.Seed^0x5DEECE66D)
 	m := &Machine{
 		cfg:         cfg,
 		pts:         pts,
 		cons:        chip.Vendor,
-		pcg:         seededPCG,
-		rng:         rand.New(seededPCG),
+		rng:         rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5DEECE66D)),
 		rapl:        power.NewRAPL(0),
 		strategy:    strategy,
 		handlerCore: -1,
@@ -615,69 +611,6 @@ func New(cfg Config, strategy Strategy) (*Machine, error) {
 	m.ffEligible = len(m.cores) == 1 && len(m.domains) == 1
 	m.eq.init(len(m.cores) + 4*len(m.domains))
 	return m, nil
-}
-
-// resetMSRs are the registers the simulator itself writes during a run;
-// Reset restores them to their boot values.
-var resetMSRs = [...]msr.Addr{msr.SUITDisable, msr.SUITCurve, msr.SUITDeadline, msr.SUITDOCount}
-
-// Reset rewinds the machine to its initial state so it can be Run again
-// with the same configuration and seed. A Reset machine produces a
-// byte-identical Result to a freshly built one, without allocating —
-// the benchmark harness measures steady-state Run cost with it. The
-// strategy is the caller's: it must be stateless (all shipped strategies
-// are) or reset separately.
-func (m *Machine) Reset() {
-	m.now = 0
-	m.handlerTime = 0
-	m.handlerCore = -1
-	m.nextSample = 0
-	m.energy = 0
-	m.rapl.Reset()
-	m.pcg.Seed(m.cfg.Seed, m.cfg.Seed^0x5DEECE66D)
-	m.scheduled = m.scheduled[:0]
-	m.schedLive = 0
-	m.eq.init(len(m.cores) + 4*len(m.domains))
-	m.ff.arrivals, m.ff.rampStreaks = 0, 0
-	for _, c := range m.cores {
-		c.idx = 0
-		c.pos = 0
-		c.finished = false
-		c.blockedUntil = 0
-		c.retry = false
-		c.done = 0
-		c.rateOK = false
-	}
-	start := m.pts.Base
-	for _, d := range m.domains {
-		d.mode, d.target = ModeBase, ModeBase
-		d.freq = start.F
-		d.ramp = ramp{volt: start.V, voltGoal: start.V}
-		d.disabled, d.disabledView = false, false
-		d.pending = nil
-		d.deadlineAt, d.deadlineDur = 0, 0
-		d.exceptions = d.exceptions[:0]
-		d.excTotal = 0
-		// The open energy epoch rewinds to an empty one at time zero, and
-		// the conservative-curve voltage memo is dropped too, pure or not,
-		// under the reset-or-pure rule.
-		d.ep = epoch{}
-		d.consVOK = false
-		for _, a := range resetMSRs {
-			d.msrs.Poke(a, 0)
-		}
-		d.msrs.Poke(msr.IA32PerfStatus, msr.EncodePerfStatus(uint8(start.F.GHz()*10), float64(start.V)))
-	}
-	pc := m.res.PerCore
-	for i := range pc {
-		pc[i] = 0
-	}
-	m.res = Result{
-		PerCore:  pc,
-		Faults:   m.res.Faults[:0],
-		Timeline: m.res.Timeline[:0],
-		Samples:  m.res.Samples[:0],
-	}
 }
 
 func newDomain(id int, cores []*core, start Point) *domain {

@@ -34,12 +34,9 @@ func (m *Machine) Run() (Result, error) {
 }
 
 // runInit performs the OS boot: the strategy configures the machine at
-// time zero and the event scheduler is seeded. Split out of Run so a
-// Batch can boot every member before interleaving their steps.
+// time zero and the event scheduler is seeded. Split out of Run so tests
+// can boot a machine and then drive or measure its steps alone.
 func (m *Machine) runInit() {
-	m.runDone = false
-	m.stepCount = 0
-	m.handlerTime = 0
 	m.strategy.Init(controller{m})
 	// Transitions requested during Init complete instantaneously: the
 	// workload is defined to start on the strategy's initial curve
@@ -359,9 +356,8 @@ const (
 func (d *domain) recordException(t units.Second) {
 	if d.exceptions == nil {
 		// Lazy one-time allocation at full ring capacity: only trapping
-		// domains pay for the ring, and the first Run reaches steady
-		// state (Reset keeps the backing array, so replay is alloc-free).
-		d.exceptions = make([]units.Second, 0, excRingCap) //lint:allow allocfree one-time full-capacity ring allocation; Reset keeps the backing array so replay is alloc-free
+		// domains pay for the ring, and it never grows after.
+		d.exceptions = make([]units.Second, 0, excRingCap) //lint:allow allocfree one-time full-capacity ring allocation on a domain's first #DO; it never grows after
 	}
 	if len(d.exceptions) < excRingCap {
 		d.exceptions = append(d.exceptions, t) //lint:allow allocfree fills the preallocated ring within capacity; in-place overwrite once full

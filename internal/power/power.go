@@ -178,9 +178,6 @@ func (r *RAPL) Deposit(e units.Joule) {
 // Counter returns the current 32-bit counter value.
 func (r *RAPL) Counter() uint32 { return r.counter }
 
-// Reset clears the counter and residue, keeping the unit.
-func (r *RAPL) Reset() { r.residue, r.counter = 0, 0 }
-
 // EnergyBetween converts two counter readings (c0 taken before c1) to
 // joules, handling a single wrap-around like RAPL consumers must.
 func (r *RAPL) EnergyBetween(c0, c1 uint32) units.Joule {

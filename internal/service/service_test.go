@@ -254,7 +254,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	// until drain cancels it.
 	dirB := t.TempDir()
 	var calls atomic.Int64
-	held := make(chan struct{})
+	held := make(chan struct{}, 1)
 	cfg := Config{StateDir: dirB, EngineWorkers: 1}
 	cfg.runJob = func(ctx context.Context, sc core.Scenario, seed uint64) (core.Outcome, error) {
 		if calls.Add(1) <= 2 {
