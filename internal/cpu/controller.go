@@ -113,6 +113,10 @@ func (c controller) DisableInstructions(domain int) {
 func (c controller) EnableInstructions(domain int) {
 	d := c.m.domains[domain]
 	d.disabledView = false
+	if d.target == ModeE && c.m.refusesEfficient(d) {
+		// §3.2, enable direction: E may not stay selected.
+		c.m.requestTransition(domain, ModeCv, c.m.handlerTime)
+	}
 	c.at(schedAction{kind: schedEnable, d: d})
 }
 
@@ -168,21 +172,49 @@ func (c controller) Emulate(op isa.Opcode) {
 	m.res.Emulated++
 }
 
+// The hardware interlock of §3.2 is one rule: "the CPU ensures that the
+// efficient curve can only be used if the faultable instructions are
+// disabled". The OS that drives the curve is not trusted, so a SUIT CPU
+// (!AllowUnsafe) applies the rule at all three points where the OS could
+// break it:
+//
+//   - select: a request for E while the handler-visible faultable set is
+//     enabled is refused (refusesEfficient); WRMSR reports it as #GP;
+//   - enable: enabling the set on a domain that targets E makes E refused,
+//     so the domain is sent to Cv (EnableInstructions);
+//   - trap: a trapped opcode takes #DO while the set is disabled or while
+//     the domain's instantaneous voltage is below the conservative curve
+//     at its current frequency (belowCurve, in coreArrive and
+//     fastForward), which covers every ramp an enable lands in.
+//
+// The rule is stated in what the hardware knows, its own V/f and its
+// curve, never in the monitor's physical margins: the monitor must stay
+// an independent check.
+
+// refusesEfficient reports whether the interlock refuses E on d. A
+// deferred disable counts: the handler issued it before the request, so
+// the handler-visible state decides.
+func (m *Machine) refusesEfficient(d *domain) bool {
+	return !d.disabledView && !m.cfg.AllowUnsafe
+}
+
+// belowCurve reports whether voltage v lies below cons, the conservative
+// curve at the domain's frequency, on a SUIT CPU: the interlock then traps
+// every trapped opcode, whatever the disable state.
+func (m *Machine) belowCurve(v, cons units.Volt) bool {
+	return v < cons && !m.cfg.AllowUnsafe
+}
+
 // requestTransition plans a p-state change toward mode starting at time t,
 // returning its completion time. A pending transition is superseded: the
 // new plan starts from the instantaneous voltage/frequency (this is how a
-// deadline expiring mid-ramp "cancels the voltage change", §4.3).
+// deadline expiring mid-ramp "cancels the voltage change", §4.3). A
+// request the interlock refuses changes nothing and completes at t.
 func (m *Machine) requestTransition(domainID int, mode Mode, t units.Second) units.Second {
 	d := m.domains[domainID]
 	target := m.pts.Get(mode)
-
-	// Hardware interlock (§3.2): the efficient curve is refused while
-	// the faultable instructions are enabled — unless this machine
-	// models a pre-SUIT CPU (AllowUnsafe) for attack baselines.
-	// (A deferred disable counts: the handler issued it before this
-	// request, so check the handler-visible state.)
-	if mode == ModeE && !m.handlerDisabled(d) && !m.cfg.AllowUnsafe {
-		panic(fmt.Sprintf("cpu: strategy %q selected the efficient curve with instructions enabled", m.strategy.Name()))
+	if mode == ModeE && m.refusesEfficient(d) {
+		return t
 	}
 
 	// Supersede any in-flight transition from the instantaneous state:

@@ -34,16 +34,14 @@ package cpu
 // matches the scan: such candidates simply vanished from its view.
 //
 // Mutation points re-sync the affected slots (see the sync* methods and
-// their call sites in run.go / controller.go / msrfront.go); the
-// invariant — every slot the linear scan would consider is present in
-// the heap, possibly with a stale cached time — is checked by
-// auditQueue under the test-only m.audit flag.
+// their call sites in run.go and controller.go); the invariant — every
+// slot the linear scan would consider is present in the heap, possibly
+// with a stale cached time — is checked by auditQueue under the
+// test-only m.audit flag.
 
 import (
 	"fmt"
 
-	"suit/internal/isa"
-	"suit/internal/msr"
 	"suit/internal/units"
 )
 
@@ -359,19 +357,15 @@ func (m *Machine) applySched(a *schedAction) {
 	d := a.d
 	switch a.kind {
 	case schedDisable:
-		d.msrs.Poke(msr.SUITDisable, uint64(isa.FaultableMask))
 		d.disabled = true
 	case schedEnable:
-		d.msrs.Poke(msr.SUITDisable, 0)
 		d.disabled = false
 	case schedArmDeadline:
 		d.deadlineDur = a.dur
 		d.deadlineAt = a.expiry
-		d.msrs.Poke(msr.SUITDeadline, uint64(a.dur.Microseconds()*1000)) // ns ticks
 		m.syncDeadline(d)
 	case schedDisarmDeadline:
 		d.deadlineAt = 0
-		d.msrs.Poke(msr.SUITDeadline, 0)
 		m.syncDeadline(d)
 	}
 }

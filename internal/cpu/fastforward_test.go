@@ -43,12 +43,14 @@ func (s unsafeToggle) OnDeadline(ctl Controller, domain int) {
 }
 
 // ffStrategies is the number of strategies ffStrategy chooses from.
-const ffStrategies = 6
+const ffStrategies = 9
 
 // ffStrategy returns the k-th strategy the fast-forward oracle drives.
-// The last two run on a CPU without SUIT's interlock and need
-// cfg.AllowUnsafe: unsafePinnedE sits on E with nothing disabled, so its
-// faultable arrivals fault, and unsafeToggle faults mid-ramp too.
+// Strategies 4 and 5 run on a CPU without SUIT's interlock and need
+// cfg.AllowUnsafe (see ffUnsafe): unsafePinnedE sits on E with nothing
+// disabled, so its faultable arrivals fault, and unsafeToggle faults
+// mid-ramp too. Strategies 6–8 are the hostile OS of adversary_test.go,
+// which the interlock holds by trapping below the curve.
 func ffStrategy(k int, deadline units.Second) Strategy {
 	switch k % ffStrategies {
 	case 0:
@@ -61,10 +63,19 @@ func ffStrategy(k int, deadline units.Second) Strategy {
 		return pinnedBase{}
 	case 4:
 		return unsafePinnedE{}
-	default:
+	case 5:
 		return unsafeToggle{deadline: deadline}
+	case 6:
+		return advEnableOnly{}
+	case 7:
+		return advCvEnable{}
+	default:
+		return advMidRamp{deadline: deadline}
 	}
 }
+
+// ffUnsafe reports whether strategy k of ffStrategy needs AllowUnsafe.
+func ffUnsafe(k int) bool { return k%ffStrategies == 4 || k%ffStrategies == 5 }
 
 // ffConfig is a single-core machine on chip running tr under strategy
 // k of ffStrategy. trapIMUL selects the §4.2 ablation with the stock
@@ -75,7 +86,7 @@ func ffConfig(chip dvfs.Chip, tr *trace.Trace, k int, trapIMUL, noReset bool) Co
 	cfg.TrapIMUL = trapIMUL
 	cfg.HardenedIMUL = !trapIMUL
 	cfg.NoDeadlineReset = noReset
-	cfg.AllowUnsafe = k%ffStrategies >= 4
+	cfg.AllowUnsafe = ffUnsafe(k)
 	return cfg
 }
 
@@ -149,12 +160,12 @@ func diffFastForward(t *testing.T, name string, cfg Config, s Strategy) (*Machin
 
 // TestDifferentialFastForwardVsStepped pins the fast-forward loop to
 // the plain event-queue stepper on the same machine, over burst traces
-// of thousands of events on chips 𝒜, ℬ and 𝒞 under all six test
-// strategies (faults included), both ablation flags, operating-point
-// sampling, and streams that end on their last event or run past it,
-// plus sparse random traces. It also checks the loop is not vacuous:
-// it must take at least 90% of the arrivals of the burst runs whose
-// strategy does not trap every faultable instruction, and at least one
+// of thousands of events on chips 𝒜, ℬ and 𝒞 under all nine test
+// strategies (faults and a hostile OS included), both ablation flags,
+// operating-point sampling, and streams that end on their last event or
+// run past it, plus sparse random traces. It also checks the loop is not
+// vacuous: it must take at least 90% of the arrivals of the burst runs
+// whose strategy does not trap or fault by design, and at least one
 // arrival while the voltage is still ramping.
 func TestDifferentialFastForwardVsStepped(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 404))
@@ -183,9 +194,10 @@ func TestDifferentialFastForwardVsStepped(t *testing.T) {
 						arrivals++
 					}
 				}
-				// emulAll traps every faultable arrival on E, and the
-				// unsafe strategies' faultable arrivals on E are would-be
-				// faults: the loop declines those by design.
+				// emulAll traps every faultable arrival on E, the unsafe
+				// strategies' faultable arrivals on E are would-be faults,
+				// and the hostile OS re-traps below the curve: the loop
+				// declines those by design.
 				declinesFaultable := k == 2 || k >= 4
 				if !declinesFaultable && float64(m.ff.arrivals) < 0.9*float64(arrivals) {
 					t.Errorf("%s: the loop took %d of %d arrivals, want at least 90%%", name, m.ff.arrivals, arrivals)

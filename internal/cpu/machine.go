@@ -20,7 +20,6 @@ import (
 	"suit/internal/emul"
 	"suit/internal/guardband"
 	"suit/internal/isa"
-	"suit/internal/msr"
 	"suit/internal/power"
 	"suit/internal/trace"
 	"suit/internal/units"
@@ -107,10 +106,10 @@ type Config struct {
 	ExceptionDelay units.Second
 	// Emul prices instruction emulation (§5.3 call delay + work).
 	Emul emul.CostModel
-	// AllowUnsafe permits selecting undervolted points without disabling
-	// the faultable instructions — a CPU without SUIT's hardware
-	// interlock, used for the attack baseline. SUIT machines must leave
-	// this false.
+	// AllowUnsafe models a pre-SUIT CPU with no §3.2 interlock in either
+	// direction: E may be selected with the faultable instructions
+	// enabled, enabling them does not leave E, and nothing traps below
+	// the curve. It is the attack baseline; SUIT machines leave it false.
 	AllowUnsafe bool
 	// Seed drives transition-delay jitter.
 	Seed uint64
@@ -348,7 +347,6 @@ type transition struct {
 type domain struct {
 	id    int
 	cores []*core
-	msrs  *msr.File
 
 	mode   Mode // residency attribution: last *completed* target
 	target Mode // requested target
@@ -369,6 +367,10 @@ type domain struct {
 
 	deadlineAt  units.Second // 0 = disarmed
 	deadlineDur units.Second
+
+	// legacy holds the raw values written to the pre-SUIT registers
+	// (legacyMSRs in msrfront.go); they drive nothing.
+	legacy [len(legacyMSRs)]uint64
 
 	// exceptions holds recent #DO timestamps for thrashing prevention.
 	// It fills to excRingCap entries and then becomes a ring indexed by
@@ -511,9 +513,6 @@ type schedAction struct {
 	done        bool         // consumed (tombstone)
 }
 
-// handlerDisabled reports the OS-visible disable state of d.
-func (m *Machine) handlerDisabled(d *domain) bool { return d.disabledView }
-
 // New builds a machine. The operating points are resolved from the chip,
 // the fault model and the offset: the efficient point gets the TDP
 // headroom the undervolt frees up (§5.4).
@@ -614,10 +613,9 @@ func New(cfg Config, strategy Strategy) (*Machine, error) {
 }
 
 func newDomain(id int, cores []*core, start Point) *domain {
-	d := &domain{
+	return &domain{
 		id:     id,
 		cores:  cores,
-		msrs:   msr.NewFile(),
 		mode:   ModeBase,
 		target: ModeBase,
 		freq:   start.F,
@@ -626,8 +624,6 @@ func newDomain(id int, cores []*core, start Point) *domain {
 		// allocated lazily on the first #DO in recordException: trap-free
 		// runs — every non-SUIT baseline machine — never pay for it.
 	}
-	d.msrs.Poke(msr.IA32PerfStatus, msr.EncodePerfStatus(uint8(start.F.GHz()*10), float64(start.V)))
-	return d
 }
 
 // Points returns the resolved operating points.
@@ -636,15 +632,12 @@ func (m *Machine) Points() Points { return m.pts }
 // Domains returns the number of DVFS domains.
 func (m *Machine) Domains() int { return len(m.domains) }
 
-// MSRs exposes a domain's register file (read-only use by tools/tests).
-func (m *Machine) MSRs(domain int) *msr.File { return m.domains[domain].msrs }
-
 // Now returns the current simulation time.
 func (m *Machine) Now() units.Second { return m.now }
 
 // consVolt returns the conservative-curve voltage at the domain's current
-// frequency; the safety monitor subtracts it from the instantaneous
-// voltage to get how far the domain sits below the curve.
+// frequency, which the interlock's trap test and the safety monitor
+// compare the instantaneous voltage with.
 func (m *Machine) consVolt(d *domain) units.Volt {
 	if !d.consVOK || d.consVFreq != d.freq {
 		d.consV = m.cons.VoltageAt(d.freq)

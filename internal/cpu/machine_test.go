@@ -1,12 +1,14 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"suit/internal/dvfs"
 	"suit/internal/emul"
 	"suit/internal/guardband"
 	"suit/internal/isa"
+	"suit/internal/msr"
 	"suit/internal/trace"
 	"suit/internal/units"
 )
@@ -244,6 +246,42 @@ func TestUnsafeUndervoltingFaults(t *testing.T) {
 	}
 }
 
+// TestMonitorExactAtMargin: executing exactly at the margin is safe
+// (guardband.Faults), and any deeper faults. On E the background ops sit
+// exactly at their margin on every chip, so an ALU-only trace under fvLite
+// must record no fault; an efficient curve 1 µV deeper must fault every
+// ALU op, by 1 µV.
+func TestMonitorExactAtMargin(t *testing.T) {
+	alu := &trace.Trace{Name: "alu", Total: 1_000_000, IPC: 2}
+	for i := uint64(1); i <= 18; i++ {
+		alu.Events = append(alu.Events, trace.Event{Index: i * 50_000, Op: isa.OpALU})
+	}
+	fv := fvLite{deadline: units.Microseconds(30)}
+	for ci, chip := range ffChips {
+		cfg := testConfig(alu)
+		cfg.Chip = chip()
+		res := runWith(t, cfg, fv)
+		if len(res.Faults) != 0 {
+			t.Errorf("chip %d: %d ALU ops at their margin recorded as faults, first %+v", ci, len(res.Faults), res.Faults[0])
+		}
+		if res.EfficientShare() != 1 {
+			t.Errorf("chip %d: efficient share %v, want 1", ci, res.EfficientShare())
+		}
+
+		cfg.Offset -= units.MilliVolts(0.001)
+		res = runWith(t, cfg, fv)
+		if len(res.Faults) != len(alu.Events) {
+			t.Errorf("chip %d: %d faults 1 µV below the margin, want %d", ci, len(res.Faults), len(alu.Events))
+		}
+		for _, f := range res.Faults {
+			if math.Abs(float64(f.Margin)-1e-6) > 1e-12 {
+				t.Errorf("chip %d: fault margin %v, want 1 µV", ci, f.Margin)
+				break
+			}
+		}
+	}
+}
+
 type unsafePinnedE struct{}
 
 func (unsafePinnedE) Name() string { return "unsafe" }
@@ -257,18 +295,16 @@ func (unsafePinnedE) OnDeadline(Controller, int)                        {}
 
 func TestHardwareInterlockRefusesUnsafeEfficient(t *testing.T) {
 	// Selecting the efficient curve without disabling the instructions
-	// must be refused by SUIT hardware (§3.2).
-	defer func() {
-		if recover() == nil {
-			t.Fatal("interlock did not fire")
-		}
-	}()
-	cfg := testConfig(testTrace(1000, 1, 10))
-	m, err := New(cfg, unsafePinnedE{}) // AllowUnsafe is false here
-	if err != nil {
-		t.Fatal(err)
+	// must be refused by SUIT hardware (§3.2): no switch, no time on E,
+	// and the faultable instruction runs safely on the baseline.
+	cfg := testConfig(testTrace(10_000_000, 2, 5_000_000)) // AllowUnsafe is false here
+	res := runWith(t, cfg, unsafePinnedE{})
+	if res.Residency[ModeE] != 0 || res.Switches != 0 {
+		t.Errorf("refused request moved the domain: E residency %v, %d switches", res.Residency[ModeE], res.Switches)
 	}
-	_, _ = m.Run()
+	if len(res.Faults) != 0 || res.Exceptions != 0 {
+		t.Errorf("faults %v, exceptions %d on the baseline", res.Faults, res.Exceptions)
+	}
 }
 
 func TestEmulationConsumesInstructions(t *testing.T) {
@@ -403,11 +439,18 @@ func TestMSRsReflectState(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := m.MSRs(0).Read(0x1503); err != nil || got != 1 { // SUITDOCount
-		t.Errorf("DO count MSR = %d (err %v), want 1", got, err)
-	}
-	if got, err := m.MSRs(0).Read(0x1500); err != nil || got == 0 { // SUITDisable
-		t.Errorf("disable MSR empty under emulation strategy (err %v)", err)
+	for _, r := range []struct {
+		addr msr.Addr
+		want uint64
+	}{
+		{msr.SUITDOCount, 1},
+		{msr.SUITDisable, uint64(isa.FaultableMask)},
+		{msr.SUITCurve, msr.CurveEfficient}, // selected by the strategy, not by WRMSR
+		{msr.SUITDeadline, 0},
+	} {
+		if got, err := m.ReadMSR(0, r.addr); err != nil || got != r.want {
+			t.Errorf("MSR %#x = %#x (err %v), want %#x", uint32(r.addr), got, err, r.want)
+		}
 	}
 }
 

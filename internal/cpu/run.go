@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"suit/internal/msr"
 	"suit/internal/units"
 )
 
@@ -170,8 +169,8 @@ func (m *Machine) finishRun() Result {
 // ramp and open energy epoch cannot change, so the loop keeps the clock,
 // the core's progress, the deadline and domain 0's residency in locals
 // and per arrival does only what can change: the arrival time, the break
-// tests, the trapped-set lookup, the residency sum, the safety monitor
-// and the deadline push. Each is the expression the reference path
+// tests, the trap test, the safety monitor, the residency sum and the
+// deadline push. Each is the expression the reference path
 // (popEvent, dispatch, advanceTo, coreArrive) evaluates, in the same
 // order, so timestamps, energy and the evLog sequence stay bit-identical.
 //
@@ -198,13 +197,13 @@ func (m *Machine) fastForward() {
 	if m.cfg.SampleEvery > 0 {
 		sampleAt = m.nextSample
 	}
-	// Per-streak set-up, run by the first arrival that passes the break
-	// tests, so a streak ending at its first arrival costs nothing more.
+	// Per-streak set-up, run by the first arrival that passes the clock
+	// break tests, so a streak ending there costs nothing more.
 	var (
-		consV, settledOff         units.Volt
-		rampEnd, resid            units.Second
-		dyn                       float64
-		midRamp, staleEpoch, push bool
+		consV, settledV                         units.Volt
+		rampEnd, resid                          units.Second
+		dyn                                     float64
+		settledBelow, midRamp, staleEpoch, push bool
 	)
 	idx := start
 	for ; idx < stop; idx++ {
@@ -229,16 +228,13 @@ func (m *Machine) fastForward() {
 		if dl > 0 && dl <= t || sampleAt <= t {
 			break
 		}
-		trapped := m.trapped[ev.Op]
-		if trapped && disabled {
-			break
-		}
 		if idx == start {
 			if int(d.mode) >= int(numModes) {
 				break // advanceTo keeps no residency for an unknown mode
 			}
 			consV = m.consVolt(d)
-			settledOff = d.voltGoal - consV
+			settledV = d.voltGoal
+			settledBelow = m.belowCurve(settledV, consV)
 			rampEnd = d.voltT1
 			midRamp = t < rampEnd
 			resid = m.res.Residency[d.mode]
@@ -246,12 +242,15 @@ func (m *Machine) fastForward() {
 			staleEpoch = dyn != d.ep.dyn || d.ramp != d.ep.ramp
 			push = dl > 0 && !m.cfg.NoDeadlineReset
 		}
-		// Safety monitor: the voltage is constant once the ramp settled.
-		off := settledOff
+		// The voltage is constant once the ramp settled. The trap test
+		// and the safety monitor are coreArrive's.
+		v, below := settledV, settledBelow
 		if t < rampEnd {
-			off = d.voltAt(t) - consV
+			v = d.voltAt(t)
+			below = m.belowCurve(v, consV)
 		}
-		if -off > m.physMargin[ev.Op] {
+		trapped := m.trapped[ev.Op]
+		if trapped && (disabled || below) || v < consV-m.physMargin[ev.Op] {
 			break
 		}
 		if m.evLog != nil {
@@ -319,8 +318,6 @@ const (
 func (m *Machine) applyFreq(d *domain) {
 	p := d.pending
 	d.freq = p.freqTarget
-	d.msrs.Poke(msr.IA32PerfStatus,
-		msr.EncodePerfStatus(uint8(d.freq.GHz()*10), float64(d.voltAt(m.now))))
 	p.freqApply = 0
 	p.freqTarget = 0
 	if p.end <= m.now {
@@ -400,16 +397,13 @@ func (m *Machine) coreArrive(c *core) {
 	d := m.domainOf(c.id)
 
 	trapped := m.trapped[ev.Op]
-	if d.disabled && trapped {
-		// #DO trap (§3.3). The instruction re-executes after the handler
-		// unless the strategy emulates it.
+	v, cons := d.voltAt(m.now), m.consVolt(d)
+	if trapped && (d.disabled || m.belowCurve(v, cons)) {
+		// #DO trap (§3.3), or the §3.2 interlock trapping below the
+		// curve. The instruction re-executes after the handler unless
+		// the strategy emulates it.
 		m.res.Exceptions++
 		d.recordException(m.now)
-		doCount, err := d.msrs.Read(msr.SUITDOCount)
-		if err != nil {
-			panic(err) // machine invariant: SUITDOCount is always mapped
-		}
-		d.msrs.Poke(msr.SUITDOCount, doCount+1)
 		c.retry = true
 		m.handlerTime = m.now + m.effExceptionDelay()
 		m.handlerCore = c.id
@@ -420,15 +414,14 @@ func (m *Machine) coreArrive(c *core) {
 		return
 	}
 
-	// Execute. Safety monitor: a faultable (or IMUL) instruction running
-	// below its margin silently corrupts (§2.3) — SUIT configurations
-	// must never reach this.
-	off := d.voltAt(m.now) - m.consVolt(d)
-	if -off > m.physMargin[ev.Op] {
+	// Execute. Safety monitor: an instruction running below its margin
+	// silently corrupts (§2.3) — SUIT configurations must never reach
+	// this. Executing exactly at the margin is safe (guardband.Faults);
+	// comparing voltages keeps that exact, as E sits at cons − margin.
+	if floor := cons - m.physMargin[ev.Op]; v < floor {
 		//lint:allow allocfree faults only occur on misconfigured runs; the zero-fault steady state never appends
 		m.res.Faults = append(m.res.Faults, FaultRecord{
-			T: m.now, Core: c.id, Op: ev.Op, V: d.voltAt(m.now),
-			Margin: -off - m.cfg.Faults.PhysicalMargin(ev.Op, m.cfg.HardenedIMUL),
+			T: m.now, Core: c.id, Op: ev.Op, V: v, Margin: floor - v,
 		})
 	}
 	// Hardware deadline reset: executing an instruction that would be

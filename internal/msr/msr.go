@@ -5,17 +5,11 @@
 // SUIT introduces (§3.2, §3.3): opcode disable, curve select and the
 // deadline timer.
 //
-// The register file is per logical domain (the CPU simulator instantiates
-// one per core for per-core-domain CPUs, or one per package). Writes can
-// carry side effects via hooks, which is how the DVFS machinery reacts to
-// p-state requests with realistic delays.
+// The package holds the addresses and field encodings only. The register
+// values live in the CPU simulator's domain state, and its WRMSR/RDMSR
+// front-end (cpu.Machine.WriteMSR/ReadMSR) decodes writes onto that state
+// and computes reads from it, so there is no second copy to keep in step.
 package msr
-
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
 
 // Addr is an MSR address.
 type Addr uint32
@@ -44,11 +38,12 @@ const (
 	// SUITCurve selects the DVFS curve: 0 conservative, 1 efficient.
 	// Hardware refuses the efficient curve while SUITDisable is zero.
 	SUITCurve Addr = 0x1501
-	// SUITDeadline arms the count-down deadline timer, in reference-clock
-	// ticks; writing zero disarms it.
+	// SUITDeadline arms the count-down deadline timer, in nanosecond
+	// ticks; writing zero disarms it, and it reads zero once disarmed or
+	// fired.
 	SUITDeadline Addr = 0x1502
 	// SUITDOCount counts #DO exceptions since reset (diagnostics and the
-	// thrashing-prevention window in software use it).
+	// thrashing-prevention window in software use it). It is read-only.
 	SUITDOCount Addr = 0x1503
 )
 
@@ -57,92 +52,6 @@ const (
 	CurveConservative uint64 = 0
 	CurveEfficient    uint64 = 1
 )
-
-// WriteHook observes a write after the register value is stored.
-type WriteHook func(addr Addr, old, new uint64)
-
-// ErrUnknown reports access to an address the file does not implement.
-type ErrUnknown struct{ Addr Addr }
-
-func (e ErrUnknown) Error() string { return fmt.Sprintf("msr: #GP, unknown MSR %#x", uint32(e.Addr)) }
-
-// File is a register file for one domain. Files are safe for concurrent
-// use; the simulator itself is single-threaded per machine, but tooling
-// reads registers from other goroutines.
-type File struct {
-	mu    sync.Mutex
-	regs  map[Addr]uint64
-	hooks map[Addr][]WriteHook
-}
-
-// NewFile returns a register file implementing the standard SUIT register
-// set, all zeroed.
-func NewFile() *File {
-	f := &File{regs: make(map[Addr]uint64), hooks: make(map[Addr][]WriteHook)}
-	for _, a := range []Addr{
-		IA32MPerf, IA32APerf, IA32PerfStatus, IA32PerfCtl, VoltOffset,
-		SUITDisable, SUITCurve, SUITDeadline, SUITDOCount,
-	} {
-		f.regs[a] = 0
-	}
-	return f
-}
-
-// Read returns the register value, or ErrUnknown (#GP) for unimplemented
-// addresses.
-func (f *File) Read(addr Addr) (uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v, ok := f.regs[addr]
-	if !ok {
-		return 0, ErrUnknown{addr} //lint:allow allocfree boxes only on the unmapped-register (#GP) path; hot callers treat that as a machine invariant and panic
-	}
-	return v, nil
-}
-
-// Write stores value and fires hooks, or returns ErrUnknown (#GP).
-func (f *File) Write(addr Addr, value uint64) error {
-	f.mu.Lock()
-	old, ok := f.regs[addr]
-	if !ok {
-		f.mu.Unlock()
-		return ErrUnknown{addr}
-	}
-	f.regs[addr] = value
-	hooks := append([]WriteHook(nil), f.hooks[addr]...)
-	f.mu.Unlock()
-	for _, h := range hooks {
-		h(addr, old, value)
-	}
-	return nil
-}
-
-// OnWrite registers a hook fired after each write to addr.
-func (f *File) OnWrite(addr Addr, h WriteHook) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.hooks[addr] = append(f.hooks[addr], h)
-}
-
-// Poke sets a register without firing hooks — the hardware side updating
-// status registers (e.g. IA32PerfStatus as the voltage settles).
-func (f *File) Poke(addr Addr, value uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.regs[addr] = value //lint:allow allocfree overwrites a key pre-populated by NewFile; the register map never grows here
-}
-
-// Addrs lists the implemented addresses in ascending order.
-func (f *File) Addrs() []Addr {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Addr, 0, len(f.regs))
-	for a := range f.regs {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // --- Field encodings ---
 

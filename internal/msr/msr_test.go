@@ -1,116 +1,10 @@
 package msr
 
 import (
-	"errors"
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
-
-func TestReadWriteKnownRegisters(t *testing.T) {
-	f := NewFile()
-	for _, a := range f.Addrs() {
-		v, err := f.Read(a)
-		if err != nil || v != 0 {
-			t.Errorf("fresh register %#x: v=%d err=%v", uint32(a), v, err)
-		}
-		if err := f.Write(a, 0xDEAD); err != nil {
-			t.Errorf("write %#x: %v", uint32(a), err)
-		}
-		if v, _ := f.Read(a); v != 0xDEAD {
-			t.Errorf("readback %#x = %#x", uint32(a), v)
-		}
-	}
-}
-
-func TestUnknownMSRIsGP(t *testing.T) {
-	f := NewFile()
-	if _, err := f.Read(0xBEEF); err == nil {
-		t.Error("read of unknown MSR did not fault")
-	} else {
-		var gp ErrUnknown
-		if !errors.As(err, &gp) || gp.Addr != 0xBEEF {
-			t.Errorf("wrong error: %v", err)
-		}
-	}
-	if err := f.Write(0xBEEF, 1); err == nil {
-		t.Error("write to unknown MSR did not fault")
-	}
-}
-
-// testWrite and testRead fail the test on #GP instead of panicking: the
-// register file itself only reports errors (suitlint panicpath).
-func testWrite(t *testing.T, f *File, a Addr, v uint64) {
-	t.Helper()
-	if err := f.Write(a, v); err != nil {
-		t.Fatalf("write %#x: %v", uint32(a), err)
-	}
-}
-
-func testRead(t *testing.T, f *File, a Addr) uint64 {
-	t.Helper()
-	v, err := f.Read(a)
-	if err != nil {
-		t.Fatalf("read %#x: %v", uint32(a), err)
-	}
-	return v
-}
-
-func TestWriteHooksFireInOrderWithOldAndNew(t *testing.T) {
-	f := NewFile()
-	var calls []uint64
-	f.OnWrite(SUITCurve, func(a Addr, old, new uint64) {
-		if a != SUITCurve {
-			t.Errorf("hook addr = %#x", uint32(a))
-		}
-		calls = append(calls, old, new)
-	})
-	testWrite(t, f, SUITCurve, 1)
-	testWrite(t, f, SUITCurve, 0)
-	want := []uint64{0, 1, 1, 0}
-	if len(calls) != len(want) {
-		t.Fatalf("calls = %v", calls)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Errorf("calls[%d] = %d, want %d", i, calls[i], want[i])
-		}
-	}
-}
-
-func TestPokeDoesNotFireHooks(t *testing.T) {
-	f := NewFile()
-	fired := false
-	f.OnWrite(IA32PerfStatus, func(Addr, uint64, uint64) { fired = true })
-	f.Poke(IA32PerfStatus, 42)
-	if fired {
-		t.Error("Poke fired a hook")
-	}
-	if testRead(t, f, IA32PerfStatus) != 42 {
-		t.Error("Poke did not store value")
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	f := NewFile()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(n uint64) {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				if err := f.Write(SUITDOCount, n); err != nil {
-					panic(err)
-				}
-				if _, err := f.Read(SUITDOCount); err != nil {
-					panic(err)
-				}
-			}
-		}(uint64(i))
-	}
-	wg.Wait() // run with -race to exercise
-}
 
 func TestPerfCtlEncoding(t *testing.T) {
 	for _, ratio := range []uint8{0, 8, 26, 47, 255} {

@@ -13,48 +13,34 @@ import (
 // Adaptive explores the obvious next step — let the OS learn the band per
 // workload instead of shipping constants.
 //
-// Policy: the deadline is Alpha × EWMA(gap between consecutive #DO
-// exceptions), clamped to [MinDeadline, MaxDeadline]. Short observed gaps
-// (a thrashing workload) stretch the deadline exactly like the static
+// Policy: the deadline is adaptiveAlpha × EWMA(gap between consecutive
+// #DO exceptions), clamped to [10 µs, 2 ms]. Short observed gaps (a
+// thrashing workload) stretch the deadline exactly like the static
 // thrashing prevention, but proportionally; long gaps (sparse bursts)
-// shrink it toward MinDeadline, returning to the efficient curve sooner
-// than the fixed p_dl would.
+// shrink it toward the lower clamp, returning to the efficient curve
+// sooner than the fixed p_dl would.
 type Adaptive struct {
-	// Alpha scales the gap estimate into a deadline (default 0.5).
-	Alpha float64
-	// Smoothing is the EWMA weight of the newest gap (default 0.25).
-	Smoothing float64
-	// MinDeadline/MaxDeadline clamp the result (defaults 10 µs / 2 ms).
-	MinDeadline units.Second
-	MaxDeadline units.Second
-
 	// per-domain learning state; Adaptive must be used by pointer so the
 	// state persists across handler invocations.
 	lastException []units.Second
 	ewmaGap       []units.Second
 }
 
+// The Adaptive policy constants: adaptiveAlpha scales the gap estimate
+// into a deadline, adaptiveSmoothing is the EWMA weight of the newest
+// gap, and the deadline is clamped to [adaptiveMinUS µs, adaptiveMaxMS ms].
+const (
+	adaptiveAlpha     = 0.5
+	adaptiveSmoothing = 0.25
+	adaptiveMinUS     = 10
+	adaptiveMaxMS     = 2
+)
+
 // Name implements cpu.Strategy.
 func (*Adaptive) Name() string { return "adaptive" }
 
-func (a *Adaptive) defaults() {
-	if a.Alpha == 0 {
-		a.Alpha = 0.5
-	}
-	if a.Smoothing == 0 {
-		a.Smoothing = 0.25
-	}
-	if a.MinDeadline == 0 {
-		a.MinDeadline = units.Microseconds(10)
-	}
-	if a.MaxDeadline == 0 {
-		a.MaxDeadline = units.Milliseconds(2)
-	}
-}
-
 // Init implements cpu.Strategy.
 func (a *Adaptive) Init(ctl cpu.Controller) {
-	a.defaults()
 	n := ctl.Domains()
 	a.lastException = make([]units.Second, n)
 	a.ewmaGap = make([]units.Second, n)
@@ -67,14 +53,7 @@ func (a *Adaptive) Init(ctl cpu.Controller) {
 
 // deadline computes the current deadline for a domain.
 func (a *Adaptive) deadline(domain int) units.Second {
-	d := units.Second(a.Alpha) * a.ewmaGap[domain]
-	if d < a.MinDeadline {
-		d = a.MinDeadline
-	}
-	if d > a.MaxDeadline {
-		d = a.MaxDeadline
-	}
-	return d
+	return min(max(adaptiveAlpha*a.ewmaGap[domain], units.Microseconds(adaptiveMinUS)), units.Milliseconds(adaptiveMaxMS))
 }
 
 // OnDisabledOpcode implements cpu.Strategy.
@@ -85,8 +64,7 @@ func (a *Adaptive) OnDisabledOpcode(ctl cpu.Controller, domain, core int, op isa
 		if a.ewmaGap[domain] == 0 {
 			a.ewmaGap[domain] = gap
 		} else {
-			s := units.Second(a.Smoothing)
-			a.ewmaGap[domain] = s*gap + (1-s)*a.ewmaGap[domain]
+			a.ewmaGap[domain] = adaptiveSmoothing*gap + (1-adaptiveSmoothing)*a.ewmaGap[domain]
 		}
 	}
 	a.lastException[domain] = now

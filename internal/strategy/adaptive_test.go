@@ -16,13 +16,12 @@ type timedController struct {
 
 func (m *timedController) Now() units.Second { return m.now }
 
+// TestAdaptiveDefaults: a zero Adaptive is ready to use; Init sizes its
+// per-domain state.
 func TestAdaptiveDefaults(t *testing.T) {
 	a := &Adaptive{}
 	ctl := &timedController{mockController: mockController{domains: 2}}
 	a.Init(&ctl.mockController)
-	if a.Alpha != 0.5 || a.Smoothing != 0.25 {
-		t.Errorf("defaults not applied: %+v", a)
-	}
 	if len(a.ewmaGap) != 2 || len(a.lastException) != 2 {
 		t.Error("per-domain state not sized")
 	}
@@ -36,15 +35,15 @@ func TestAdaptiveLearnsGaps(t *testing.T) {
 	ctl := &timedController{mockController: mockController{domains: 1}}
 	a.Init(&ctl.mockController)
 
-	// First exception: no gap yet → MinDeadline.
+	// First exception: no gap yet → the 10 µs lower clamp.
 	ctl.now = units.Milliseconds(1)
 	a.OnDisabledOpcode(ctl, 0, 0, isa.OpVOR)
-	if ctl.deadline != a.MinDeadline {
-		t.Errorf("first deadline = %v, want MinDeadline %v", ctl.deadline, a.MinDeadline)
+	if want := units.Microseconds(10); ctl.deadline != want {
+		t.Errorf("first deadline = %v, want the lower clamp %v", ctl.deadline, want)
 	}
 
 	// Exceptions 100 µs apart: the deadline converges toward
-	// Alpha × 100 µs = 50 µs.
+	// 0.5 × 100 µs = 50 µs.
 	for i := 2; i <= 30; i++ {
 		ctl.now = units.Milliseconds(1) + units.Microseconds(float64(i-1)*100)
 		a.OnDisabledOpcode(ctl, 0, 0, isa.OpVOR)
@@ -55,13 +54,13 @@ func TestAdaptiveLearnsGaps(t *testing.T) {
 	}
 
 	// A sudden sparse phase (10 ms gaps) stretches the estimate but the
-	// clamp holds it at MaxDeadline.
+	// clamp holds it at 2 ms.
 	for i := 0; i < 40; i++ {
 		ctl.now += units.Milliseconds(10)
 		a.OnDisabledOpcode(ctl, 0, 0, isa.OpVOR)
 	}
-	if ctl.deadline != a.MaxDeadline {
-		t.Errorf("sparse-phase deadline = %v, want clamp at %v", ctl.deadline, a.MaxDeadline)
+	if want := units.Milliseconds(2); ctl.deadline != want {
+		t.Errorf("sparse-phase deadline = %v, want clamp at %v", ctl.deadline, want)
 	}
 }
 

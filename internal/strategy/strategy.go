@@ -196,11 +196,12 @@ func (Emulation) OnDeadline(cpu.Controller, int) {
 // switching machinery.
 type Dynamic struct {
 	P Params
-	// EmulateBelow is the exception count within P.TimeSpan up to which
-	// traps are emulated rather than switched (default 1: only isolated
-	// traps).
-	EmulateBelow int
 }
+
+// dynEmulateBelow is the exception count within Params.TimeSpan up to
+// which Dynamic emulates traps rather than switching curves: 1, only
+// isolated traps (the trap being handled counts).
+const dynEmulateBelow = 1
 
 // Name implements cpu.Strategy.
 func (Dynamic) Name() string { return "dyn" }
@@ -210,11 +211,7 @@ func (Dynamic) Init(ctl cpu.Controller) { initEfficient(ctl) }
 
 // OnDisabledOpcode implements cpu.Strategy.
 func (s Dynamic) OnDisabledOpcode(ctl cpu.Controller, domain, core int, op isa.Opcode) {
-	limit := s.EmulateBelow
-	if limit <= 0 {
-		limit = 1
-	}
-	if ctl.Mode(domain) == cpu.ModeE && ctl.ExceptionsWithin(domain, s.P.TimeSpan) <= limit {
+	if ctl.Mode(domain) == cpu.ModeE && ctl.ExceptionsWithin(domain, s.P.TimeSpan) <= dynEmulateBelow {
 		ctl.Emulate(op)
 		return
 	}
