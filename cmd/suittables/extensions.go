@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"suit/internal/baselines"
 	"suit/internal/core"
@@ -20,7 +20,7 @@ import (
 // ids for selective execution.
 
 // runCovert quantifies the §8 covert channel.
-func runCovert(c cfg, w *os.File) error {
+func runCovert(c cfg, w io.Writer) ([]cell, error) {
 	bits := make([]bool, 32)
 	for i := range bits {
 		bits[i] = i%3 == 0 || i%7 == 0
@@ -30,7 +30,7 @@ func runCovert(c cfg, w *os.File) error {
 	for _, us := range []float64{200, 400, 800} {
 		res, err := security.CovertChannel(dvfs.IntelI9_9900K(), bits, units.Microseconds(us), c.seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t.AddRow(units.Microseconds(us).String(),
 			fmt.Sprintf("%.1f kbit/s", res.BitsPerSecond/1000),
@@ -38,24 +38,27 @@ func runCovert(c cfg, w *os.File) error {
 			fmt.Sprintf("%.1f %%", res.ErrorRate()*100))
 	}
 	if err := t.Render(w); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintln(w, "\nthe sender drags the shared DVFS domain conservative with one trap per")
 	fmt.Fprintln(w, "1-bit; the receiver decodes its own throughput dips with clock recovery.")
-	return nil
+	return nil, nil
 }
 
 // runBaselines prints the §7 related-work comparison.
-func runBaselines(c cfg, w *os.File) error {
+func runBaselines(c cfg, w io.Writer) ([]cell, error) {
 	gb := guardband.Default()
-	xz, _ := workload.ByName("557.xz")
-	tr, err := xz.GenerateTrace(20_000_000, c.seed)
+	xz, err := byName("557.xz")
 	if err != nil {
-		return err
+		return nil, err
+	}
+	tr, err := xz[0].GenerateTrace(20_000_000, c.seed)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := baselines.Compare(dvfs.IntelI9_9900K(), gb, tr, c.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable("§7 extension. Undervolting approaches compared (i9-9900K)",
 		"approach", "offset", "efficiency", "risk")
@@ -69,18 +72,14 @@ func runBaselines(c cfg, w *os.File) error {
 		}
 		t.AddRow(r.Name, r.Offset.String(), report.Pct(r.Eff), risk)
 	}
-	return t.Render(w)
+	return nil, t.Render(w)
 }
 
 // runSched prints the §7 scheduling experiment.
-func runSched(c cfg, w *os.File) error {
-	var tasks []workload.Benchmark
-	for _, n := range []string{"557.xz", "505.mcf", "520.omnetpp", "521.wrf"} {
-		b, ok := workload.ByName(n)
-		if !ok {
-			return fmt.Errorf("workload %s missing", n)
-		}
-		tasks = append(tasks, b)
+func runSched(c cfg, w io.Writer) ([]cell, error) {
+	tasks, err := byName("557.xz", "505.mcf", "520.omnetpp", "521.wrf")
+	if err != nil {
+		return nil, err
 	}
 	cfg := sched.Config{
 		Chip: dvfs.IntelI9_9900K(), Clusters: 2, CoresPerCluster: 2,
@@ -88,7 +87,7 @@ func runSched(c cfg, w *os.File) error {
 	}
 	spread, packed, err := sched.Compare(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable("§7 extension. SUIT-aware placement (2 clusters × 2 cores)",
 		"policy", "assignment", "perf", "power", "efficiency")
@@ -96,12 +95,12 @@ func runSched(c cfg, w *os.File) error {
 		report.Pct(spread.Change.Perf), report.Pct(spread.Change.Power), report.Pct(spread.Eff))
 	t.AddRow("pack by density", fmt.Sprint([]int(packed.Assignment)),
 		report.Pct(packed.Change.Perf), report.Pct(packed.Change.Power), report.Pct(packed.Eff))
-	return t.Render(w)
+	return nil, t.Render(w)
 }
 
 // runVariance reports mean ± σ over seeds for flagship cells, mirroring
 // the paper's (n, σ) annotations.
-func runVariance(c cfg, w *os.File) error {
+func runVariance(c cfg, w io.Writer) ([]cell, error) {
 	n := 6
 	if c.quick {
 		n = 4
@@ -111,14 +110,11 @@ func runVariance(c cfg, w *os.File) error {
 	pm := func(mean, sigma float64) string {
 		return fmt.Sprintf("%+.2f ± %.2f %%", mean*100, sigma*100)
 	}
-	xz, err := byName("557.xz")
+	spec, err := byName("557.xz", "502.gcc")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	gcc, err := byName("502.gcc")
-	if err != nil {
-		return err
-	}
+	xz, gcc := spec[0], spec[1]
 	cells := []struct {
 		label string
 		sc    core.Scenario
@@ -136,18 +132,24 @@ func runVariance(c cfg, w *os.File) error {
 	for _, cell := range cells {
 		st, err := core.RunN(cell.sc, n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t.AddRow(cell.label, pm(st.Perf, st.PerfSigma), pm(st.Power, st.PowerSigma),
 			pm(st.Eff, st.EffSigma), pm(st.Share, st.ShareSigma))
 	}
-	return t.Render(w)
+	return nil, t.Render(w)
 }
 
-func byName(name string) (workload.Benchmark, error) {
-	b, ok := workload.ByName(name)
-	if !ok {
-		return workload.Benchmark{}, fmt.Errorf("suittables: missing workload %s", name)
+// byName resolves workload names in order, failing on the first one the
+// registry lacks.
+func byName(names ...string) ([]workload.Benchmark, error) {
+	bs := make([]workload.Benchmark, len(names))
+	for i, name := range names {
+		b, ok := workload.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("suittables: missing workload %s", name)
+		}
+		bs[i] = b
 	}
-	return b, nil
+	return bs, nil
 }

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"suit/internal/core"
 	"suit/internal/cpu"
@@ -14,7 +14,7 @@ import (
 
 // runFig5 shows an AES burst in the VLC trace and the DVFS curve switches
 // SUIT performs around it.
-func runFig5(c cfg, w *os.File) error {
+func runFig5(c cfg, w io.Writer) ([]cell, error) {
 	// VLC's AES bursts are tens of millions of instructions apart; keep
 	// the stream long enough to show several even in quick mode.
 	instr := max(c.netInstr, 200_000_000)
@@ -23,7 +23,7 @@ func runFig5(c cfg, w *os.File) error {
 		SpendAging: true, Instructions: instr, Seed: c.seed, RecordTimeline: true,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "VLC under fV on 𝒞: %d AES bursts trapped, %d curve-switch requests\n\n",
 		o.Run.Exceptions, len(o.Run.Timeline))
@@ -40,22 +40,22 @@ func runFig5(c cfg, w *os.File) error {
 		t.AddRow(mc.T.String(), curve)
 	}
 	if err := t.Render(w); err != nil {
-		return err
+		return nil, err
 	}
 	// The burst/gap structure itself (the horizontal segments of Fig 5).
 	tr, err := workload.VLC().GenerateTrace(instr, c.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	stats := traceGapSeries(tr, "Fig 5: gap sizes (log10 instructions)")
 	ds := downsample(stats, 64)
 	fmt.Fprintf(w, "\ngap-size shape over the run: %s\n", ds.Sparkline())
-	return nil
+	return nil, nil
 }
 
 // runFig6 drives one long synthetic burst through the fV strategy and
 // prints the E → Cf → Cv → E sequence with its timing.
-func runFig6(c cfg, w *os.File) error {
+func runFig6(c cfg, w io.Writer) ([]cell, error) {
 	// A burst long enough for the voltage change to complete (§4.3).
 	b := workload.Benchmark{
 		Name: "longburst", Suite: workload.Network, IPC: 2,
@@ -68,7 +68,7 @@ func runFig6(c cfg, w *os.File) error {
 		RecordTimeline: true, SampleEvery: units.Microseconds(25),
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := report.NewTable("Fig 6. fV operating strategy over a long burst",
 		"time", "requested p-state", "meaning")
@@ -84,7 +84,7 @@ func runFig6(c cfg, w *os.File) error {
 		t.AddRow(mc.T.String(), mc.Mode.String(), meaning[mc.Mode])
 	}
 	if err := t.Render(w); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "\nexceptions: %d, deadline fires: %d (one per burst)\n",
 		o.Run.Exceptions, o.Run.DeadlineFires)
@@ -104,24 +104,29 @@ func runFig6(c cfg, w *os.File) error {
 		fmt.Fprintf(w, "voltage around the burst:   %s\n", volt.Sparkline())
 		fmt.Fprintf(w, "frequency around the burst: %s\n", freq.Sparkline())
 	}
-	return nil
+	// The figure's sequence: one #DO enters the burst, one deadline
+	// leaves it.
+	return []cell{
+		{id: "#DO over the burst", unit: "traps", paper: 1, got: float64(o.Run.Exceptions)},
+		{id: "deadline fires after it", unit: "fires", paper: 1, got: float64(o.Run.DeadlineFires)},
+	}, nil
 }
 
 // runFig7 prints the VLC AES timeline (gap sizes over instruction index).
-func runFig7(c cfg, w *os.File) error {
+func runFig7(c cfg, w io.Writer) ([]cell, error) {
 	tr, err := workload.VLC().GenerateTrace(max(c.netInstr, 400_000_000), c.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s := traceGapSeries(tr, "Fig 7: AES gap sizes while VLC streams")
 	ds := downsampleMax(s, 48)
 	if err := ds.WriteCSV(w); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "shape: %s\n", ds.Sparkline())
 	fmt.Fprintf(w, "%d AES events in %.0fM instructions; bursts with intra-gaps ~10¹, quiet gaps ~10⁶⁺\n",
 		len(tr.Events), float64(tr.Total)/1e6)
-	return nil
+	return nil, nil
 }
 
 // downsampleMax reduces a series to n buckets keeping each bucket's
@@ -162,8 +167,9 @@ func downsample(s report.Series, n int) report.Series {
 	return out
 }
 
-// probeFigure renders one §5.2 transition measurement.
-func probeFigure(w *os.File, name string, chip dvfs.Chip, from, to dvfs.PState, interval units.Second) error {
+// probeFigure renders one §5.2 transition measurement and returns the
+// phase timing the probe sampled.
+func probeFigure(w io.Writer, name string, chip dvfs.Chip, from, to dvfs.PState, interval units.Second) (dvfs.Transition, error) {
 	norm := func() float64 { return 0 }
 	samples := dvfs.ProbeTransition(chip.Transition, from, to, norm, interval)
 	volt := report.Series{Name: name + ": core voltage", XLabel: "t_us", YLabel: "mV"}
@@ -177,47 +183,57 @@ func probeFigure(w *os.File, name string, chip dvfs.Chip, from, to dvfs.PState, 
 		}
 	}
 	if err := volt.WriteCSV(w); err != nil {
-		return err
+		return dvfs.Transition{}, err
 	}
 	fmt.Fprintf(w, "shape: %s\n\n", volt.Sparkline())
 	if err := freq.WriteCSV(w); err != nil {
-		return err
+		return dvfs.Transition{}, err
 	}
 	fmt.Fprintf(w, "shape: %s\nstalled samples: %d of %d\n", freq.Sparkline(), stalled, len(samples))
-	return nil
+	return chip.Transition.Plan(from, to, norm), nil
 }
 
-func runFig8(c cfg, w *os.File) error {
+func runFig8(c cfg, w io.Writer) ([]cell, error) {
 	chip := dvfs.IntelI9_9900K()
 	// §5.2: reset a negative offset back to 0 mV — voltage rises at a
 	// fixed frequency.
 	s, _ := chip.Vendor.StateAt(47)
 	from := dvfs.PState{Ratio: s.Ratio, F: s.F, V: s.V + units.MilliVolts(-97)}
-	return probeFigure(w, "Fig 8 (i9-9900K voltage change, 350 µs)", chip, from, s, units.Microseconds(10))
+	tr, err := probeFigure(w, "Fig 8 (i9-9900K voltage change, 350 µs)", chip, from, s, units.Microseconds(10))
+	return []cell{{id: "voltage change", unit: "µs", paper: 350, sigma: 22,
+		got: (tr.VoltDone - tr.VoltStart).Microseconds()}}, err
 }
 
-func runFig9(c cfg, w *os.File) error {
+func runFig9(c cfg, w io.Writer) ([]cell, error) {
 	chip := dvfs.IntelI9_9900K()
 	hi, _ := chip.Vendor.StateAt(47)
 	lo, _ := chip.Vendor.StateAt(40)
-	from := dvfs.PState{Ratio: hi.Ratio, F: hi.F, V: hi.V}
 	to := dvfs.PState{Ratio: lo.Ratio, F: lo.F, V: hi.V} // frequency only
-	return probeFigure(w, "Fig 9 (i9-9900K frequency change, 22 µs with stall)", chip, from, to, units.Microseconds(1))
+	tr, err := probeFigure(w, "Fig 9 (i9-9900K frequency change, 22 µs with stall)", chip, hi, to, units.Microseconds(1))
+	return []cell{{id: "frequency change", unit: "µs", paper: 22, sigma: 0.21, got: tr.FreqDone.Microseconds()}}, err
 }
 
-func runFig10(c cfg, w *os.File) error {
+func runFig10(c cfg, w io.Writer) ([]cell, error) {
 	chip := dvfs.AMDRyzen7700X()
 	hi, _ := chip.Vendor.StateAt(45)
 	lo, _ := chip.Vendor.StateAt(25)
-	from := dvfs.PState{Ratio: hi.Ratio, F: hi.F, V: hi.V}
 	to := dvfs.PState{Ratio: lo.Ratio, F: lo.F, V: hi.V}
-	return probeFigure(w, "Fig 10 (7700X frequency change, 668 µs, no stall)", chip, from, to, units.Microseconds(20))
+	tr, err := probeFigure(w, "Fig 10 (7700X frequency change, 668 µs, no stall)", chip, hi, to, units.Microseconds(20))
+	return []cell{
+		{id: "frequency change", unit: "µs", paper: 668, sigma: 292, got: tr.FreqDone.Microseconds()},
+		{id: "stall", unit: "µs", paper: 0, got: (tr.FreqDone - tr.StallStart).Microseconds()},
+	}, err
 }
 
-func runFig11(c cfg, w *os.File) error {
+func runFig11(c cfg, w io.Writer) ([]cell, error) {
 	chip := dvfs.XeonSilver4208()
 	lo, _ := chip.Vendor.StateAt(21)
 	hi, _ := chip.Vendor.StateAt(30)
-	return probeFigure(w, "Fig 11 (Xeon 4208 p-state change: voltage 335 µs then frequency 31 µs)",
+	tr, err := probeFigure(w, "Fig 11 (Xeon 4208 p-state change: voltage 335 µs then frequency 31 µs)",
 		chip, lo, hi, units.Microseconds(10))
+	return []cell{
+		{id: "voltage change", unit: "µs", paper: 335, got: (tr.VoltDone - tr.VoltStart).Microseconds()},
+		{id: "then frequency change", unit: "µs", paper: 31, got: (tr.FreqDone - tr.VoltDone).Microseconds()},
+		{id: "stall", unit: "µs", paper: 27, got: (tr.FreqDone - tr.StallStart).Microseconds()},
+	}, err
 }

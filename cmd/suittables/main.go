@@ -1,6 +1,7 @@
 // Command suittables regenerates every table and figure of the SUIT paper
 // (ASPLOS '24) from the simulation stack, printing paper-style tables and
-// CSV figure series.
+// CSV figure series, and ends with one paper-vs-measured table of every
+// number the paper reports for the experiments that ran.
 //
 // Usage:
 //
@@ -8,15 +9,17 @@
 //
 // Experiment ids: table1 delays table2 fig12 fig13 table3 aging table4
 // table5 fig14 fig5 fig6 fig7 fig8 fig9 fig10 fig11 table6 table7 table8
-// fig16 security, plus the extension experiments covert, baselines, sched
-// and variance. "all" (default) runs everything; -quick shortens the
-// simulated instruction streams for a fast pass.
+// fig16 security, plus the extension experiments covert, baselines, sched,
+// variance and ablations. "all" (default) runs everything; -quick shortens
+// the simulated instruction streams for a fast pass.
 //
-// A failed experiment no longer aborts the batch: the remaining
+// A failed experiment does not abort the batch: the remaining
 // experiments still run, every failure is summarised on stderr (with
 // the failed scenario fingerprints when the engine reports them), and
-// the process exits 2. Usage errors exit 1; SIGINT checkpoints
-// completed jobs (with -cache) and exits 130.
+// the process exits 2. A paper cell outside its band with no recorded
+// deviation, or a deviation whose claimed shape does not hold, is a
+// failure too. Usage errors exit 1; SIGINT checkpoints completed jobs
+// (with -cache) and exits 130.
 package main
 
 import (
@@ -24,11 +27,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,7 +44,7 @@ import (
 type experiment struct {
 	id   string
 	desc string
-	run  func(c cfg, w *os.File) error
+	run  func(c cfg, w io.Writer) ([]cell, error)
 }
 
 type cfg struct {
@@ -78,6 +82,7 @@ var experiments = []experiment{
 	{"baselines", "§7 extension: Razor / ECC-guided / xDVS comparison", runBaselines},
 	{"sched", "§7 extension: SUIT-aware task placement", runSched},
 	{"variance", "run-to-run variance of flagship cells (mean ± σ)", runVariance},
+	{"ablations", "design choices the paper argues for, each removed in turn", runAblations},
 }
 
 // Exit codes, shared with suitsweep: usage/environment errors exit 1,
@@ -171,83 +176,108 @@ func run() int {
 		}
 	}
 
-	c := cfg{quick: *quick, seed: *seed, specInstr: 1_000_000_000, netInstr: 200_000_000}
-	if *quick {
-		c.specInstr = 200_000_000
-		c.netInstr = 50_000_000
+	torun, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
 	}
-
-	ids := map[string]experiment{}
-	for _, e := range experiments {
-		ids[e.id] = e
-	}
-	var torun []experiment
-	if *exp == "all" {
-		torun = experiments
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			e, ok := ids[id]
-			if !ok {
-				var known []string
-				for k := range ids {
-					known = append(known, k)
-				}
-				sort.Strings(known)
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(known, " "))
-				return exitUsage
-			}
-			torun = append(torun, e)
-		}
-	}
-	// An experiment failure degrades gracefully: log it, keep going, and
-	// report everything that broke at the end. Only an interrupt stops
-	// the batch early.
-	var failed []string
-	for _, e := range torun {
-		if ctx.Err() != nil {
+	cells, failed, err := runExperiments(ctx, torun, newCfg(*quick, *seed), os.Stdout, os.Stderr, *outDir)
+	if err != nil {
+		if errors.Is(err, context.Canceled) {
 			fmt.Fprintf(os.Stderr, "suittables: interrupted — completed jobs are checkpointed; re-run with -resume to continue\n")
 			fmt.Fprintf(os.Stderr, "suittables: partial stats: %s\n", core.EngineStats())
 			return exitSignal
 		}
-		fmt.Printf("==> %s — %s\n\n", e.id, e.desc)
-		target := os.Stdout
-		if *outDir != "" {
-			f, err := os.Create(fmt.Sprintf("%s/%s.txt", *outDir, e.id))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
-				return exitUsage
-			}
-			target = f
-		}
-		err := e.run(c, target)
-		if target != os.Stdout {
-			target.Close()
-			fmt.Printf("(written to %s/%s.txt)\n", *outDir, e.id)
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "suittables: interrupted — completed jobs are checkpointed; re-run with -resume to continue\n")
-				fmt.Fprintf(os.Stderr, "suittables: partial stats: %s\n", core.EngineStats())
-				return exitSignal
-			}
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
-			var re *engine.RunError
-			if errors.As(err, &re) {
-				for _, k := range re.Keys() {
-					fmt.Fprintf(os.Stderr, "  failed: %s\n", k)
-				}
-			}
-			failed = append(failed, e.id)
-			fmt.Println()
-			continue
-		}
-		fmt.Println()
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
 	}
 	fmt.Fprintf(os.Stderr, "suittables: %s\n", core.EngineStats())
+	for _, cl := range cells {
+		if f := cl.fault(); f != "" {
+			fmt.Fprintf(os.Stderr, "suittables: cell %s: %s\n", cl.id, f)
+			failed = append(failed, cl.id)
+		}
+	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "suittables: %d of %d experiments failed: %s\n",
-			len(failed), len(torun), strings.Join(failed, " "))
+		fmt.Fprintf(os.Stderr, "suittables: %d failed (experiments or paper cells): %s\n",
+			len(failed), strings.Join(failed, " "))
 		return exitFailed
 	}
 	return exitOK
+}
+
+func newCfg(quick bool, seed uint64) cfg {
+	if quick {
+		return cfg{quick: true, seed: seed, specInstr: 200_000_000, netInstr: 50_000_000}
+	}
+	return cfg{seed: seed, specInstr: 1_000_000_000, netInstr: 200_000_000}
+}
+
+// selectExperiments resolves -exp: "all", or comma-separated ids run in
+// the order given.
+func selectExperiments(spec string) ([]experiment, error) {
+	if spec == "all" {
+		return experiments, nil
+	}
+	var torun []experiment
+	for _, id := range strings.Split(spec, ",") {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.id == id })
+		if i < 0 {
+			var known []string
+			for _, e := range experiments {
+				known = append(known, e.id)
+			}
+			return nil, fmt.Errorf("unknown experiment %q; known: %s", id, strings.Join(known, " "))
+		}
+		torun = append(torun, experiments[i])
+	}
+	return torun, nil
+}
+
+// runExperiments runs the experiments in order on stdout (with outDir,
+// each one's output goes to outDir/<id>.txt instead) and ends with the
+// paper-vs-measured table of the cells they returned. A failed
+// experiment is reported on stderr and listed in failed; the rest still
+// run. err is non-nil only when ctx is cancelled or an output file
+// cannot be created.
+func runExperiments(ctx context.Context, torun []experiment, c cfg, stdout, stderr io.Writer, outDir string) (cells []cell, failed []string, err error) {
+	for _, e := range torun {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(stdout, "==> %s — %s\n\n", e.id, e.desc)
+		target := stdout
+		var f *os.File
+		if outDir != "" {
+			if f, err = os.Create(fmt.Sprintf("%s/%s.txt", outDir, e.id)); err != nil {
+				return nil, nil, fmt.Errorf("%s: %w", e.id, err)
+			}
+			target = f
+		}
+		got, err := e.run(c, target)
+		if f != nil {
+			f.Close()
+			fmt.Fprintf(stdout, "(written to %s/%s.txt)\n", outDir, e.id)
+		}
+		fmt.Fprintln(stdout)
+		if err != nil {
+			if errors.Is(err, context.Canceled) {
+				return nil, nil, err
+			}
+			fmt.Fprintf(stderr, "%s: %v\n", e.id, err)
+			var re *engine.RunError
+			if errors.As(err, &re) {
+				for _, k := range re.Keys() {
+					fmt.Fprintf(stderr, "  failed: %s\n", k)
+				}
+			}
+			failed = append(failed, e.id)
+			continue
+		}
+		for _, cl := range got {
+			cl.id = e.id + " " + cl.id
+			cells = append(cells, cl)
+		}
+	}
+	return cells, failed, renderCells(stdout, cells)
 }

@@ -1,12 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"suit/internal/core"
+	"suit/internal/engine"
 	"suit/internal/isa"
 	"suit/internal/report"
 	"suit/internal/trace"
@@ -29,30 +38,137 @@ func TestExperimentRegistryUniqueAndComplete(t *testing.T) {
 	for _, id := range []string{
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8",
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig16",
-		"security", "delays", "aging", "covert", "baselines", "sched", "variance",
+		"security", "delays", "aging", "covert", "baselines", "sched", "variance", "ablations",
 	} {
 		if !seen[id] {
 			t.Errorf("experiment %q missing from the registry", id)
 		}
 	}
+
+	// Cell ids are unique, and every experiment returns cells except
+	// those that reproduce no number the paper reports: a configuration
+	// table, two trace views and the §7/§8 extensions.
+	exempt := map[string]bool{"table5": true, "fig5": true, "fig7": true,
+		"covert": true, "baselines": true, "sched": true, "variance": true}
+	_, cells := quickRegistry(t)
+	ids := map[string]bool{}
+	perExp := map[string]int{}
+	for _, c := range cells {
+		if ids[c.id] {
+			t.Errorf("duplicate cell id %q", c.id)
+		}
+		ids[c.id] = true
+		perExp[strings.SplitN(c.id, " ", 2)[0]]++
+	}
+	for _, e := range experiments {
+		switch n := perExp[e.id]; {
+		case n == 0 && !exempt[e.id]:
+			t.Errorf("experiment %s returns no paper cell", e.id)
+		case n > 0 && exempt[e.id]:
+			t.Errorf("experiment %s returns %d cells but is exempt", e.id, n)
+		}
+	}
 }
 
-func TestCheapExperimentsRun(t *testing.T) {
-	// The non-simulation experiments must run clean end to end.
-	c := cfg{quick: true, seed: 1, specInstr: 50_000_000, netInstr: 20_000_000}
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+var update = flag.Bool("update", false, "rewrite results_quick.txt from this run")
+
+// quickRun is one run of the whole registry at -quick lengths, shared by
+// the tests that need it.
+var quickRun struct {
+	once   sync.Once
+	stdout string
+	cells  []cell
+	err    error
+}
+
+// quickRegistry runs every experiment as `suittables -quick` does and
+// returns its stdout and cells.
+func quickRegistry(t *testing.T) (string, []cell) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("the quick registry simulates for about 15 s")
+	}
+	quickRun.once.Do(func() {
+		core.SetEngineOptions(engine.Options{Workers: runtime.GOMAXPROCS(0), BaseSeed: 1})
+		var stdout, stderr bytes.Buffer
+		cells, failed, err := runExperiments(context.Background(), experiments, newCfg(true, 1), &stdout, &stderr, "")
+		if err == nil && len(failed) > 0 {
+			err = fmt.Errorf("experiments failed: %v\n%s", failed, stderr.String())
+		}
+		quickRun.stdout, quickRun.cells, quickRun.err = stdout.String(), cells, err
+	})
+	if quickRun.err != nil {
+		t.Fatal(quickRun.err)
+	}
+	return quickRun.stdout, quickRun.cells
+}
+
+// TestPaperFidelity holds every paper cell to its band (or its recorded
+// deviation's shape) and the whole -quick stdout to results_quick.txt.
+// A deliberate change regenerates the golden with -update; one that
+// moves a paper cell must also say why in the cell.
+func TestPaperFidelity(t *testing.T) {
+	stdout, cells := quickRegistry(t)
+	for _, c := range cells {
+		if f := c.fault(); f != "" {
+			t.Errorf("%s: %s", c.id, f)
+		}
+	}
+	golden := filepath.Join("..", "..", "results_quick.txt")
+	if *update {
+		if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer devnull.Close()
-	for _, id := range []string{"table1", "delays", "table2", "fig12", "fig13", "table3", "aging", "table4", "table5", "fig8", "fig9", "fig10", "fig11"} {
-		for _, e := range experiments {
-			if e.id != id {
-				continue
-			}
-			if err := e.run(c, devnull); err != nil {
-				t.Errorf("%s: %v", id, err)
-			}
+	got, exp := strings.Split(stdout, "\n"), strings.Split(string(want), "\n")
+	for i := range got {
+		if i >= len(exp) || got[i] != exp[i] {
+			t.Fatalf("stdout departs from results_quick.txt at line %d: %q\n(regenerate with go test ./cmd/suittables -run TestPaperFidelity -update)", i+1, got[i])
+		}
+	}
+	if len(exp) > len(got) {
+		t.Fatalf("stdout ends at line %d of results_quick.txt's %d", len(got), len(exp))
+	}
+}
+
+// TestExperimentsMDCarriesPaperTable requires EXPERIMENTS.md to quote
+// the full run's paper-vs-measured table verbatim; CI checks
+// results_full.txt itself against a fresh full run.
+func TestExperimentsMDCarriesPaperTable(t *testing.T) {
+	full, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(full), "Paper vs measured (")
+	if i < 0 {
+		t.Fatal("results_full.txt has no paper-vs-measured table")
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(doc), string(full[i:])) {
+		t.Error("EXPERIMENTS.md does not quote results_full.txt's paper-vs-measured table verbatim; paste it from there")
+	}
+}
+
+// TestCheapExperimentsRun runs the non-simulation experiments end to
+// end at shorter streams than -quick, so they must not depend on
+// TestPaperFidelity's lengths to run clean.
+func TestCheapExperimentsRun(t *testing.T) {
+	c := cfg{quick: true, seed: 1, specInstr: 50_000_000, netInstr: 20_000_000}
+	torun, err := selectExperiments("table1,delays,table2,fig12,fig13,table3,aging,table4,table5,fig8,fig9,fig10,fig11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range torun {
+		if _, err := e.run(c, io.Discard); err != nil {
+			t.Errorf("%s: %v", e.id, err)
 		}
 	}
 }
@@ -165,24 +281,13 @@ func TestTable5FURowsInKindOrder(t *testing.T) {
 			want = append(want, "FU "+k.String())
 		}
 	}
-	path := filepath.Join(t.TempDir(), "table5.txt")
 	for i := 0; i < 20; i++ {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runTable5(cfg{}, f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		out, err := os.ReadFile(path)
-		if err != nil {
+		var out bytes.Buffer
+		if _, err := runTable5(cfg{}, &out); err != nil {
 			t.Fatal(err)
 		}
 		var got []string
-		for _, line := range strings.Split(string(out), "\n") {
+		for _, line := range strings.Split(out.String(), "\n") {
 			if f := strings.Fields(line); len(f) >= 2 && f[0] == "FU" {
 				got = append(got, "FU "+f[1])
 			}

@@ -15,10 +15,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"suit/internal/core"
 	"suit/internal/dvfs"
@@ -42,42 +40,24 @@ func main() {
 
 	chip := dvfs.XeonSilver4208()
 	benches := append(workload.SPEC(), workload.Nginx(), workload.VLC())
-	rows := make([]row, len(benches))
-
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	var firstErr error
-	var mu sync.Mutex
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b workload.Benchmark) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			one := func(aging bool) (core.Outcome, error) {
-				return core.Run(core.Scenario{
-					Chip: chip, Bench: b, Kind: core.KindFV,
-					SpendAging: aging, Instructions: instr, Seed: 1,
-				})
-			}
-			lo, err := one(false)
-			if err == nil {
-				var hi core.Outcome
-				hi, err = one(true)
-				rows[i] = row{name: b.Name, lo: lo, hi: hi}
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", b.Name, err)
-				}
-				mu.Unlock()
-			}
-		}(i, b)
+	var scs []core.Scenario
+	for _, b := range benches {
+		for _, aging := range []bool{false, true} {
+			scs = append(scs, core.Scenario{
+				Chip: chip, Bench: b, Kind: core.KindFV,
+				SpendAging: aging, Instructions: instr, Seed: 1,
+			})
+		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		log.Fatal(firstErr)
+	// The shared engine runs them on every core and returns the
+	// outcomes in scenario order.
+	outs, err := core.RunAll(scs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows := make([]row, len(benches))
+	for i, b := range benches {
+		rows[i] = row{name: b.Name, lo: outs[2*i], hi: outs[2*i+1]}
 	}
 
 	sort.Slice(rows, func(i, j int) bool { return rows[i].hi.Efficiency > rows[j].hi.Efficiency })

@@ -237,26 +237,58 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	}
 }
 
-// TestHeartbeatKeepsLeaseAlive: heartbeats inside the TTL prevent
-// expiry even across several TTL windows.
+// fakeClock installs a clock in cfg that moves only when the returned
+// advance is called, so lease expiry does not race the host's load.
+func fakeClock(cfg *Config) (advance func(time.Duration)) {
+	var mu sync.Mutex
+	now := time.Unix(1_700_000_000, 0)
+	cfg.nowFn = func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	return func(by time.Duration) {
+		mu.Lock()
+		now = now.Add(by)
+		mu.Unlock()
+	}
+}
+
+// TestHeartbeatKeepsLeaseAlive: heartbeats inside the TTL keep a lease
+// alive well past the TTL, and the same silence without them expires it.
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
-	d := newTestDispatcher(t, Config{LeaseTTL: 50 * time.Millisecond})
-	d.Claim("w1")
-	sc := testScenario(t, 4)
-	vch := startExecute(d, sc)
-	g := claimSoon(t, d, "w1")
-	for i := 0; i < 8; i++ {
-		time.Sleep(20 * time.Millisecond)
-		if _, ok := d.Heartbeat(g.LeaseID); !ok {
-			t.Fatalf("heartbeat %d reported the lease gone", i)
+	for _, beat := range []bool{true, false} {
+		cfg := Config{LeaseTTL: 50 * time.Millisecond}
+		advance := fakeClock(&cfg)
+		d := newTestDispatcher(t, cfg)
+		d.Claim("w1")
+		vch := startExecute(d, testScenario(t, 4))
+		g := claimSoon(t, d, "w1")
+		for i := 0; i < 8; i++ {
+			advance(20 * time.Millisecond)
+			if beat {
+				if _, ok := d.Heartbeat(g.LeaseID); !ok {
+					t.Fatalf("heartbeat %d reported the lease gone", i)
+				}
+			}
+			d.expireLeases()
 		}
-	}
-	if status, err := d.Result(g.LeaseID, resultFor(t, g.Unit.Fingerprint, 1)); err != nil || status != "accepted" {
-		t.Fatalf("Result after heartbeats = %q, %v", status, err)
-	}
-	waitVerdict(t, vch)
-	if st := d.Stats(); st.Expired != 0 {
-		t.Errorf("lease expired despite heartbeats (Expired=%d)", st.Expired)
+		if !beat {
+			if _, ok := d.Heartbeat(g.LeaseID); ok {
+				t.Fatal("lease survived 160 ms without a heartbeat against a 50 ms TTL")
+			}
+			if st := d.Stats(); st.Expired != 1 {
+				t.Errorf("Expired=%d without heartbeats, want 1", st.Expired)
+			}
+			continue
+		}
+		if status, err := d.Result(g.LeaseID, resultFor(t, g.Unit.Fingerprint, 1)); err != nil || status != "accepted" {
+			t.Fatalf("Result after heartbeats = %q, %v", status, err)
+		}
+		waitVerdict(t, vch)
+		if st := d.Stats(); st.Expired != 0 {
+			t.Errorf("lease expired despite heartbeats (Expired=%d)", st.Expired)
+		}
 	}
 }
 
@@ -464,19 +496,10 @@ func TestNoLiveWorkersAbandonsQueuedUnit(t *testing.T) {
 // would otherwise grow the map forever) — but never a worker still
 // serving out a quarantine.
 func TestStaleWorkersPruned(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Unix(1_700_000_000, 0)
-	cfg := Config{nowFn: func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}}
+	var cfg Config
+	advance := fakeClock(&cfg)
 	d := newTestDispatcher(t, cfg)
-	advance := func(by time.Duration) {
-		mu.Lock()
-		now = now.Add(by)
-		mu.Unlock()
-	}
+	now := d.cfg.now()
 
 	d.Claim("old")
 	d.mu.Lock()
