@@ -1,6 +1,8 @@
 package main
 
 import (
+	"go/ast"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -124,10 +126,10 @@ func copyTree(t *testing.T, src, dst string) {
 
 // TestVettoolProtocol builds the binary and drives it through the real
 // cmd/go vet-tool handshake (-V=full, then per-package .cfg files).
-// The package set deliberately spans a fact edge — internal/msr and
-// internal/isa export Allocates facts that internal/cpu's hot path
-// consumes via .vetx files — so the protocol's fact plumbing is
-// exercised, not just its diagnostics.
+// The package set deliberately spans fact edges — internal/cpu's hot
+// path calls into internal/isa and internal/power, whose facts reach it
+// through .vetx files — so the protocol's fact plumbing is exercised,
+// not just its diagnostics.
 func TestVettoolProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and shells out to go vet")
@@ -137,7 +139,7 @@ func TestVettoolProtocol(t *testing.T) {
 		t.Fatalf("building suitlint: %v\n%s", err, out)
 	}
 	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"./internal/units/...", "./internal/isa/...", "./internal/msr/...", "./internal/cpu/...")
+		"./internal/units/...", "./internal/isa/...", "./internal/power/...", "./internal/cpu/...")
 	cmd.Dir = "../.."
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet -vettool failed: %v\n%s", err, out)
@@ -170,4 +172,207 @@ func TestVettoolProtocol(t *testing.T) {
 	if !strings.Contains(string(out), "calls dep.Grow which may allocate") {
 		t.Fatalf("vet failed but not with the fact-derived finding:\n%s", out)
 	}
+}
+
+// TestInternalExportsHaveProductionCallers fails on an exported
+// identifier under internal/ that no non-test file of the module or of
+// bench/ references: code that only its tests reach ships for nothing.
+// A declaration's references to itself (recursion, a method's receiver)
+// do not count. Exempt are the test-support packages, struct fields
+// (some are serialized results), a method that a called repo interface
+// method or a referenced marker interface dispatches to, and the
+// methods standard-library interfaces call implicitly.
+func TestInternalExportsHaveProductionCallers(t *testing.T) {
+	pkgs, err := load.Packages("../../bench", ".", "suit/...")
+	if err != nil {
+		t.Fatalf("loading packages: %v", err)
+	}
+	used := make(map[string]bool)
+	var ifaces []*types.Named
+	for _, pkg := range pkgs {
+		// A reference inside its own object's declaration is no use.
+		self := make(map[string][]ast.Node)
+		mark := func(obj types.Object, n ast.Node) {
+			self[exportKey(obj)] = append(self[exportKey(obj)], n)
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					fn := pkg.TypesInfo.Defs[d.Name].(*types.Func)
+					mark(fn, d)
+					if n := recvNamed(fn); n != nil {
+						mark(n.Obj(), d.Recv)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							mark(pkg.TypesInfo.Defs[ts.Name], ts)
+						}
+					}
+				}
+			}
+		}
+	uses:
+		for id, obj := range pkg.TypesInfo.Uses {
+			k := exportKey(obj)
+			if k == "" {
+				continue
+			}
+			for _, n := range self[k] {
+				if n.Pos() <= id.Pos() && id.Pos() < n.End() {
+					continue uses
+				}
+			}
+			used[k] = true
+		}
+		scope := pkg.Pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if n, ok := obj.Type().(*types.Named); ok && types.IsInterface(n) && obj == n.Obj() {
+				ifaces = append(ifaces, n)
+			}
+		}
+	}
+	// dispatched reports whether a repo interface that recv satisfies
+	// has a method name that non-test code calls, or that is a marker
+	// (no arguments, no results) on an interface non-test code names.
+	dispatched := func(recv types.Type, name string) bool {
+		for _, n := range ifaces {
+			it := n.Underlying().(*types.Interface)
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				sig := m.Type().(*types.Signature)
+				marker := sig.Params().Len() == 0 && sig.Results().Len() == 0 && used[exportKey(n.Obj())]
+				if m.Name() == name && (used[exportKey(m)] || marker) && implements(recv, it) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	check := func(pkg *analysis.Package, obj types.Object, name string) {
+		if !used[exportKey(obj)] {
+			t.Errorf("%s: %s.%s has no caller outside tests", pkg.Fset.Position(obj.Pos()), pkg.Pkg.Name(), name)
+		}
+	}
+	for _, pkg := range pkgs {
+		path := pkg.Pkg.Path()
+		if !strings.HasPrefix(path, "suit/internal/") ||
+			path == "suit/internal/analysis/analysistest" || path == "suit/internal/engine/faultinject" {
+			continue
+		}
+		scope := pkg.Pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				check(pkg, obj, name)
+			}
+			n, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok {
+				continue
+			}
+			methods := make([]*types.Func, 0, n.NumMethods())
+			for i := 0; i < n.NumMethods(); i++ {
+				methods = append(methods, n.Method(i))
+			}
+			if it, ok := n.Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumExplicitMethods(); i++ {
+					methods = append(methods, it.ExplicitMethod(i))
+				}
+			}
+			for _, m := range methods {
+				if m.Exported() && !implicitMethods[m.Name()] && !dispatched(n, m.Name()) {
+					check(pkg, m, name+"."+m.Name())
+				}
+			}
+		}
+	}
+}
+
+// implicitMethods are the method names standard-library interfaces
+// call without the caller naming them.
+var implicitMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Read": true, "Write": true, "Close": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"ServeHTTP": true, "RoundTrip": true,
+}
+
+// exportKey names a package-level object or method independently of the
+// type-checking pass that produced it: a package is checked from source
+// once and imported from export data by each dependent. Other objects
+// (locals, fields) have no key.
+func exportKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+		if n := recvNamed(fn); n != nil {
+			return fn.Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
+		}
+		return ""
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// recvNamed returns the named type method fn is declared on, or nil.
+func recvNamed(fn *types.Func) *types.Named {
+	recv := fn.Origin().Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	rt := recv.Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
+	}
+	n, _ := rt.(*types.Named)
+	return n
+}
+
+// implements reports whether t (through a pointer, for a concrete type)
+// has every method of it with the same signature. It compares
+// signatures as strings because t and it may come from different
+// type-checking passes.
+func implements(t types.Type, it *types.Interface) bool {
+	if !types.IsInterface(t) {
+		t = types.NewPointer(t)
+	}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < it.NumMethods(); i++ {
+		want := it.Method(i)
+		found := false
+		for j := 0; j < ms.Len(); j++ {
+			got := ms.At(j).Obj()
+			if got.Name() == want.Name() && signature(got) == signature(want) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// signature spells fn's parameter and result types, without names.
+func signature(fn types.Object) string {
+	sig := fn.Type().(*types.Signature)
+	qual := func(p *types.Package) string { return p.Path() }
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), qual) + ",")
+		}
+		b.WriteString(";")
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }

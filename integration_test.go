@@ -1,10 +1,11 @@
-// End-to-end integration tests spanning the whole stack: program →
-// recorded trace → file round trip → event-driven machine → security
+// End-to-end integration tests spanning the whole stack: workload →
+// generated trace → file round trip → event-driven machine → security
 // verification → metrics. These are the invariants a downstream user
 // depends on regardless of which subsystem changes.
 package suit_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -14,7 +15,6 @@ import (
 	"suit/internal/emul"
 	"suit/internal/guardband"
 	"suit/internal/isa"
-	"suit/internal/program"
 	"suit/internal/security"
 	"suit/internal/strategy"
 	"suit/internal/trace"
@@ -22,21 +22,33 @@ import (
 	"suit/internal/workload"
 )
 
-// TestEndToEndProgramPipeline runs the full path: author a program,
-// record its trace, persist and reload it, execute it under SUIT with
-// functional emulation, and verify the security invariant.
+// TestEndToEndProgramPipeline runs the full path: generate the nginx
+// trace, persist and reload it in the binary format tracegen writes,
+// execute it under SUIT with functional emulation, and verify the
+// security invariant.
 func TestEndToEndProgramPipeline(t *testing.T) {
-	service := program.HTTPSRequest(16, 500_000).Repeat(10)
-	recorded, err := service.Record()
+	recorded, err := workload.Nginx().GenerateTrace(10_000_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "service.suittrc")
-	if err := trace.WriteFile(path, recorded); err != nil {
+	path := filepath.Join(t.TempDir(), "nginx.suittrc")
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := trace.ReadFile(path)
+	if err := trace.WriteBinary(f, recorded); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := trace.ReadBinary(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +80,7 @@ func TestEndToEndProgramPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Exceptions == 0 {
-		t.Fatal("service loop produced no traps")
+		t.Fatal("nginx produced no traps")
 	}
 	if res.Instructions != recorded.Total {
 		t.Fatalf("committed %d of %d instructions", res.Instructions, recorded.Total)
@@ -162,7 +174,9 @@ func TestEnergyAccountingConsistency(t *testing.T) {
 // whole stack: on a part without instruction voltage variation, the
 // vendor procedure certifies (almost) no efficient-curve offset.
 func TestNoVariationPartGainsNothing(t *testing.T) {
-	m := guardband.NoVariation()
+	m := guardband.Default()
+	m.VariationMargin = map[isa.Opcode]units.Volt{}
+	m.IMULHardeningBonus = 0
 	off := m.EfficientOffset(isa.FaultableMask, true, false)
 	if off != -m.BackgroundVariation {
 		t.Errorf("offset %v, want the undifferentiated background margin", off)

@@ -29,7 +29,7 @@
 //
 // Whether a function "may allocate" is also exported as a cross-package
 // fact, so a hot function in internal/cpu calling a helper in
-// internal/msr is charged at the call site when the helper's own
+// internal/power is charged at the call site when the helper's own
 // package proved it allocates. Standard-library callees carry no facts
 // and are assumed allocation-free apart from the explicit denylist.
 //

@@ -57,7 +57,7 @@ func codeEndLines(fset *token.FileSet, f *ast.File) map[int]bool {
 
 // CollectAllows extracts every //lint:allow comment from files.
 // Malformed suppressions are returned as diagnostics; only well-formed
-// ones participate in Suppress.
+// ones suppress.
 func CollectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) ([]Allow, []Diagnostic) {
 	var allows []Allow
 	var bad []Diagnostic
@@ -126,31 +126,6 @@ func (a *Allow) matches(analyzer string, pos token.Position) bool {
 	return a.Line+1 == pos.Line
 }
 
-// Suppress drops diagnostics matched by a suppression. It is the
-// untracked form used by drivers that do not report stale allows;
-// Session.RunPackage goes through an allowTracker instead so usage is
-// recorded.
-func Suppress(fset *token.FileSet, diags []Diagnostic, allows []Allow) []Diagnostic {
-	if len(allows) == 0 {
-		return diags
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		suppressed := false
-		for i := range allows {
-			if allows[i].matches(d.Analyzer, pos) {
-				suppressed = true
-				break
-			}
-		}
-		if !suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}
-
 // An allowTracker wraps a package's suppressions with per-allow usage
 // accounting, feeding stale-suppression detection. An allow counts as
 // used when it drops a diagnostic OR when an analyzer consults it via
@@ -178,7 +153,8 @@ func (t *allowTracker) match(analyzer string, pos token.Position) bool {
 	return ok
 }
 
-// suppress is Suppress with usage tracking.
+// suppress drops the diagnostics an allow covers, marking each covering
+// allow used.
 func (t *allowTracker) suppress(fset *token.FileSet, diags []Diagnostic) []Diagnostic {
 	if len(t.allows) == 0 {
 		return diags

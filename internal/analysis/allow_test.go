@@ -92,7 +92,7 @@ func TestSuppress(t *testing.T) {
 		// Two lines below a suppression: kept.
 		{Pos: posAt(lineOf(standalone) + 2), Analyzer: "units", Message: "w"},
 	}
-	kept := Suppress(fset, diags, allows)
+	kept := newAllowTracker(allows).suppress(fset, diags)
 	if len(kept) != 2 {
 		t.Fatalf("kept %d diagnostics, want 2: %+v", len(kept), kept)
 	}
@@ -136,7 +136,7 @@ func TestSuppressionScoping(t *testing.T) {
 		{Pos: posAt(trailing.Line), Analyzer: "determinism", Message: "on-trailing"},
 		{Pos: posAt(standalone.Line + 1), Analyzer: "units", Message: "below-standalone"},
 	}
-	kept := Suppress(fset, diags, allows)
+	kept := newAllowTracker(allows).suppress(fset, diags)
 	var msgs []string
 	for _, d := range kept {
 		msgs = append(msgs, d.Message)

@@ -21,7 +21,6 @@ import (
 // Unexported types (cpu.evKind) can only be switched on inside their
 // own package, which is exactly where the analyzer sees them.
 var enums = []struct{ pkg, name string }{
-	{"internal/dvfs", "CurveID"},
 	{"internal/dvfs", "DomainKind"},
 	{"internal/isa", "FUKind"},
 	{"internal/cpu", "evKind"},
@@ -31,7 +30,7 @@ var enums = []struct{ pkg, name string }{
 // Analyzer flags non-exhaustive switches over the listed enum types.
 var Analyzer = &analysis.Analyzer{
 	Name: "exhaustive",
-	Doc: "switches on dvfs.CurveID, dvfs.DomainKind, isa.FUKind, cpu.evKind and " +
+	Doc: "switches on dvfs.DomainKind, isa.FUKind, cpu.evKind and " +
 		"core.StrategyKind must cover every declared constant or panic in an explicit default",
 	Run: run,
 }

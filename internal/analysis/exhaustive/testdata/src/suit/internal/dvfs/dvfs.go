@@ -2,13 +2,6 @@
 // fixture (a stand-in for the real suit/internal/dvfs).
 package dvfs
 
-type CurveID uint8
-
-const (
-	Conservative CurveID = iota
-	Efficient
-)
-
 type DomainKind uint8
 
 const (

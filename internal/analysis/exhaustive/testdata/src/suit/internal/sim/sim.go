@@ -26,19 +26,19 @@ func covered(k dvfs.DomainKind) string {
 	return ""
 }
 
-func panickingDefault(id dvfs.CurveID) string {
-	switch id {
-	case dvfs.Conservative:
-		return "conservative"
+func panickingDefault(k dvfs.DomainKind) string {
+	switch k {
+	case dvfs.SingleDomain:
+		return "single"
 	default:
-		panic(fmt.Sprintf("unknown curve %d", id))
+		panic(fmt.Sprintf("unknown domain kind %d", k))
 	}
 }
 
-func lazyDefault(id dvfs.CurveID) string {
-	switch id { // want `switch on dvfs\.CurveID is missing cases Efficient`
-	case dvfs.Conservative:
-		return "c"
+func lazyDefault(k dvfs.DomainKind) string {
+	switch k { // want `switch on dvfs\.DomainKind is missing cases PerCoreBoth, PerCoreFreq`
+	case dvfs.SingleDomain:
+		return "s"
 	default:
 		return "?"
 	}

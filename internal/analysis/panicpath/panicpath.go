@@ -3,8 +3,8 @@
 // marks a violated invariant — state that no input should be able to
 // reach — and crashing is correct. Everywhere user input, files or
 // flags flow (cmd/*, the experiment engine, trace/workload codecs,
-// report writers, MSR file I/O) a bad input is an expected condition
-// and must surface as an error the caller can handle.
+// report writers, the daemon and its workers) a bad input is an
+// expected condition and must surface as an error the caller can handle.
 package panicpath
 
 import (
@@ -22,7 +22,6 @@ var errorPackages = []string{
 	"internal/trace",
 	"internal/workload",
 	"internal/report",
-	"internal/msr",
 	"internal/dist",
 	"internal/service",
 }

@@ -6,7 +6,7 @@
 // one unit into another through a bare conversion
 // ("units.Second(f)" with f a Hertz). Both are flagged; call sites are
 // steered to the units constructors (units.MilliVolts, units.MHz,
-// units.Microseconds, ...) and combinators (units.Energy, units.Cycles,
+// units.Microseconds, ...) and combinators (units.Energy, units.Power,
 // units.TimeFor).
 package unitsafe
 
@@ -105,7 +105,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 
 // checkConversion flags U(expr) when expr is, or visibly contains, a
 // value of a different unit type V: converting microseconds into
-// megahertz should go through units.TimeFor/units.Cycles, not a cast.
+// megahertz should go through units.TimeFor, not a cast.
 func checkConversion(pass *analysis.Pass, call *ast.CallExpr, target types.Type) {
 	u := unitType(target)
 	if u == nil || len(call.Args) != 1 {
@@ -125,7 +125,7 @@ func checkConversion(pass *analysis.Pass, call *ast.CallExpr, target types.Type)
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"bare conversion mixes units: %s built from a %s; use the units package combinators (units.Energy, units.Cycles, units.TimeFor) or convert through an explicit rate",
+			"bare conversion mixes units: %s built from a %s; use the units package combinators (units.Energy, units.Power, units.TimeFor) or convert through an explicit rate",
 			u.Obj().Name(), v.Obj().Name())
 		return false
 	})

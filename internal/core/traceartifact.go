@@ -59,19 +59,19 @@ var traceArtifacts = &traceArtifactStore{
 	entries: map[string]*traceArtifact{},
 }
 
-// TraceArtifactStats is a snapshot of the store's counters.
-type TraceArtifactStats struct {
+// traceArtifactStats is a snapshot of the store's counters.
+type traceArtifactStats struct {
 	Hits, Misses, Evictions uint64
 	ResidentEvents          uint64
 }
 
-// TraceArtifactStatsNow snapshots the shared trace-artifact cache
-// (telemetry for tests and /metrics; results never depend on it).
-func TraceArtifactStatsNow() TraceArtifactStats {
+// traceArtifactStatsNow snapshots the shared trace-artifact cache
+// (telemetry for tests; results never depend on it).
+func traceArtifactStatsNow() traceArtifactStats {
 	s := traceArtifacts
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return TraceArtifactStats{Hits: s.hits, Misses: s.misses, Evictions: s.evictions, ResidentEvents: s.usage}
+	return traceArtifactStats{Hits: s.hits, Misses: s.misses, Evictions: s.evictions, ResidentEvents: s.usage}
 }
 
 // artifactKey content-addresses one generation request: the expanded

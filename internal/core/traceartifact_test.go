@@ -28,10 +28,10 @@ func TestTraceArtifactCacheSecondRunHitsOnly(t *testing.T) {
 
 	// First run warms the store (it may itself hit run/base sharing).
 	first := run(t, sc)
-	before := TraceArtifactStatsNow()
+	before := traceArtifactStatsNow()
 
 	second := run(t, sc)
-	after := TraceArtifactStatsNow()
+	after := traceArtifactStatsNow()
 
 	if misses := after.Misses - before.Misses; misses != 0 {
 		t.Errorf("second identical run generated %d traces, want 0 (all artifact hits)", misses)
@@ -51,10 +51,10 @@ func TestTraceArtifactCacheSecondRunHitsOnly(t *testing.T) {
 func TestTraceArtifactRunBaseShare(t *testing.T) {
 	resetTraceArtifacts()
 
-	before := TraceArtifactStatsNow()
+	before := traceArtifactStatsNow()
 	run(t, Scenario{Chip: dvfs.XeonSilver4208(), Bench: bench(t, "525.x264"),
 		Kind: KindFV, Instructions: 20_000_000, Seed: 7})
-	after := TraceArtifactStatsNow()
+	after := traceArtifactStatsNow()
 
 	if hits := after.Hits - before.Hits; hits == 0 {
 		t.Error("run/baseline machines did not share a single trace artifact")
@@ -72,12 +72,12 @@ func TestTraceArtifactEviction(t *testing.T) {
 
 	sc := Scenario{Chip: dvfs.XeonSilver4208(), Bench: bench(t, "557.xz"),
 		Kind: KindFV, Instructions: 20_000_000}
-	before := TraceArtifactStatsNow()
+	before := traceArtifactStatsNow()
 	sc.Seed = 1
 	a := run(t, sc)
 	sc.Seed = 2
 	run(t, sc)
-	after := TraceArtifactStatsNow()
+	after := traceArtifactStatsNow()
 
 	if after.Evictions == before.Evictions {
 		t.Error("shrunken budget triggered no evictions")

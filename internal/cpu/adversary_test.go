@@ -30,7 +30,6 @@ func bootEfficient(ctl Controller) {
 // leave E.
 type advEnableOnly struct{}
 
-func (advEnableOnly) Name() string        { return "advEnableOnly" }
 func (advEnableOnly) Init(ctl Controller) { bootEfficient(ctl) }
 func (advEnableOnly) OnDisabledOpcode(ctl Controller, domain, core int, op isa.Opcode) {
 	ctl.EnableInstructions(domain)
@@ -41,7 +40,6 @@ func (advEnableOnly) OnDeadline(Controller, int) {}
 // the faultable set runs during the E→Cv transition.
 type advCvEnable struct{}
 
-func (advCvEnable) Name() string        { return "advCvEnable" }
 func (advCvEnable) Init(ctl Controller) { bootEfficient(ctl) }
 func (advCvEnable) OnDisabledOpcode(ctl Controller, domain, core int, op isa.Opcode) {
 	ctl.RequestAsync(domain, ModeCv)
@@ -56,7 +54,6 @@ func (advCvEnable) OnDeadline(Controller, int) {}
 // at E's frequency with a voltage between the two curves.
 type advMidRamp struct{ deadline units.Second }
 
-func (advMidRamp) Name() string        { return "advMidRamp" }
 func (advMidRamp) Init(ctl Controller) { bootEfficient(ctl) }
 func (s advMidRamp) OnDisabledOpcode(ctl Controller, domain, core int, op isa.Opcode) {
 	ctl.RequestWait(domain, ModeCv)
@@ -99,9 +96,9 @@ func TestAdversarialOSNeverFaults(t *testing.T) {
 			for _, traces := range [][]*trace.Trace{denseTrapTraces(20_000_000), multiCoreTraces(20_000_000)} {
 				cfg := testConfig(traces...)
 				cfg.Chip = chip()
-				res := check(fmt.Sprintf("chip %d %s %d cores", ci, s.Name(), len(traces)), cfg, s)
+				res := check(fmt.Sprintf("chip %d %T %d cores", ci, s, len(traces)), cfg, s)
 				if res.Exceptions == 0 {
-					t.Errorf("chip %d %s: no #DO on a dense faultable trace", ci, s.Name())
+					t.Errorf("chip %d %T: no #DO on a dense faultable trace", ci, s)
 				}
 			}
 		}
@@ -132,8 +129,7 @@ const (
 	opAsyncBase                                 // opAsyncBase+mode: RequestAsync(mode)
 	opWaitBase  = opAsyncBase + advOp(numModes) // opWaitBase+mode: RequestWait(mode)
 	opArm       = opWaitBase + advOp(numModes)
-	opDisarm    = opArm + 1
-	opEmulate   = opDisarm + 1 // #DO handler only
+	opEmulate   = opArm + 1 // #DO handler only
 	// opElse splits a sequence: the ops before it run while the domain
 	// does not target E, the ops after it while it does, so one deadline
 	// sequence can express advMidRamp's two phases.
@@ -148,7 +144,6 @@ type advOS struct {
 	init, onDO, onDL []advOp
 }
 
-func (advOS) Name() string { return "advOS" }
 func (s advOS) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		s.run(ctl, d, s.init, 0, false)
@@ -181,8 +176,6 @@ func (s advOS) run(ctl Controller, d int, ops []advOp, trapped isa.Opcode, inDO 
 			ctl.RequestWait(d, Mode(op-opWaitBase))
 		case op == opArm:
 			ctl.ArmDeadline(d, s.deadline)
-		case op == opDisarm:
-			ctl.DisarmDeadline(d)
 		case op == opEmulate && inDO:
 			ctl.Emulate(trapped)
 		}

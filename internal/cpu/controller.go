@@ -18,8 +18,6 @@ import (
 // ArmDeadline) take effect at the handler clock's current value. The
 // trapping core resumes when the hook returns.
 type Strategy interface {
-	// Name identifies the strategy in reports ("fV", "f", "V", "e").
-	Name() string
 	// Init runs once at time zero, before any instruction executes —
 	// the OS configuring the machine (disable instructions, select the
 	// starting curve).
@@ -37,8 +35,6 @@ type Strategy interface {
 type Controller interface {
 	// Now returns the handler clock.
 	Now() units.Second
-	// Points returns the machine's operating points.
-	Points() Points
 	// Domains returns the number of DVFS domains.
 	Domains() int
 	// Mode returns the domain's current target mode.
@@ -55,8 +51,6 @@ type Controller interface {
 	// ArmDeadline writes the deadline MSR: the timer fires after d
 	// unless a faultable instruction resets it first (§4.1).
 	ArmDeadline(domain int, d units.Second)
-	// DisarmDeadline cancels the timer.
-	DisarmDeadline(domain int)
 	// ExceptionsWithin counts #DO traps in the domain during the last
 	// window — the OS bookkeeping behind thrashing prevention.
 	ExceptionsWithin(domain int, window units.Second) int
@@ -74,7 +68,6 @@ type controller struct {
 }
 
 func (c controller) Now() units.Second { return c.m.handlerTime }
-func (c controller) Points() Points    { return c.m.pts }
 func (c controller) Domains() int      { return len(c.m.domains) }
 
 func (c controller) Mode(domain int) Mode { return c.m.domains[domain].target }
@@ -128,10 +121,6 @@ func (c controller) ArmDeadline(domain int, dur units.Second) {
 	c.at(schedAction{kind: schedArmDeadline, d: d, dur: dur, expiry: c.m.handlerTime + dur})
 }
 
-func (c controller) DisarmDeadline(domain int) {
-	c.at(schedAction{kind: schedDisarmDeadline, d: c.m.domains[domain]})
-}
-
 func (c controller) ExceptionsWithin(domain int, window units.Second) int {
 	d := c.m.domains[domain]
 	cutoff := c.m.handlerTime - window
@@ -179,7 +168,7 @@ func (c controller) Emulate(op isa.Opcode) {
 // break it:
 //
 //   - select: a request for E while the handler-visible faultable set is
-//     enabled is refused (refusesEfficient); WRMSR reports it as #GP;
+//     enabled is refused (refusesEfficient);
 //   - enable: enabling the set on a domain that targets E makes E refused,
 //     so the domain is sent to Cv (EnableInstructions);
 //   - trap: a trapped opcode takes #DO while the set is disabled or while

@@ -351,7 +351,7 @@ func (m *Machine) consumeSched(i int) {
 	}
 }
 
-// applySched performs a handler effect. The four action kinds replace
+// applySched performs a handler effect. The three action kinds replace
 // the closures the controller used to allocate per deferred effect.
 func (m *Machine) applySched(a *schedAction) {
 	d := a.d
@@ -363,9 +363,6 @@ func (m *Machine) applySched(a *schedAction) {
 	case schedArmDeadline:
 		d.deadlineDur = a.dur
 		d.deadlineAt = a.expiry
-		m.syncDeadline(d)
-	case schedDisarmDeadline:
-		d.deadlineAt = 0
 		m.syncDeadline(d)
 	}
 }

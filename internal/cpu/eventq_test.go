@@ -100,7 +100,6 @@ type fvThrash struct {
 	maxExceptions    int
 }
 
-func (fvThrash) Name() string { return "fvThrash" }
 func (s fvThrash) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		ctl.DisableInstructions(d)
@@ -204,19 +203,19 @@ func TestDifferentialHeapVsLinear(t *testing.T) {
 		linLog, linRes := runOne(true)
 
 		if len(heapLog) != len(linLog) {
-			t.Fatalf("iter %d (%s): heap dispatched %d events, linear %d",
-				iter, s.Name(), len(heapLog), len(linLog))
+			t.Fatalf("iter %d (%T): heap dispatched %d events, linear %d",
+				iter, s, len(heapLog), len(linLog))
 		}
 		for i := range heapLog {
 			if heapLog[i] != linLog[i] {
-				t.Fatalf("iter %d (%s): event %d diverges: heap (t=%v kind=%d who=%d) vs linear (t=%v kind=%d who=%d)",
-					iter, s.Name(), i,
+				t.Fatalf("iter %d (%T): event %d diverges: heap (t=%v kind=%d who=%d) vs linear (t=%v kind=%d who=%d)",
+					iter, s, i,
 					heapLog[i].t, heapLog[i].kind, heapLog[i].who,
 					linLog[i].t, linLog[i].kind, linLog[i].who)
 			}
 		}
 		if !reflect.DeepEqual(heapRes, linRes) {
-			t.Fatalf("iter %d (%s): results diverge:\nheap:   %+v\nlinear: %+v", iter, s.Name(), heapRes, linRes)
+			t.Fatalf("iter %d (%T): results diverge:\nheap:   %+v\nlinear: %+v", iter, s, heapRes, linRes)
 		}
 	}
 }

@@ -25,7 +25,6 @@ var ffOps = append([]isa.Opcode{isa.OpALU, isa.OpIMUL}, isa.Faultable()...)
 // part-way up a rising one. It needs cfg.AllowUnsafe.
 type unsafeToggle struct{ deadline units.Second }
 
-func (unsafeToggle) Name() string { return "unsafeToggle" }
 func (s unsafeToggle) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		ctl.RequestAsync(d, ModeE)
@@ -185,7 +184,7 @@ func TestDifferentialFastForwardVsStepped(t *testing.T) {
 					cfg.SampleEvery = units.Microseconds(50)
 				}
 				s := ffStrategy(k, deadline)
-				name := fmt.Sprintf("chip %d %s %s tail=%d", ci, s.Name(), variant, tail)
+				name := fmt.Sprintf("chip %d %T %s tail=%d", ci, s, variant, tail)
 				m, log := diffFastForward(t, name, cfg, s)
 
 				arrivals := 0

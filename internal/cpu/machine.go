@@ -368,10 +368,6 @@ type domain struct {
 	deadlineAt  units.Second // 0 = disarmed
 	deadlineDur units.Second
 
-	// legacy holds the raw values written to the pre-SUIT registers
-	// (legacyMSRs in msrfront.go); they drive nothing.
-	legacy [len(legacyMSRs)]uint64
-
 	// exceptions holds recent #DO timestamps for thrashing prevention.
 	// It fills to excRingCap entries and then becomes a ring indexed by
 	// excTotal (see recordException/excKept/excNth in run.go).
@@ -500,7 +496,6 @@ const (
 	schedDisable schedKind = iota
 	schedEnable
 	schedArmDeadline
-	schedDisarmDeadline
 )
 
 // schedAction is a deferred handler effect as plain data (no closure):
@@ -625,15 +620,6 @@ func newDomain(id int, cores []*core, start Point) *domain {
 		// runs — every non-SUIT baseline machine — never pay for it.
 	}
 }
-
-// Points returns the resolved operating points.
-func (m *Machine) Points() Points { return m.pts }
-
-// Domains returns the number of DVFS domains.
-func (m *Machine) Domains() int { return len(m.domains) }
-
-// Now returns the current simulation time.
-func (m *Machine) Now() units.Second { return m.now }
 
 // consVolt returns the conservative-curve voltage at the domain's current
 // frequency, which the interlock's trap test and the safety monitor

@@ -8,7 +8,6 @@ import (
 	"suit/internal/emul"
 	"suit/internal/guardband"
 	"suit/internal/isa"
-	"suit/internal/msr"
 	"suit/internal/trace"
 	"suit/internal/units"
 )
@@ -55,7 +54,6 @@ func runWith(t *testing.T, cfg Config, s Strategy) Result {
 
 type pinnedBase struct{}
 
-func (pinnedBase) Name() string                                      { return "base" }
 func (pinnedBase) Init(Controller)                                   {}
 func (pinnedBase) OnDisabledOpcode(Controller, int, int, isa.Opcode) {}
 func (pinnedBase) OnDeadline(Controller, int)                        {}
@@ -65,7 +63,6 @@ type fvLite struct {
 	deadline units.Second
 }
 
-func (fvLite) Name() string { return "fvLite" }
 func (fvLite) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		ctl.DisableInstructions(d)
@@ -85,7 +82,6 @@ func (s fvLite) OnDeadline(ctl Controller, domain int) {
 
 type emulAll struct{}
 
-func (emulAll) Name() string { return "e" }
 func (emulAll) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		ctl.DisableInstructions(d)
@@ -129,7 +125,7 @@ func TestPointsOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := m.Points()
+	p := m.pts
 	// The efficient point runs at least as fast as the baseline (TDP
 	// headroom from undervolting) at a lower voltage than the
 	// conservative curve would require.
@@ -167,7 +163,7 @@ func TestBaselineRunDeterministicTiming(t *testing.T) {
 	cfg := testConfig(tr)
 	res := runWith(t, cfg, pinnedBase{})
 	m, _ := New(cfg, pinnedBase{})
-	f := m.Points().Base.F
+	f := m.pts.Base.F
 	want := units.Second(float64(tr.Total) / (tr.IPC * float64(f)))
 	if diff := float64(res.Duration-want) / float64(want); diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("duration %v, want %v", res.Duration, want)
@@ -284,7 +280,6 @@ func TestMonitorExactAtMargin(t *testing.T) {
 
 type unsafePinnedE struct{}
 
-func (unsafePinnedE) Name() string { return "unsafe" }
 func (unsafePinnedE) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		ctl.RequestAsync(d, ModeE)
@@ -292,6 +287,19 @@ func (unsafePinnedE) Init(ctl Controller) {
 }
 func (unsafePinnedE) OnDisabledOpcode(Controller, int, int, isa.Opcode) {}
 func (unsafePinnedE) OnDeadline(Controller, int)                        {}
+
+// enableOnE re-enables the faultable set inside its #DO handler, while
+// the domain targets E, and checks where the interlock sends it.
+type enableOnE struct{ t *testing.T }
+
+func (enableOnE) Init(ctl Controller) { bootEfficient(ctl) }
+func (s enableOnE) OnDisabledOpcode(ctl Controller, domain, core int, op isa.Opcode) {
+	ctl.EnableInstructions(domain)
+	if m := ctl.Mode(domain); m != ModeCv {
+		s.t.Fatalf("enabling the faultable set on E left the domain targeting %v, want Cv", m)
+	}
+}
+func (enableOnE) OnDeadline(Controller, int) {}
 
 func TestHardwareInterlockRefusesUnsafeEfficient(t *testing.T) {
 	// Selecting the efficient curve without disabling the instructions
@@ -304,6 +312,12 @@ func TestHardwareInterlockRefusesUnsafeEfficient(t *testing.T) {
 	}
 	if len(res.Faults) != 0 || res.Exceptions != 0 {
 		t.Errorf("faults %v, exceptions %d on the baseline", res.Faults, res.Exceptions)
+	}
+	// The enable direction: enabling the set makes E refused, so a domain
+	// that targets E is sent to Cv.
+	res = runWith(t, cfg, enableOnE{t})
+	if res.Exceptions == 0 || len(res.Faults) != 0 {
+		t.Errorf("enable on E: %d exceptions, faults %v", res.Exceptions, res.Faults)
 	}
 }
 
@@ -426,31 +440,6 @@ func TestMultiCoreSingleDomainInterference(t *testing.T) {
 	if slowdownPerCore >= slowdownSingle {
 		t.Errorf("per-core slowdown %v not below single-domain slowdown %v",
 			slowdownPerCore, slowdownSingle)
-	}
-}
-
-func TestMSRsReflectState(t *testing.T) {
-	tr := testTrace(10_000_000, 2, 5_000_000)
-	cfg := testConfig(tr)
-	m, err := New(cfg, emulAll{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []struct {
-		addr msr.Addr
-		want uint64
-	}{
-		{msr.SUITDOCount, 1},
-		{msr.SUITDisable, uint64(isa.FaultableMask)},
-		{msr.SUITCurve, msr.CurveEfficient}, // selected by the strategy, not by WRMSR
-		{msr.SUITDeadline, 0},
-	} {
-		if got, err := m.ReadMSR(0, r.addr); err != nil || got != r.want {
-			t.Errorf("MSR %#x = %#x (err %v), want %#x", uint32(r.addr), got, err, r.want)
-		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 // vLite / fLite are single-knob strategies for focused timing tests.
 type vLite struct{ deadline units.Second }
 
-func (vLite) Name() string { return "vLite" }
 func (vLite) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		ctl.DisableInstructions(d)
@@ -32,7 +31,6 @@ func (s vLite) OnDeadline(ctl Controller, domain int) {
 
 type fLite struct{ deadline units.Second }
 
-func (fLite) Name() string { return "fLite" }
 func (fLite) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		ctl.DisableInstructions(d)
@@ -138,8 +136,8 @@ func TestPerCoreFreqChipBuildsPerCoreDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Domains() != 3 {
-		t.Errorf("7700X machine has %d domains for 3 cores, want 3", m.Domains())
+	if len(m.domains) != 3 {
+		t.Errorf("7700X machine has %d domains for 3 cores, want 3", len(m.domains))
 	}
 	single := testConfig(testTrace(1000, 1), testTrace(1000, 1))
 	single.Chip = dvfs.IntelI9_9900K()
@@ -147,8 +145,8 @@ func TestPerCoreFreqChipBuildsPerCoreDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Domains() != 1 {
-		t.Errorf("i9 machine has %d domains, want 1", m2.Domains())
+	if len(m2.domains) != 1 {
+		t.Errorf("i9 machine has %d domains, want 1", len(m2.domains))
 	}
 }
 
@@ -298,7 +296,7 @@ func TestStateSampling(t *testing.T) {
 	// The trap must be visible: some samples at the Cf frequency.
 	pts := Points{}
 	m, _ := New(cfg, fvLite{deadline: units.Microseconds(30)})
-	pts = m.Points()
+	pts = m.pts
 	var sawE, sawConservative bool
 	for _, s := range res.Samples {
 		if s.F == pts.E.F && s.Mode == ModeE {
@@ -338,13 +336,11 @@ func TestExecuteEmulationRunsRealReplacements(t *testing.T) {
 }
 
 // inspectStrategy exercises the read-only controller surface from inside
-// a handler.
+// a handler, then parks the domain at Cf.
 type inspectStrategy struct {
-	t        *testing.T
-	deadline units.Second
+	t *testing.T
 }
 
-func (inspectStrategy) Name() string { return "inspect" }
 func (s inspectStrategy) Init(ctl Controller) {
 	for d := 0; d < ctl.Domains(); d++ {
 		ctl.DisableInstructions(d)
@@ -358,34 +354,25 @@ func (s inspectStrategy) OnDisabledOpcode(ctl Controller, domain, core int, op i
 	if ctl.Now() <= 0 {
 		s.t.Error("handler clock not advanced past zero")
 	}
-	pts := ctl.Points()
-	if pts.E.F < pts.Cf.F {
-		s.t.Error("points inverted")
-	}
 	if n := ctl.ExceptionsWithin(domain, units.Milliseconds(100)); n != 1 {
 		s.t.Errorf("ExceptionsWithin = %d, want 1 (this trap)", n)
 	}
 	ctl.RequestWait(domain, ModeCf)
 	ctl.EnableInstructions(domain)
-	ctl.ArmDeadline(domain, s.deadline)
-	ctl.DisarmDeadline(domain) // exercise disarm: the machine stays at Cf
 }
 func (s inspectStrategy) OnDeadline(ctl Controller, domain int) {
-	s.t.Error("deadline fired despite disarm")
+	s.t.Error("deadline fired though none was armed")
 }
 
-func TestControllerReadSurfaceAndDisarm(t *testing.T) {
+func TestControllerReadSurface(t *testing.T) {
 	tr := testTrace(100_000_000, 2, 50_000_000)
-	res := runWith(t, testConfig(tr), inspectStrategy{t: t, deadline: units.Microseconds(30)})
+	res := runWith(t, testConfig(tr), inspectStrategy{t: t})
 	if res.Exceptions != 1 {
 		t.Fatalf("exceptions = %d", res.Exceptions)
 	}
-	if res.DeadlineFires != 0 {
-		t.Error("disarmed timer fired")
-	}
 	// Machine parked at Cf for the rest of the run.
 	if res.Residency[ModeCf] == 0 {
-		t.Error("no Cf residency after the disarmed park")
+		t.Error("no Cf residency after the park")
 	}
 }
 
@@ -396,7 +383,7 @@ func TestMachineNowAndZeroExceptionDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Now() != 0 {
+	if m.now != 0 {
 		t.Error("fresh machine clock nonzero")
 	}
 	res, err := m.Run()
@@ -406,7 +393,7 @@ func TestMachineNowAndZeroExceptionDelay(t *testing.T) {
 	if res.Exceptions != 1 {
 		t.Errorf("exceptions = %d", res.Exceptions)
 	}
-	if m.Now() <= 0 {
+	if m.now <= 0 {
 		t.Error("clock did not advance")
 	}
 }

@@ -65,11 +65,14 @@ func workCountCorpus(t *testing.T) []workCount {
 			traces[i] = tr
 		}
 		for ci, chip := range ffChips {
-			for _, s := range []Strategy{pinnedBase{}, fv} {
+			for _, s := range []struct {
+				name string
+				s    Strategy
+			}{{"base", pinnedBase{}}, {"fvLite", fv}} {
 				for _, cores := range []int{1, 4} {
 					cfg := testConfig(traces[:cores]...)
 					cfg.Chip = chip()
-					count(fmt.Sprintf("%c/%s/%s/%d", 'A'+ci, s.Name(), name, cores), s, cfg)
+					count(fmt.Sprintf("%c/%s/%s/%d", 'A'+ci, s.name, name, cores), s.s, cfg)
 				}
 			}
 		}

@@ -8,7 +8,6 @@ package dvfs
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"suit/internal/power"
@@ -112,20 +111,6 @@ func (c Curve) StateAt(ratio uint8) (PState, bool) {
 	return PState{}, false
 }
 
-// Nearest returns the p-state whose frequency is closest to f, preferring
-// the lower state on ties (never exceeding a requested budget).
-func (c Curve) Nearest(f units.Hertz) PState {
-	best := c.States[0]
-	bestDist := math.Abs(float64(f - best.F))
-	for _, s := range c.States[1:] {
-		d := math.Abs(float64(f - s.F))
-		if d < bestDist {
-			best, bestDist = s, d
-		}
-	}
-	return best
-}
-
 // Gradient returns the voltage/frequency slope between the two highest
 // p-states in volts per hertz. §5.6 uses the 4→5 GHz gradient
 // (183 mV/GHz on the i9-9900K) to size the aging guardband.
@@ -136,80 +121,6 @@ func (c Curve) Gradient() float64 {
 	}
 	a, b := c.States[n-2], c.States[n-1]
 	return float64(b.V-a.V) / float64(b.F-a.F)
-}
-
-// Offset returns a copy of the curve with every voltage shifted by off
-// (clamped below at floor) and renamed.
-func (c Curve) Offset(name string, off units.Volt, floor units.Volt) Curve {
-	out := Curve{Name: name, States: make([]PState, len(c.States))}
-	for i, s := range c.States {
-		v := s.V + off
-		if v < floor {
-			v = floor
-		}
-		out.States[i] = PState{Ratio: s.Ratio, F: s.F, V: v}
-	}
-	return out
-}
-
-// Pair is SUIT's two curves. The conservative curve is the vendor curve
-// shipping today; the efficient curve is determined by excluding the
-// faultable instruction set and is only legal while those instructions
-// are disabled.
-type Pair struct {
-	Conservative Curve
-	Efficient    Curve
-}
-
-// DerivePair builds the SUIT curve pair from a vendor curve and the
-// undervolting offset established for the excluded instruction set
-// (−70 mV from instruction variation alone, −97 mV with 20 % of the aging
-// guardband; §3.1). floor guards against unphysically low voltages at the
-// bottom of the curve.
-func DerivePair(vendor Curve, offset units.Volt, floor units.Volt) (Pair, error) {
-	if offset > 0 {
-		return Pair{}, fmt.Errorf("dvfs: efficient-curve offset must be ≤ 0, got %v", offset)
-	}
-	p := Pair{
-		Conservative: vendor,
-		Efficient:    vendor.Offset(vendor.Name+"+efficient", offset, floor),
-	}
-	if err := p.Conservative.Validate(); err != nil {
-		return Pair{}, err
-	}
-	if err := p.Efficient.Validate(); err != nil {
-		return Pair{}, err
-	}
-	return p, nil
-}
-
-// CurveID selects one of the pair.
-type CurveID uint8
-
-// The two curves of a Pair.
-const (
-	Conservative CurveID = iota
-	Efficient
-)
-
-// String implements fmt.Stringer.
-func (id CurveID) String() string {
-	switch id {
-	case Conservative:
-		return "conservative"
-	case Efficient:
-		return "efficient"
-	default:
-		return fmt.Sprintf("CurveID(%d)", uint8(id))
-	}
-}
-
-// Get returns the selected curve.
-func (p Pair) Get(id CurveID) Curve {
-	if id == Efficient {
-		return p.Efficient
-	}
-	return p.Conservative
 }
 
 // DomainKind describes how cores share frequency and voltage planes
@@ -332,31 +243,12 @@ func (c Chip) Validate() error {
 //
 // This is a *performance* governor: it always cashes TDP headroom into
 // frequency, even across a p-state bin whose voltage step costs more power
-// than the frequency gains. EnergyOptimalState is the alternative policy.
+// than the frequency gains.
 func (c Chip) SustainableState(curve Curve, offset units.Volt, nActive int) PState {
 	best := curve.Min()
 	for _, s := range curve.States {
 		if c.packagePower(s, offset, nActive) <= c.TDP {
 			best = s
-		}
-	}
-	return best
-}
-
-// EnergyOptimalState returns the TDP-feasible p-state with the lowest
-// energy per instruction (package power over frequency) — an
-// energy-governor alternative to SustainableState. Throughput-oriented
-// deployments use SustainableState; battery- or cost-bound ones this.
-func (c Chip) EnergyOptimalState(curve Curve, offset units.Volt, nActive int) PState {
-	best := curve.Min()
-	bestEPI := float64(c.packagePower(best, offset, nActive)) / float64(best.F)
-	for _, s := range curve.States {
-		p := c.packagePower(s, offset, nActive)
-		if p > c.TDP {
-			continue
-		}
-		if epi := float64(p) / float64(s.F); epi < bestEPI {
-			best, bestEPI = s, epi
 		}
 	}
 	return best

@@ -70,23 +70,13 @@ func TestVoltageAtMonotone(t *testing.T) {
 	}
 }
 
-func TestStateAtAndNearest(t *testing.T) {
+func TestStateAt(t *testing.T) {
 	c := testCurve()
 	if s, ok := c.StateAt(20); !ok || s.F != units.GHz(2) {
 		t.Errorf("StateAt(20) = %+v, %t", s, ok)
 	}
 	if _, ok := c.StateAt(99); ok {
 		t.Error("StateAt(99) found a phantom state")
-	}
-	if got := c.Nearest(units.GHz(1.9)); got.Ratio != 20 {
-		t.Errorf("Nearest(1.9 GHz).Ratio = %d, want 20", got.Ratio)
-	}
-	if got := c.Nearest(units.GHz(10)); got.Ratio != 40 {
-		t.Errorf("Nearest(10 GHz).Ratio = %d, want 40 (top)", got.Ratio)
-	}
-	// Tie prefers the lower state.
-	if got := c.Nearest(units.GHz(1.5)); got.Ratio != 10 {
-		t.Errorf("Nearest(tie).Ratio = %d, want 10", got.Ratio)
 	}
 }
 
@@ -113,54 +103,7 @@ func TestGradientDegenerate(t *testing.T) {
 	}
 }
 
-func TestOffsetAndFloor(t *testing.T) {
-	c := testCurve()
-	off := c.Offset("eff", units.MilliVolts(-97), 0.78)
-	if off.Name != "eff" {
-		t.Errorf("name = %q", off.Name)
-	}
-	// 0.80 - 0.097 = 0.703 < floor 0.78 → clamped.
-	if off.States[0].V != 0.78 {
-		t.Errorf("floored V = %v, want 0.78", off.States[0].V)
-	}
-	if got := off.States[2].V; math.Abs(float64(got)-1.003) > 1e-12 {
-		t.Errorf("offset V = %v, want 1.003", got)
-	}
-	// Original untouched.
-	if c.States[0].V != 0.80 {
-		t.Error("Offset mutated the source curve")
-	}
-}
-
-func TestDerivePair(t *testing.T) {
-	p, err := DerivePair(testCurve(), units.MilliVolts(-70), 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Get(Conservative).Name != "test" {
-		t.Error("conservative curve must be the vendor curve")
-	}
-	for i := range p.Conservative.States {
-		dc := p.Conservative.States[i].V - p.Efficient.States[i].V
-		if math.Abs(float64(dc)-0.070) > 1e-12 {
-			t.Errorf("state %d offset = %v, want 70 mV", i, dc)
-		}
-	}
-	if _, err := DerivePair(testCurve(), units.MilliVolts(+10), 0.7); err == nil {
-		t.Error("positive offset accepted")
-	}
-	if _, err := DerivePair(Curve{Name: "empty"}, units.MilliVolts(-70), 0.7); err == nil {
-		t.Error("invalid vendor curve accepted")
-	}
-}
-
-func TestCurveIDAndDomainKindStrings(t *testing.T) {
-	if Conservative.String() != "conservative" || Efficient.String() != "efficient" {
-		t.Error("CurveID strings wrong")
-	}
-	if CurveID(9).String() != "CurveID(9)" {
-		t.Error("unknown CurveID string wrong")
-	}
+func TestDomainKindStrings(t *testing.T) {
 	kinds := map[DomainKind]string{
 		SingleDomain: "single-domain",
 		PerCoreFreq:  "per-core-frequency",
@@ -279,41 +222,5 @@ func TestSustainableStateFewerCoresMoreHeadroom(t *testing.T) {
 	all := chip.SustainableState(chip.Vendor, 0, chip.Cores)
 	if one.F < all.F {
 		t.Errorf("1-core sustainable %v < all-core %v", one.F, all.F)
-	}
-}
-
-func TestEnergyOptimalState(t *testing.T) {
-	chip := IntelI9_9900K()
-	perf := chip.SustainableState(chip.Vendor, 0, chip.Cores)
-	energy := chip.EnergyOptimalState(chip.Vendor, 0, chip.Cores)
-	// The energy governor never runs faster than the performance one.
-	if energy.F > perf.F {
-		t.Errorf("energy state %v above performance state %v", energy.F, perf.F)
-	}
-	// Its energy per instruction is minimal among TDP-feasible states.
-	epi := func(s PState) float64 {
-		return float64(chip.packagePower(s, 0, chip.Cores)) / float64(s.F)
-	}
-	for _, s := range chip.Vendor.States {
-		if chip.packagePower(s, 0, chip.Cores) > chip.TDP {
-			continue
-		}
-		if epi(s) < epi(energy)-1e-12 {
-			t.Errorf("state %v beats the 'optimal' %v on energy/instruction", s.F, energy.F)
-		}
-	}
-	// With the frequency-independent uncore floor, crawling at the
-	// bottom of the curve is NOT optimal: the floor amortises over more
-	// work at higher frequency.
-	if energy == chip.Vendor.Min() {
-		t.Error("energy governor picked the minimum state; uncore amortisation ignored")
-	}
-}
-
-func TestEnergyOptimalRespectsTDP(t *testing.T) {
-	chip := IntelI9_9900K()
-	got := chip.EnergyOptimalState(chip.Vendor, 0, chip.Cores)
-	if chip.packagePower(got, 0, chip.Cores) > chip.TDP {
-		t.Errorf("energy-optimal state %v exceeds the TDP", got.F)
 	}
 }

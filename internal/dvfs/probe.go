@@ -117,16 +117,6 @@ func (tr Transition) StalledAt(t units.Second) bool {
 	return t >= tr.StallStart && t < tr.FreqDone
 }
 
-// MaxVoltage returns the highest supply voltage over the transition; the
-// fault model uses it because a core is only as safe as its instantaneous
-// voltage allows.
-func (tr Transition) MaxVoltage() units.Volt {
-	if tr.From.V > tr.To.V {
-		return tr.From.V
-	}
-	return tr.To.V
-}
-
 // ProbeTransition polls a transition every interval, replicating the §5.2
 // kernel-module loop. During the stall no fresh readings are possible:
 // samples carry the pre-stall frequency and are marked Stalled — including

@@ -131,16 +131,6 @@ func TestVoltageRampIsLinearAndMonotone(t *testing.T) {
 	}
 }
 
-func TestMaxVoltage(t *testing.T) {
-	lo, hi := i9States()
-	m := IntelI9_9900K().Transition
-	up := m.Plan(lo, hi, det())
-	down := m.Plan(hi, lo, det())
-	if up.MaxVoltage() != hi.V || down.MaxVoltage() != hi.V {
-		t.Errorf("MaxVoltage: up=%v down=%v, want %v", up.MaxVoltage(), down.MaxVoltage(), hi.V)
-	}
-}
-
 func TestProbeTransitionSettlesAtTarget(t *testing.T) {
 	m := XeonSilver4208().Transition
 	c := XeonSilver4208().Vendor

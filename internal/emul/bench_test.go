@@ -39,31 +39,6 @@ func BenchmarkVPCLMULQDQ(b *testing.B) {
 	sinkVec = x
 }
 
-func BenchmarkGhashMul(b *testing.B) {
-	x := gcmBlock{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	h := gcmBlock{0xfe, 0xdc, 0xba}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x = ghashMul(x, h)
-	}
-	sinkBlock = x
-}
-
-func BenchmarkSealAESGCM16KiB(b *testing.B) {
-	var key [16]byte
-	var nonce [12]byte
-	pt := make([]byte, 16384) // one TLS record
-	b.SetBytes(int64(len(pt)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := SealAESGCM(key, nonce, pt, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkByte = out[0]
-	}
-}
-
 func BenchmarkEncryptAES128Block(b *testing.B) {
 	var key, block [16]byte
 	b.SetBytes(16)
@@ -74,7 +49,6 @@ func BenchmarkEncryptAES128Block(b *testing.B) {
 }
 
 var (
-	sinkVec   Vec128
-	sinkBlock gcmBlock
-	sinkByte  byte
+	sinkVec  Vec128
+	sinkByte byte
 )

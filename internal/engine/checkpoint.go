@@ -189,11 +189,3 @@ func (c *Checkpoint) Close() error {
 	c.f = nil
 	return err
 }
-
-// Path returns the journal's file path (empty on a nil Checkpoint).
-func (c *Checkpoint) Path() string {
-	if c == nil {
-		return ""
-	}
-	return c.path
-}

@@ -205,11 +205,11 @@ func TestRunCheckpointedPerCallJournal(t *testing.T) {
 	} {
 		for _, k := range want.keys {
 			if !want.cp.Done(k) {
-				t.Errorf("checkpoint %s missing key %q", want.cp.Path(), k)
+				t.Errorf("checkpoint %s missing key %q", want.cp.path, k)
 			}
 		}
 		if got := want.cp.Completed(); got != 2 {
-			t.Errorf("checkpoint %s Completed = %d, want 2", want.cp.Path(), got)
+			t.Errorf("checkpoint %s Completed = %d, want 2", want.cp.path, got)
 		}
 	}
 	if cpA.Done("z") {

@@ -72,19 +72,6 @@ func Default() *Model {
 	}
 }
 
-// NoVariation returns the model of a part without measurable instruction
-// voltage variation — Kogler et al. found Intel 6th-generation CPUs behave
-// this way (§3.1). Every instruction shares the background margin, the
-// faultable set is empty, and SUIT's variation-derived offset collapses to
-// zero: only the spendable aging fraction remains, which is exactly the
-// §3.1 claim that SUIT's headroom comes from the variation.
-func NoVariation() *Model {
-	m := Default()
-	m.VariationMargin = map[isa.Opcode]units.Volt{}
-	m.IMULHardeningBonus = 0
-	return m
-}
-
 // Validate checks the model.
 func (m *Model) Validate() error {
 	if m.BackgroundVariation <= 0 {

@@ -252,7 +252,9 @@ func TestHardenedIMULCurveBelowVendor(t *testing.T) {
 func TestNoVariationModel(t *testing.T) {
 	// §3.1: CPUs without instruction voltage variation (Intel 6th gen in
 	// Kogler et al.) give SUIT nothing beyond the spendable aging slice.
-	m := NoVariation()
+	m := Default()
+	m.VariationMargin = map[isa.Opcode]units.Volt{}
+	m.IMULHardeningBonus = 0
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -206,13 +206,6 @@ func (op Opcode) String() string {
 	return infos[op].Name
 }
 
-// Class returns the SUIT class of op.
-func (op Opcode) Class() Class { return Lookup(op).Class }
-
-// IsFaultable reports whether op is in the low-frequency faultable set that
-// SUIT disables on the efficient DVFS curve.
-func (op Opcode) IsFaultable() bool { return Lookup(op).Class == ClassFaultable }
-
 // IsSIMD reports whether op disappears from a binary compiled without
 // SSE/AVX support (§5.8: every Table 1 instruction except IMUL and AESENC
 // is SIMD; AESENC is AES-NI, not SSE/AVX, but compilers emit it only with
@@ -267,19 +260,3 @@ var FaultableMask = MaskOf(Faultable()...)
 
 // Has reports whether op is in the mask.
 func (m DisableMask) Has(op Opcode) bool { return m&(1<<op) != 0 }
-
-// With returns m with op added.
-func (m DisableMask) With(op Opcode) DisableMask { return m | 1<<op }
-
-// Without returns m with op removed.
-func (m DisableMask) Without(op Opcode) DisableMask { return m &^ (1 << op) }
-
-// Count returns the number of opcodes in the mask.
-func (m DisableMask) Count() int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
-}

@@ -5,7 +5,6 @@
 package power
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -110,33 +109,6 @@ func (m Model) Package(cores []CoreState) units.Watt {
 	return p
 }
 
-// CalibrateCeff solves for CoreCeff such that a package with nCores fully
-// active cores at (v, f) draws pkg watts given the model's LeakGV and
-// Uncore. This is how the per-CPU models in internal/workload are fitted
-// to the paper's measured package powers (Table 2, Fig 12).
-func CalibrateCeff(pkg units.Watt, v units.Volt, f units.Hertz, nCores int, leakGV float64, uncore units.Watt) (float64, error) {
-	return CalibrateCeffExp(pkg, v, f, nCores, leakGV, uncore, 2)
-}
-
-// CalibrateCeffExp is CalibrateCeff for a non-quadratic voltage exponent.
-func CalibrateCeffExp(pkg units.Watt, v units.Volt, f units.Hertz, nCores int, leakGV float64, uncore units.Watt, exp float64) (float64, error) {
-	if nCores <= 0 {
-		return 0, errors.New("power: CalibrateCeff needs at least one core")
-	}
-	if v <= 0 || f <= 0 {
-		return 0, fmt.Errorf("power: CalibrateCeff needs positive v and f, got %v, %v", v, f)
-	}
-	if exp <= 0 {
-		exp = 2
-	}
-	perCore := (float64(pkg) - float64(uncore)) / float64(nCores)
-	dyn := perCore - leakGV*float64(v)*float64(v)
-	if dyn <= 0 {
-		return 0, fmt.Errorf("power: package power %v too low for %d cores with leakage+uncore floor", pkg, nCores)
-	}
-	return dyn / (math.Pow(float64(v), exp) * float64(f)), nil
-}
-
 // RAPL models Intel's Running Average Power Limit energy counter
 // (MSR_PKG_ENERGY_STATUS): a 32-bit cumulative counter in fixed energy
 // units (default 61 µJ = 2⁻¹⁴ J) that wraps around. The paper reads RAPL
@@ -159,9 +131,6 @@ func NewRAPL(unit units.Joule) *RAPL {
 	return &RAPL{unit: unit}
 }
 
-// Unit returns the energy quantum of the counter.
-func (r *RAPL) Unit() units.Joule { return r.unit }
-
 // Deposit adds energy to the meter.
 func (r *RAPL) Deposit(e units.Joule) {
 	if e < 0 {
@@ -177,10 +146,3 @@ func (r *RAPL) Deposit(e units.Joule) {
 
 // Counter returns the current 32-bit counter value.
 func (r *RAPL) Counter() uint32 { return r.counter }
-
-// EnergyBetween converts two counter readings (c0 taken before c1) to
-// joules, handling a single wrap-around like RAPL consumers must.
-func (r *RAPL) EnergyBetween(c0, c1 uint32) units.Joule {
-	delta := c1 - c0 // uint32 arithmetic handles the wrap
-	return units.Joule(float64(delta) * float64(r.unit))
-}

@@ -86,36 +86,6 @@ func TestPackageAggregation(t *testing.T) {
 	}
 }
 
-func TestCalibrateCeffRoundTrip(t *testing.T) {
-	// Fit Ceff so an 8-core package at 1.174 V / 4.7 GHz draws 95 W, then
-	// verify the fitted model reproduces that power.
-	v, f := units.Volt(1.174), units.GHz(4.7)
-	ceff, err := CalibrateCeff(95, v, f, 8, 1.5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Model{CoreCeff: ceff, LeakGV: 1.5, Uncore: 10}
-	cores := make([]CoreState, 8)
-	for i := range cores {
-		cores[i] = CoreState{V: v, F: f, Activity: 1}
-	}
-	if got := m.Package(cores); math.Abs(float64(got)-95) > 1e-9 {
-		t.Errorf("calibrated package power = %v, want 95 W", got)
-	}
-}
-
-func TestCalibrateCeffErrors(t *testing.T) {
-	if _, err := CalibrateCeff(95, 1, units.GHz(4), 0, 0, 0); err == nil {
-		t.Error("zero cores accepted")
-	}
-	if _, err := CalibrateCeff(95, 0, units.GHz(4), 4, 0, 0); err == nil {
-		t.Error("zero voltage accepted")
-	}
-	if _, err := CalibrateCeff(5, 1, units.GHz(4), 4, 0, 10); err == nil {
-		t.Error("package power below uncore floor accepted")
-	}
-}
-
 func TestUndervoltingReducesPower(t *testing.T) {
 	// The headline physics: a −97 mV offset at constant frequency lowers
 	// package power.
@@ -138,8 +108,8 @@ func TestUndervoltingReducesPower(t *testing.T) {
 
 func TestRAPLQuantisation(t *testing.T) {
 	r := NewRAPL(0)
-	if r.Unit() != DefaultRAPLUnit {
-		t.Fatalf("default unit = %v", r.Unit())
+	if r.unit != DefaultRAPLUnit {
+		t.Fatalf("default unit = %v", r.unit)
 	}
 	// Deposits below one unit accumulate in the residue.
 	r.Deposit(DefaultRAPLUnit / 4)
@@ -160,19 +130,25 @@ func TestRAPLConservesEnergy(t *testing.T) {
 		r.Deposit(e)
 		total += e
 	}
-	measured := r.EnergyBetween(0, r.Counter())
-	if math.Abs(float64(measured-total)) > float64(r.Unit()) {
+	measured := units.Joule(float64(r.Counter()) * float64(r.unit))
+	if math.Abs(float64(measured-total)) > float64(r.unit) {
 		t.Errorf("measured %v vs deposited %v differs by more than one unit", measured, total)
 	}
 }
 
 func TestRAPLWrapAround(t *testing.T) {
+	// The 32-bit counter wraps like the hardware's, and a consumer's
+	// uint32 difference across the wrap still recovers the energy.
 	r := NewRAPL(0)
-	c0 := uint32(0xFFFFFFF0)
-	c1 := uint32(0x00000010)
-	want := units.Joule(float64(0x20) * float64(r.Unit()))
-	if got := r.EnergyBetween(c0, c1); math.Abs(float64(got-want)) > 1e-15 {
-		t.Errorf("wrap energy = %v, want %v", got, want)
+	r.Deposit(units.Joule(float64(0xFFFFFFF0) * float64(r.unit)))
+	c0 := r.Counter()
+	r.Deposit(units.Joule(float64(0x20) * float64(r.unit)))
+	c1 := r.Counter()
+	if c0 != 0xFFFFFFF0 || c1 != 0x10 {
+		t.Fatalf("counter %#x then %#x, want 0xfffffff0 then 0x10", c0, c1)
+	}
+	if got := units.Joule(float64(c1-c0) * float64(r.unit)); got != units.Joule(float64(0x20)*float64(r.unit)) {
+		t.Errorf("energy across the wrap = %v, want 32 units", got)
 	}
 }
 

@@ -29,9 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Header))
@@ -80,34 +77,6 @@ func (t *Table) String() string {
 	var b strings.Builder
 	_ = t.Render(&b)
 	return b.String()
-}
-
-// Markdown renders the table as a GitHub-flavoured markdown table (the
-// form EXPERIMENTS.md embeds). Pipes in cells are escaped.
-func (t *Table) Markdown(w io.Writer) error {
-	esc := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", esc(t.Title))
-	}
-	b.WriteString("|")
-	for _, h := range t.Header {
-		b.WriteString(" " + esc(h) + " |")
-	}
-	b.WriteString("\n|")
-	for range t.Header {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		b.WriteString("|")
-		for _, c := range row {
-			b.WriteString(" " + esc(c) + " |")
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // Pct formats a relative change as a signed percentage ("+3.8 %").

@@ -28,8 +28,8 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("column misaligned in %q", ln)
 		}
 	}
-	if tb.Rows() != 3 {
-		t.Errorf("Rows() = %d", tb.Rows())
+	if len(tb.rows) != 3 {
+		t.Errorf("%d rows, want 3", len(tb.rows))
 	}
 }
 
@@ -93,25 +93,6 @@ func TestSparkline(t *testing.T) {
 	flat := Series{Y: []float64{5, 5, 5}, X: []float64{0, 1, 2}}
 	if got := flat.Sparkline(); len([]rune(got)) != 3 {
 		t.Errorf("flat sparkline %q", got)
-	}
-}
-
-func TestMarkdownRendering(t *testing.T) {
-	tb := NewTable("Title | piped", "a", "b")
-	tb.AddRow("x|y", "2")
-	var b strings.Builder
-	if err := tb.Markdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "**Title \\| piped**") {
-		t.Errorf("title not escaped:\n%s", out)
-	}
-	if !strings.Contains(out, "| a | b |") || !strings.Contains(out, "|---|---|") {
-		t.Errorf("header/rule missing:\n%s", out)
-	}
-	if !strings.Contains(out, "| x\\|y | 2 |") {
-		t.Errorf("cell not escaped:\n%s", out)
 	}
 }
 

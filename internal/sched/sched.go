@@ -32,17 +32,6 @@ import (
 // Assignment maps each task (by index) to a DVFS cluster.
 type Assignment []int
 
-// Clusters returns the number of clusters the assignment uses.
-func (a Assignment) Clusters() int {
-	max := -1
-	for _, c := range a {
-		if c > max {
-			max = c
-		}
-	}
-	return max + 1
-}
-
 // Validate checks the assignment against the cluster count and capacity.
 func (a Assignment) Validate(nClusters, coresPerCluster int) error {
 	load := make([]int, nClusters)

@@ -54,9 +54,6 @@ func TestSpreadRoundRobin(t *testing.T) {
 			t.Errorf("Spread[%d] = %d, want %d", i, a[i], want[i])
 		}
 	}
-	if a.Clusters() != 2 {
-		t.Errorf("Clusters() = %d", a.Clusters())
-	}
 }
 
 func TestPackByDensityGroupsDenseTasks(t *testing.T) {

@@ -174,25 +174,3 @@ func corruptedAES(faulted bool) bool {
 	state = emul.AESENCLAST(state, rk[10])
 	return state.Bytes() != good
 }
-
-// SweepOffsets walks offsets from −10 mV to −150 mV and reports, per
-// offset, whether a SUIT machine stays fault-free and whether blind
-// undervolting faults — the empirical version of the §6.9 argument.
-type OffsetResult struct {
-	Offset       units.Volt
-	SUITFaults   int
-	UnsafeFaults int
-}
-
-// SweepOffsets runs the comparison over the given offsets (all negative).
-func SweepOffsets(chip dvfs.Chip, offsets []units.Volt, seed uint64) ([]OffsetResult, error) {
-	var out []OffsetResult
-	for _, off := range offsets {
-		rep, err := RunAttack(chip, off, seed)
-		if err != nil {
-			return nil, fmt.Errorf("offset %v: %w", off, err)
-		}
-		out = append(out, OffsetResult{Offset: off, SUITFaults: rep.SUIT.Faults, UnsafeFaults: rep.Unsafe.Faults})
-	}
-	return out, nil
-}

@@ -100,24 +100,23 @@ func TestSweepOffsetsMonotoneSafety(t *testing.T) {
 		units.MilliVolts(-20), units.MilliVolts(-50),
 		units.MilliVolts(-97), units.MilliVolts(-140),
 	}
-	res, err := SweepOffsets(dvfs.IntelI9_9900K(), offs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(offs) {
-		t.Fatalf("got %d results", len(res))
-	}
-	for _, r := range res {
-		if r.SUITFaults != 0 {
-			t.Errorf("SUIT faulted at %v", r.Offset)
+	unsafe := make([]int, len(offs))
+	for i, off := range offs {
+		rep, err := RunAttack(dvfs.IntelI9_9900K(), off, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if rep.SUIT.Faults != 0 {
+			t.Errorf("SUIT faulted at %v", off)
+		}
+		unsafe[i] = rep.Unsafe.Faults
 	}
 	// Shallow undervolts stay within the AESENC margin (27 mV); deeper
 	// ones fault on the unsafe machine.
-	if res[0].UnsafeFaults != 0 {
+	if unsafe[0] != 0 {
 		t.Errorf("unsafe machine faulted at −20 mV, inside the AESENC margin")
 	}
-	if res[2].UnsafeFaults == 0 || res[3].UnsafeFaults == 0 {
+	if unsafe[2] == 0 || unsafe[3] == 0 {
 		t.Error("unsafe machine survived deep undervolts")
 	}
 }

@@ -55,8 +55,8 @@ func newJob(id string, spec Spec, total int) *Job {
 	}
 }
 
-// Snapshot returns the job's current event view.
-func (j *Job) Snapshot() Event {
+// snapshot returns the job's current event view.
+func (j *Job) snapshot() Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Event{State: j.state, Done: j.done, Total: j.total, Error: j.err}
@@ -68,17 +68,6 @@ func (j *Job) State() State {
 	defer j.mu.Unlock()
 	return j.state
 }
-
-// Result returns the completed result, or nil before StateDone.
-func (j *Job) Result() *Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
-
-// Terminal reports whether the job has finished (done, failed or
-// canceled); the returned channel closes at that transition.
-func (j *Job) Terminal() <-chan struct{} { return j.closed }
 
 // Subscribe registers an event listener. The current snapshot is
 // delivered first so late subscribers see the state they joined at;

@@ -192,7 +192,7 @@ func TestDistributedServiceByteIdentical(t *testing.T) {
 	if snap := waitTerminal(t, localJob); snap.State != StateDone {
 		t.Fatalf("local job: %s (%s)", snap.State, snap.Error)
 	}
-	wantRaw, err := json.Marshal(localJob.Result())
+	wantRaw, err := json.Marshal(localJob.result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestDistributedServiceByteIdentical(t *testing.T) {
 	if snap := waitTerminal(t, distJob); snap.State != StateDone {
 		t.Fatalf("distributed job: %s (%s)", snap.State, snap.Error)
 	}
-	gotRaw, err := json.Marshal(distJob.Result())
+	gotRaw, err := json.Marshal(distJob.result)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,10 +177,6 @@ func (s *Service) EngineStats() engine.Stats { return s.eng.Stats() }
 // DistStats exposes the work dispatcher's accounting for /metrics.
 func (s *Service) DistStats() dist.Stats { return s.dist.Stats() }
 
-// Dispatcher exposes the distributed-work dispatcher (for its HTTP
-// endpoints and readiness probing).
-func (s *Service) Dispatcher() *dist.Dispatcher { return s.dist }
-
 // Inflight is the engine's currently-executing scenario count.
 func (s *Service) Inflight() int { return s.eng.Inflight() }
 

@@ -48,11 +48,11 @@ func drainNow(t *testing.T, s *Service) {
 func waitTerminal(t *testing.T, j *Job) Event {
 	t.Helper()
 	select {
-	case <-j.Terminal():
+	case <-j.closed:
 	case <-time.After(120 * time.Second):
 		t.Fatalf("job %s did not reach a terminal state", j.ID)
 	}
-	return j.Snapshot()
+	return j.snapshot()
 }
 
 func TestSubmitRunsToDone(t *testing.T) {
@@ -73,7 +73,7 @@ func TestSubmitRunsToDone(t *testing.T) {
 	if snap.State != StateDone {
 		t.Fatalf("state = %s (%s)", snap.State, snap.Error)
 	}
-	res := job.Result()
+	res := job.result
 	if res == nil || len(res.Points) != 2 || res.GridPoints != 2 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -281,7 +281,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 		t.Fatal("third scenario never started")
 	}
 	drainNow(t, svcB) // expired context: running sweeps are cancelled now
-	if snap := jobB.Snapshot(); snap.State != StateCanceled {
+	if snap := jobB.snapshot(); snap.State != StateCanceled {
 		t.Fatalf("interrupted job state = %s (%s), want canceled", snap.State, snap.Error)
 	}
 	if _, err := os.Stat(svcB.store.path(id)); err == nil {
@@ -347,7 +347,7 @@ func TestResultStoreAcrossRestart(t *testing.T) {
 	if outcome != SubmitStored {
 		t.Fatalf("outcome = %d, want SubmitStored", outcome)
 	}
-	if jobB.State() != StateDone || jobB.Result() == nil {
+	if jobB.State() != StateDone || jobB.result == nil {
 		t.Fatal("stored job should be done with a result immediately")
 	}
 	if ran := svcB.EngineStats().Ran; ran != 0 {

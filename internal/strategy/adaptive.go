@@ -36,9 +36,6 @@ const (
 	adaptiveMaxMS     = 2
 )
 
-// Name implements cpu.Strategy.
-func (*Adaptive) Name() string { return "adaptive" }
-
 // Init implements cpu.Strategy.
 func (a *Adaptive) Init(ctl cpu.Controller) {
 	n := ctl.Domains()

@@ -25,9 +25,6 @@ func TestAdaptiveDefaults(t *testing.T) {
 	if len(a.ewmaGap) != 2 || len(a.lastException) != 2 {
 		t.Error("per-domain state not sized")
 	}
-	if a.Name() != "adaptive" {
-		t.Error("name wrong")
-	}
 }
 
 func TestAdaptiveLearnsGaps(t *testing.T) {

@@ -92,9 +92,6 @@ type FV struct {
 	P Params
 }
 
-// Name implements cpu.Strategy.
-func (FV) Name() string { return "fV" }
-
 // Init implements cpu.Strategy.
 func (FV) Init(ctl cpu.Controller) { initEfficient(ctl) }
 
@@ -123,9 +120,6 @@ type FreqOnly struct {
 	P Params
 }
 
-// Name implements cpu.Strategy.
-func (FreqOnly) Name() string { return "f" }
-
 // Init implements cpu.Strategy.
 func (FreqOnly) Init(ctl cpu.Controller) { initEfficient(ctl) }
 
@@ -149,9 +143,6 @@ type VoltOnly struct {
 	P Params
 }
 
-// Name implements cpu.Strategy.
-func (VoltOnly) Name() string { return "V" }
-
 // Init implements cpu.Strategy.
 func (VoltOnly) Init(ctl cpu.Controller) { initEfficient(ctl) }
 
@@ -172,9 +163,6 @@ func (VoltOnly) OnDeadline(ctl cpu.Controller, domain int) {
 // the efficient curve; each disabled instruction costs the emulation-call
 // delay plus the replacement's work. Not possible inside TEEs.
 type Emulation struct{}
-
-// Name implements cpu.Strategy.
-func (Emulation) Name() string { return "e" }
 
 // Init implements cpu.Strategy.
 func (Emulation) Init(ctl cpu.Controller) { initEfficient(ctl) }
@@ -202,9 +190,6 @@ type Dynamic struct {
 // which Dynamic emulates traps rather than switching curves: 1, only
 // isolated traps (the trap being handled counts).
 const dynEmulateBelow = 1
-
-// Name implements cpu.Strategy.
-func (Dynamic) Name() string { return "dyn" }
 
 // Init implements cpu.Strategy.
 func (Dynamic) Init(ctl cpu.Controller) { initEfficient(ctl) }
@@ -234,9 +219,6 @@ type Pinned struct {
 	M cpu.Mode
 }
 
-// Name implements cpu.Strategy.
-func (p Pinned) Name() string { return "pinned-" + p.M.String() }
-
 // Init implements cpu.Strategy.
 func (p Pinned) Init(ctl cpu.Controller) {
 	for dom := 0; dom < ctl.Domains(); dom++ {
@@ -261,9 +243,6 @@ func (p Pinned) OnDeadline(cpu.Controller, int) {
 // them and stays on the efficient curve for the whole run. A trap means
 // the trace was not actually SIMD-free and is a configuration error.
 type AlwaysEfficient struct{}
-
-// Name implements cpu.Strategy.
-func (AlwaysEfficient) Name() string { return "noSIMD" }
 
 // Init implements cpu.Strategy.
 func (AlwaysEfficient) Init(ctl cpu.Controller) { initEfficient(ctl) }

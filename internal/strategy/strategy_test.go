@@ -18,10 +18,9 @@ type mockController struct {
 	deadline   units.Second
 }
 
-func (m *mockController) Now() units.Second  { return 0 }
-func (m *mockController) Points() cpu.Points { return cpu.Points{} }
-func (m *mockController) Domains() int       { return m.domains }
-func (m *mockController) Mode(int) cpu.Mode  { return m.mode }
+func (m *mockController) Now() units.Second { return 0 }
+func (m *mockController) Domains() int      { return m.domains }
+func (m *mockController) Mode(int) cpu.Mode { return m.mode }
 func (m *mockController) RequestWait(d int, mo cpu.Mode) {
 	m.calls = append(m.calls, "wait:"+mo.String())
 }
@@ -37,7 +36,6 @@ func (m *mockController) ArmDeadline(d int, dur units.Second) {
 	m.deadline = dur
 	m.calls = append(m.calls, "arm")
 }
-func (m *mockController) DisarmDeadline(int)                     { m.calls = append(m.calls, "disarm") }
 func (m *mockController) ExceptionsWithin(int, units.Second) int { return m.exceptions }
 func (m *mockController) Emulate(op isa.Opcode)                  { m.calls = append(m.calls, "emulate") }
 
@@ -120,7 +118,7 @@ func TestInitDisablesBeforeSelectingEfficient(t *testing.T) {
 		s.Init(ctl)
 		want := []string{"disable", "async:E", "disable", "async:E"}
 		if !reflect.DeepEqual(ctl.calls, want) {
-			t.Errorf("%s Init calls = %v, want %v", s.Name(), ctl.calls, want)
+			t.Errorf("%T Init calls = %v, want %v", s, ctl.calls, want)
 		}
 	}
 }
@@ -233,23 +231,5 @@ func TestArmPanicsOnNonPositiveDeadline(t *testing.T) {
 	Params{Deadline: -1, TimeSpan: 1, MaxExceptions: 1, DeadlineFactor: 1}.arm(ctl, 0)
 	if ctl.deadline < 0 {
 		t.Error("negative deadline armed")
-	}
-}
-
-func TestStrategyNames(t *testing.T) {
-	names := map[string]cpu.Strategy{
-		"fV":          FV{},
-		"f":           FreqOnly{},
-		"V":           VoltOnly{},
-		"e":           Emulation{},
-		"dyn":         Dynamic{},
-		"noSIMD":      AlwaysEfficient{},
-		"pinned-base": Pinned{M: cpu.ModeBase},
-		"pinned-E":    Pinned{M: cpu.ModeE},
-	}
-	for want, s := range names {
-		if got := s.Name(); got != want {
-			t.Errorf("Name() = %q, want %q", got, want)
-		}
 	}
 }

@@ -78,14 +78,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Cycles converts an instruction count to clock cycles using the trace IPC.
-func (t *Trace) Cycles(instructions uint64) float64 {
-	return float64(instructions) / t.IPC
-}
-
-// TotalCycles is the cycle count of the whole stream.
-func (t *Trace) TotalCycles() float64 { return t.Cycles(t.Total) }
-
 // Density returns interesting events per instruction (0 when empty).
 func (t *Trace) Density() float64 {
 	if t.Total == 0 {
@@ -115,24 +107,11 @@ func (t *Trace) Filter(keep func(Event) bool) *Trace {
 	return out
 }
 
-// FaultableOnly returns the sub-trace of events in the faultable set
-// (excluding hardened IMUL) — the events that raise #DO when disabled.
-func (t *Trace) FaultableOnly() *Trace {
-	return t.Filter(func(ev Event) bool { return ev.Op.IsFaultable() })
-}
-
 // WithoutSIMD models recompiling the workload without SSE/AVX (§5.8): all
 // SIMD events disappear from the stream. The instruction count change from
 // scalarisation is modelled by internal/workload, not here.
 func (t *Trace) WithoutSIMD() *Trace {
 	return t.Filter(func(ev Event) bool { return !ev.Op.IsSIMD() })
-}
-
-// Window returns the events with from <= Index < to.
-func (t *Trace) Window(from, to uint64) []Event {
-	lo := sort.Search(len(t.Events), func(i int) bool { return t.Events[i].Index >= from })
-	hi := sort.Search(len(t.Events), func(i int) bool { return t.Events[i].Index >= to })
-	return t.Events[lo:hi]
 }
 
 // Gaps returns the instruction-count gaps of the stream: the gap before
@@ -167,34 +146,6 @@ func (t *Trace) GapHistogram() []uint64 {
 		hist[b]++
 	}
 	return hist
-}
-
-// Merge combines several traces into one interleaved stream over the same
-// instruction index space, as when multiple event sources (e.g. different
-// opcodes recorded separately) belong to one execution. All inputs must
-// share Total and IPC. Duplicate indices are rejected.
-func Merge(name string, traces ...*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, errors.New("trace: Merge needs at least one trace")
-	}
-	out := &Trace{Name: name, Total: traces[0].Total, IPC: traces[0].IPC}
-	n := 0
-	for _, tr := range traces {
-		if tr.Total != out.Total || tr.IPC != out.IPC {
-			return nil, fmt.Errorf("trace: Merge mismatch: %q has total=%d ipc=%g, want total=%d ipc=%g",
-				tr.Name, tr.Total, tr.IPC, out.Total, out.IPC)
-		}
-		n += len(tr.Events)
-	}
-	out.Events = make([]Event, 0, n)
-	for _, tr := range traces {
-		out.Events = append(out.Events, tr.Events...)
-	}
-	sort.Slice(out.Events, func(i, j int) bool { return out.Events[i].Index < out.Events[j].Index })
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Stats summarises a trace for reporting.

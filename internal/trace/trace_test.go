@@ -94,14 +94,8 @@ func TestGapHistogram(t *testing.T) {
 	}
 }
 
-func TestCyclesAndDensity(t *testing.T) {
+func TestDensity(t *testing.T) {
 	tr := &Trace{Total: 1000, IPC: 2, Events: []Event{{1, isa.OpVOR}, {2, isa.OpVXOR}}}
-	if got := tr.Cycles(500); got != 250 {
-		t.Errorf("Cycles(500) = %v, want 250", got)
-	}
-	if got := tr.TotalCycles(); got != 500 {
-		t.Errorf("TotalCycles = %v, want 500", got)
-	}
 	if got := tr.Density(); got != 0.002 {
 		t.Errorf("Density = %v, want 0.002", got)
 	}
@@ -115,10 +109,6 @@ func TestFilterFamilies(t *testing.T) {
 	tr := &Trace{Total: 100, IPC: 1, Events: []Event{
 		{1, isa.OpIMUL}, {2, isa.OpAESENC}, {3, isa.OpVOR}, {4, isa.OpVPADDQ},
 	}}
-	f := tr.FaultableOnly()
-	if len(f.Events) != 3 {
-		t.Errorf("FaultableOnly kept %d events, want 3 (IMUL dropped)", len(f.Events))
-	}
 	ns := tr.WithoutSIMD()
 	// AESENC, VOR, VPADDQ are SIMD → only IMUL survives.
 	if len(ns.Events) != 1 || ns.Events[0].Op != isa.OpIMUL {
@@ -126,48 +116,6 @@ func TestFilterFamilies(t *testing.T) {
 	}
 	if ns.Total != tr.Total || ns.IPC != tr.IPC {
 		t.Error("Filter must preserve Total and IPC")
-	}
-}
-
-func TestWindow(t *testing.T) {
-	tr := mkTrace(t, 100, 5, 10, 20, 30)
-	got := tr.Window(10, 30)
-	if len(got) != 2 || got[0].Index != 10 || got[1].Index != 20 {
-		t.Errorf("Window(10,30) = %v", got)
-	}
-	if len(tr.Window(0, 5)) != 0 {
-		t.Error("Window before first event should be empty")
-	}
-	if len(tr.Window(0, 101)) != 4 {
-		t.Error("full Window should return all events")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := mkTrace(t, 100, 1, 10)
-	b := mkTrace(t, 100, 5, 50)
-	m, err := Merge("merged", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIdx := []uint64{1, 5, 10, 50}
-	for i, ev := range m.Events {
-		if ev.Index != wantIdx[i] {
-			t.Errorf("merged[%d].Index = %d, want %d", i, ev.Index, wantIdx[i])
-		}
-	}
-	// Mismatched totals rejected.
-	c := mkTrace(t, 200, 1)
-	if _, err := Merge("bad", a, c); err == nil {
-		t.Error("Merge with mismatched totals should fail")
-	}
-	// Duplicate indices rejected.
-	d := mkTrace(t, 100, 1)
-	if _, err := Merge("dup", a, d); err == nil {
-		t.Error("Merge with duplicate indices should fail")
-	}
-	if _, err := Merge("none"); err == nil {
-		t.Error("Merge with no traces should fail")
 	}
 }
 

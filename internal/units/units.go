@@ -6,7 +6,6 @@ package units
 
 import (
 	"fmt"
-	"time"
 )
 
 // Volt is an electric potential in volts.
@@ -63,21 +62,6 @@ func Milliseconds(ms float64) Second { return Second(ms * 1e-3) }
 // Microseconds reports the value in microseconds.
 func (s Second) Microseconds() float64 { return float64(s) * 1e6 }
 
-// Duration converts to time.Duration (nanosecond resolution, saturating).
-func (s Second) Duration() time.Duration {
-	ns := float64(s) * 1e9
-	switch {
-	case ns > float64(1<<63-1):
-		return time.Duration(1<<63 - 1)
-	case ns < -float64(1<<63-1):
-		return -time.Duration(1<<63 - 1)
-	}
-	return time.Duration(ns)
-}
-
-// FromDuration converts a time.Duration to Second.
-func FromDuration(d time.Duration) Second { return Second(d.Seconds()) }
-
 // String implements fmt.Stringer.
 func (s Second) String() string {
 	switch abs := max(float64(s), -float64(s)); {
@@ -103,9 +87,6 @@ func Energy(p Watt, dt Second) Joule { return Joule(float64(p) * float64(dt)) }
 
 // Power returns energy ÷ time.
 func Power(e Joule, dt Second) Watt { return Watt(float64(e) / float64(dt)) }
-
-// Cycles returns the number of clock cycles elapsed in dt at frequency f.
-func Cycles(f Hertz, dt Second) float64 { return float64(f) * float64(dt) }
 
 // TimeFor returns the duration of n cycles at frequency f.
 func TimeFor(n float64, f Hertz) Second { return Second(n / float64(f)) }
