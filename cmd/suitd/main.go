@@ -37,10 +37,10 @@
 //
 // Shutdown: SIGTERM/SIGINT starts a graceful drain — submissions are
 // refused, running sweeps get -drain-timeout to finish, then their
-// engine runs are cancelled. Completed scenario points are journaled
-// and cached throughout, so a restarted daemon given the same -state
-// dir resumes an interrupted sweep where it stopped and reproduces its
-// result byte-identically. A clean drain exits 0.
+// engine runs are cancelled. Completed scenario points are cached
+// throughout, so a restarted daemon given the same -state dir resumes
+// a resubmitted sweep where it stopped and reproduces its result
+// byte-identically. A clean drain exits 0.
 //
 // Exit codes: 0 after a clean drain, 1 usage or configuration error
 // (a missing -state, an unknown flag), 2 the listener failed.
@@ -90,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr         = fs.String("addr", ":8470", "listen address")
-		stateDir     = fs.String("state", "", "persistent state directory (scenario cache, result store, checkpoint journals); required")
+		stateDir     = fs.String("state", "", "persistent state directory (scenario cache and result store); required")
 		workers      = fs.Int("j", runtime.GOMAXPROCS(0), "engine scenario workers")
 		execJobs     = fs.Int("exec", 2, "jobs executed concurrently (they share the engine pool)")
 		queueDepth   = fs.Int("queue", 64, "admission queue capacity; submissions beyond it get 429 + Retry-After")
@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	if *stateDir == "" {
-		fmt.Fprintln(stderr, "suitd: -state is required: the daemon's cache, result store and journals live there")
+		fmt.Fprintln(stderr, "suitd: -state is required: the daemon's cache and result store live there")
 		return exitUsage
 	}
 
@@ -144,13 +144,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	select {
 	case <-ctx.Done():
 		// Graceful drain: stop accepting, let running sweeps finish
-		// inside the drain budget, then cancel — the journals and the
-		// scenario cache make the cancellation lossless.
+		// inside the drain budget, then cancel — the scenario cache
+		// makes the cancellation lossless.
 		fmt.Fprintf(stderr, "suitd: signal received, draining (timeout %s)\n", *drainTimeout)
 		drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
 		defer cancel()
 		if err := svc.Drain(drainCtx); err != nil {
-			fmt.Fprintln(stderr, "suitd: drain timeout hit; interrupted sweeps are journaled and will resume on restart")
+			fmt.Fprintln(stderr, "suitd: drain timeout hit; finished points of interrupted sweeps are cached for a resubmission after restart")
 		}
 		if err := server.Shutdown(drainCtx); err != nil {
 			server.Close()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"os/exec"
@@ -125,11 +126,12 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestVettoolProtocol builds the binary and drives it through the real
-// cmd/go vet-tool handshake (-V=full, then per-package .cfg files).
-// The package set deliberately spans fact edges — internal/cpu's hot
-// path calls into internal/isa and internal/power, whose facts reach it
-// through .vetx files — so the protocol's fact plumbing is exercised,
-// not just its diagnostics.
+// cmd/go vet-tool handshake (-V=full, then per-package .cfg files) over
+// the whole module, as CI does. The module spans fact edges — internal/
+// cpu's hot path calls into internal/isa and internal/power, whose facts
+// reach it through .vetx files — and cmd/go also runs the tool over the
+// standard library, so a vet run that disagrees with in-process suitlint
+// (clean by TestRepoIsLintClean) fails here.
 func TestVettoolProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and shells out to go vet")
@@ -138,8 +140,7 @@ func TestVettoolProtocol(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building suitlint: %v\n%s", err, out)
 	}
-	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"./internal/units/...", "./internal/isa/...", "./internal/power/...", "./internal/cpu/...")
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = "../.."
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet -vettool failed: %v\n%s", err, out)
@@ -178,7 +179,10 @@ func TestVettoolProtocol(t *testing.T) {
 // identifier under internal/ that no non-test file of the module or of
 // bench/ references: code that only its tests reach ships for nothing.
 // A declaration's references to itself (recursion, a method's receiver)
-// do not count. Exempt are the test-support packages, struct fields
+// do not count, nor do references to a type or its constants from the
+// type's own methods and typed constant specs, so an enum read only by
+// its own String is flagged; a used constant counts as a use of its
+// type. Exempt are the test-support packages, struct fields
 // (some are serialized results), a method that a called repo interface
 // method or a referenced marker interface dispatches to, and the
 // methods standard-library interfaces call implicitly.
@@ -190,7 +194,9 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 	used := make(map[string]bool)
 	var ifaces []*types.Named
 	for _, pkg := range pkgs {
-		// A reference inside its own object's declaration is no use.
+		// A reference inside its own object's declaration is no use, and
+		// neither is one to a type or its constants from the type's own
+		// methods or typed constant specs.
 		self := make(map[string][]ast.Node)
 		mark := func(obj types.Object, n ast.Node) {
 			self[exportKey(obj)] = append(self[exportKey(obj)], n)
@@ -202,12 +208,17 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 					fn := pkg.TypesInfo.Defs[d.Name].(*types.Func)
 					mark(fn, d)
 					if n := recvNamed(fn); n != nil {
-						mark(n.Obj(), d.Recv)
+						mark(n.Obj(), d)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok {
-							mark(pkg.TypesInfo.Defs[ts.Name], ts)
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							mark(pkg.TypesInfo.Defs[sp.Name], sp)
+						case *ast.ValueSpec:
+							if n, ok := pkg.TypesInfo.TypeOf(sp.Type).(*types.Named); ok && d.Tok == token.CONST {
+								mark(n.Obj(), sp)
+							}
 						}
 					}
 				}
@@ -219,12 +230,19 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 			if k == "" {
 				continue
 			}
-			for _, n := range self[k] {
+			owner := k // a constant belongs to its named type
+			if n, ok := obj.Type().(*types.Named); ok {
+				if _, isConst := obj.(*types.Const); isConst && exportKey(n.Obj()) != "" {
+					owner = exportKey(n.Obj())
+				}
+			}
+			for _, n := range append(self[k], self[owner]...) {
 				if n.Pos() <= id.Pos() && id.Pos() < n.End() {
 					continue uses
 				}
 			}
 			used[k] = true
+			used[owner] = true
 		}
 		scope := pkg.Pkg.Scope()
 		for _, name := range scope.Names() {

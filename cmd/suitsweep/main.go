@@ -19,11 +19,11 @@
 // -retries defaults to 1), -job-timeout arms a per-job watchdog,
 // -on-error=continue finishes the sweep past failures (failed points
 // are dropped from the ranking and their fingerprints listed on
-// stderr), and -resume continues an interrupted sweep from the
-// checkpoint journal kept next to the -cache directory.
+// stderr). An interrupted sweep re-run with the same -cache finds its
+// finished points there and computes only the rest.
 //
 // Exit codes: 0 success, 1 usage or environment error, 2 job failures,
-// 130 interrupted (checkpoint flushed; re-run with -resume).
+// 130 interrupted (finished points are in -cache; re-run to continue).
 //
 // Example:
 //
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
@@ -117,8 +116,7 @@ func sweep(chip dvfs.Chip, grid []strategy.Params, benches []workload.Benchmark,
 
 // Exit codes. Usage mistakes and environment failures exit 1; job
 // failures under -on-error=continue exit 2 so scripts can tell "you
-// called it wrong" from "some simulations died"; SIGINT exits 130
-// after flushing the checkpoint.
+// called it wrong" from "some simulations died"; SIGINT exits 130.
 const (
 	exitOK     = 0
 	exitUsage  = 1
@@ -140,7 +138,6 @@ func run() int {
 		retries    = flag.Int("retries", 0, "per-job retry budget for transient failures (same derived seed on every attempt)")
 		onError    = flag.String("on-error", "fail", "failure policy: 'fail' stops at the first failed job, 'continue' finishes the sweep and reports failures")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job watchdog timeout (0 disables)")
-		resume     = flag.Bool("resume", false, "resume an interrupted sweep from the checkpoint journal (requires -cache)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on exit, including SIGINT)")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -175,10 +172,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "bad -on-error %q: want 'fail' or 'continue'\n", *onError)
 		return exitUsage
 	}
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -cache: the checkpoint journal lives next to the result cache")
-		return exitUsage
-	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -192,21 +185,10 @@ func run() int {
 	}()
 
 	// SIGINT cancels the run context: dispatch stops, in-flight jobs
-	// finish and are checkpointed, and we report how to resume.
+	// finish and are cached, and we report how to resume.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	core.SetRunContext(ctx)
-
-	var cp *engine.Checkpoint
-	if *cacheDir != "" {
-		config := fmt.Sprintf("suitsweep chip=%s offset=%d instr=%d seed=%d", chip.Name, *offset, instr, *seed)
-		cp, err = engine.OpenCheckpoint(filepath.Join(*cacheDir, "suitsweep.journal"), config, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitUsage
-		}
-		defer cp.Close()
-	}
 
 	core.SetEngineOptions(engine.Options{
 		Workers:      *workers,
@@ -218,7 +200,6 @@ func run() int {
 		RetryBackoff: 100 * time.Millisecond,
 		Policy:       policy,
 		JobTimeout:   *jobTimeout,
-		Checkpoint:   cp,
 	})
 
 	grid := sweepGrid(chip)
@@ -233,7 +214,11 @@ func run() int {
 	results, failed, err := sweep(chip, grid, benches, *offset == 97, instr)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "suitsweep: interrupted — completed jobs are checkpointed; re-run with -resume to continue\n")
+			if *cacheDir != "" {
+				fmt.Fprintf(os.Stderr, "suitsweep: interrupted — completed jobs are cached; re-run with the same -cache to continue\n")
+			} else {
+				fmt.Fprintf(os.Stderr, "suitsweep: interrupted — nothing was kept; run with -cache to make a re-run continue\n")
+			}
 			fmt.Fprintf(os.Stderr, "suitsweep: partial stats: %s\n", core.EngineStats())
 			return exitSignal
 		}

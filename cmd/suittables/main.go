@@ -18,8 +18,8 @@
 // the failed scenario fingerprints when the engine reports them), and
 // the process exits 2. A paper cell outside its band with no recorded
 // deviation, or a deviation whose claimed shape does not hold, is a
-// failure too. Usage errors exit 1; SIGINT checkpoints completed jobs
-// (with -cache) and exits 130.
+// failure too. Usage errors exit 1; SIGINT exits 130, and a re-run with
+// the same -cache computes only the jobs the interrupted run left.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -107,7 +106,6 @@ func run() int {
 		retries    = flag.Int("retries", 0, "per-job retry budget for transient failures (same derived seed on every attempt)")
 		onError    = flag.String("on-error", "fail", "engine failure policy: 'fail' stops a sweep at the first failed job, 'continue' finishes it and reports failures")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job watchdog timeout (0 disables)")
-		resume     = flag.Bool("resume", false, "resume interrupted experiments from the checkpoint journal (requires -cache)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on exit, including SIGINT)")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file (flushed on exit, including SIGINT)")
 	)
@@ -123,10 +121,6 @@ func run() int {
 		policy = engine.Collect
 	default:
 		fmt.Fprintf(os.Stderr, "bad -on-error %q: want 'fail' or 'continue'\n", *onError)
-		return exitUsage
-	}
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -cache: the checkpoint journal lives next to the result cache")
 		return exitUsage
 	}
 
@@ -145,18 +139,6 @@ func run() int {
 	defer stop()
 	core.SetRunContext(ctx)
 
-	var cp *engine.Checkpoint
-	if *cacheDir != "" {
-		config := fmt.Sprintf("suittables seed=%d quick=%t", *seed, *quick)
-		var err error
-		cp, err = engine.OpenCheckpoint(filepath.Join(*cacheDir, "suittables.journal"), config, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitUsage
-		}
-		defer cp.Close()
-	}
-
 	core.SetEngineOptions(engine.Options{
 		Workers:      *workers,
 		BaseSeed:     *seed,
@@ -167,7 +149,6 @@ func run() int {
 		RetryBackoff: 100 * time.Millisecond,
 		Policy:       policy,
 		JobTimeout:   *jobTimeout,
-		Checkpoint:   cp,
 	})
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -184,7 +165,11 @@ func run() int {
 	cells, failed, err := runExperiments(ctx, torun, newCfg(*quick, *seed), os.Stdout, os.Stderr, *outDir)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "suittables: interrupted — completed jobs are checkpointed; re-run with -resume to continue\n")
+			if *cacheDir != "" {
+				fmt.Fprintf(os.Stderr, "suittables: interrupted — completed jobs are cached; re-run with the same -cache to continue\n")
+			} else {
+				fmt.Fprintf(os.Stderr, "suittables: interrupted — nothing was kept; run with -cache to make a re-run continue\n")
+			}
 			fmt.Fprintf(os.Stderr, "suittables: partial stats: %s\n", core.EngineStats())
 			return exitSignal
 		}

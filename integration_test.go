@@ -24,8 +24,8 @@ import (
 
 // TestEndToEndProgramPipeline runs the full path: generate the nginx
 // trace, persist and reload it in the binary format tracegen writes,
-// execute it under SUIT with functional emulation, and verify the
-// security invariant.
+// execute it under SUIT's Dynamic strategy (which emulates isolated
+// traps), and verify the security invariant.
 func TestEndToEndProgramPipeline(t *testing.T) {
 	recorded, err := workload.Nginx().GenerateTrace(10_000_000, 1)
 	if err != nil {
@@ -59,15 +59,14 @@ func TestEndToEndProgramPipeline(t *testing.T) {
 	chip := dvfs.XeonSilver4208()
 	gb := guardband.Default()
 	m, err := cpu.New(cpu.Config{
-		Chip:             chip,
-		Traces:           []*trace.Trace{loaded},
-		Offset:           gb.EfficientOffset(isa.FaultableMask, true, true),
-		Faults:           gb,
-		HardenedIMUL:     true,
-		ExceptionDelay:   chip.ExceptionDelay,
-		Emul:             emul.NewCostModel(chip.EmulCallDelay),
-		ExecuteEmulation: true,
-		Seed:             1,
+		Chip:           chip,
+		Traces:         []*trace.Trace{loaded},
+		Offset:         gb.EfficientOffset(isa.FaultableMask, true, true),
+		Faults:         gb,
+		HardenedIMUL:   true,
+		ExceptionDelay: chip.ExceptionDelay,
+		Emul:           emul.NewCostModel(chip.EmulCallDelay),
+		Seed:           1,
 	}, strategy.Dynamic{P: strategy.ParamsAC()})
 	if err != nil {
 		t.Fatal(err)

@@ -116,11 +116,17 @@ func run(cfgPath string, analyzers []*analysis.Analyzer) (int, error) {
 	}
 
 	// Revive dependency facts. Iterate sorted so a (hypothetical) decode
-	// conflict resolves the same way on every run.
+	// conflict resolves the same way on every run. Standard-library
+	// facts are skipped: cmd/go runs the tool over std dependencies in
+	// VetxOnly mode, but the in-process loader (analysis/load) never
+	// analyzes std, and both ways of running suitlint must agree.
 	session := analysis.NewSession(analyzers)
 	session.ReportStale = true
 	depPaths := make([]string, 0, len(cfg.PackageVetx))
 	for p := range cfg.PackageVetx {
+		if cfg.Standard[p] {
+			continue
+		}
 		depPaths = append(depPaths, p)
 	}
 	sort.Strings(depPaths)

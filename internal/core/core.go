@@ -118,22 +118,24 @@ func familyOf(chip dvfs.Chip) workload.CPUFamily {
 	return workload.Intel
 }
 
-// imulCache memoises the per-benchmark hardened-IMUL slowdown: the
-// out-of-order study is deterministic per mix.
-var imulCache sync.Map // string → float64
+// imulCache memoises the hardened-IMUL slowdown by mix key: the
+// out-of-order study is deterministic per mix, and two benchmarks may
+// share a name but not a mix.
+var imulCache sync.Map // [2]uint64 → float64
 
 // IMULOverheadFor returns the §6.1 slowdown of the 4-cycle IMUL for the
 // benchmark, computed with the out-of-order model (Fig 14).
 func IMULOverheadFor(b workload.Benchmark) (float64, error) {
-	if v, ok := imulCache.Load(b.Name); ok {
+	key := imulMixKey(b)
+	if v, ok := imulCache.Load(key); ok {
 		return v.(float64), nil
 	}
-	if bits, ok := imulBaked[imulMixKey(b)]; ok {
+	if bits, ok := imulBaked[key]; ok {
 		// Constant-folded study result for a shipped mix (see
 		// imultable.go); bit-identical to the live computation below by
 		// the table's guard test.
 		s := math.Float64frombits(bits)
-		imulCache.Store(b.Name, s)
+		imulCache.Store(key, s)
 		return s, nil
 	}
 	s, err := uarch.Slowdown(uarch.DefaultConfig(), b.Mix(), 200_000, 1, 4)
@@ -143,7 +145,7 @@ func IMULOverheadFor(b workload.Benchmark) (float64, error) {
 	if s < 0 {
 		s = 0 // sampling noise cannot make the longer IMUL faster
 	}
-	imulCache.Store(b.Name, s)
+	imulCache.Store(key, s)
 	return s, nil
 }
 

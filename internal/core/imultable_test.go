@@ -44,26 +44,30 @@ func TestIMULTableMatchesLiveStudy(t *testing.T) {
 }
 
 // TestIMULOverheadForCustomMixFallsThrough ensures a mix that is not in
-// the baked table still takes the live computation path.
+// the baked table still takes the live computation path, and that the
+// memo is keyed by the mix: two benchmarks that share a name but not a
+// mix each get their own study.
 func TestIMULOverheadForCustomMixFallsThrough(t *testing.T) {
-	b := workload.Nginx()
-	b.Name = "custom-imul-test"
-	b.IMULFraction = 0.0123 // not a shipped value: misses the baked table
-	if _, ok := imulBaked[imulMixKey(b)]; ok {
-		t.Fatal("test premise broken: custom mix unexpectedly present in baked table")
-	}
-	got, err := IMULOverheadFor(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := uarch.Slowdown(uarch.DefaultConfig(), b.Mix(), 200_000, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want < 0 {
-		want = 0
-	}
-	if got != want {
-		t.Errorf("custom mix: IMULOverheadFor %g != live study %g", got, want)
+	for _, frac := range []float64{0.0123, 0.0456} { // not shipped values: miss the baked table
+		b := workload.Nginx()
+		b.Name = "same-name"
+		b.IMULFraction = frac
+		if _, ok := imulBaked[imulMixKey(b)]; ok {
+			t.Fatal("test premise broken: custom mix unexpectedly present in baked table")
+		}
+		got, err := IMULOverheadFor(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := uarch.Slowdown(uarch.DefaultConfig(), b.Mix(), 200_000, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want < 0 {
+			want = 0
+		}
+		if got != want {
+			t.Errorf("IMULFraction %g: IMULOverheadFor %g != live study %g", frac, got, want)
+		}
 	}
 }

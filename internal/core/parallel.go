@@ -90,9 +90,9 @@ func getEngine() *engine.Engine[Scenario, Outcome] {
 
 // SetRunContext installs the context every subsequent RunAll runs
 // under, letting commands tie sweeps to signal handling: cancelling it
-// (e.g. on SIGINT) stops dispatch, flushes the checkpoint journal
-// through the engine's per-job records, and returns partial results
-// plus the context error. nil restores context.Background().
+// (e.g. on SIGINT) stops dispatch and returns partial results plus the
+// context error; finished jobs are already in the disk cache, if one
+// is configured. nil restores context.Background().
 func SetRunContext(ctx context.Context) {
 	engMu.Lock()
 	defer engMu.Unlock()

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"suit/internal/emul"
 
 	"suit/internal/dvfs"
 	"suit/internal/isa"
@@ -143,15 +142,6 @@ func (c controller) Emulate(op isa.Opcode) {
 	d := m.domainOf(m.handlerCore)
 	cost := m.cfg.Emul.Time(op, d.freq)
 	m.handlerTime += cost
-	if m.cfg.ExecuteEmulation {
-		// Functionally execute the replacement: the machine refuses to
-		// pretend an emulation exists that internal/emul cannot perform.
-		a := emul.Vec128{Lo: uint64(co.idx)*0x9e3779b97f4a7c15 + 1, Hi: uint64(co.id) + 0xabcdef}
-		b := emul.Vec128{Lo: a.Hi ^ 0x5555555555555555, Hi: a.Lo}
-		if _, err := emul.Emulate(op, a, b, uint8(co.idx)); err != nil {
-			panic(fmt.Sprintf("cpu: emulation of %v failed: %v", op, err))
-		}
-	}
 	// The instruction is resolved in software: consume it.
 	if co.retry {
 		co.retry = false

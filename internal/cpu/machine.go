@@ -136,13 +136,6 @@ type Config struct {
 	// stepping.
 	TrustedTraces bool
 
-	// ExecuteEmulation runs the actual software replacement from
-	// internal/emul for every emulated trap (on deterministic synthetic
-	// operands) instead of only charging its cost — proving each trapped
-	// opcode really has a working emulation. Expensive for emulation-
-	// heavy runs; intended for verification passes.
-	ExecuteEmulation bool
-
 	// Ablation hooks (not part of the SUIT design; used to quantify the
 	// design decisions of §4):
 	//

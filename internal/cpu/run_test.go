@@ -317,21 +317,20 @@ func TestStateSampling(t *testing.T) {
 	}
 }
 
-func TestExecuteEmulationRunsRealReplacements(t *testing.T) {
-	// Every faultable opcode trapped under the emulation strategy gets
-	// its software replacement actually executed.
+func TestEmulationResolvesEveryFaultableOpcode(t *testing.T) {
+	// Every faultable opcode trapped under the emulation strategy is
+	// resolved in software, without a fault. That each has a working
+	// replacement is emul.TestEmulateDispatch's check.
 	tr := &trace.Trace{Name: "all-ops", Total: 10_000_000, IPC: 2}
 	for i, op := range isa.Faultable() {
 		tr.Events = append(tr.Events, trace.Event{Index: uint64(i+1) * 100_000, Op: op})
 	}
-	cfg := testConfig(tr)
-	cfg.ExecuteEmulation = true
-	res := runWith(t, cfg, emulAll{})
+	res := runWith(t, testConfig(tr), emulAll{})
 	if res.Emulated != len(isa.Faultable()) {
 		t.Errorf("emulated %d of %d opcodes", res.Emulated, len(isa.Faultable()))
 	}
 	if len(res.Faults) != 0 {
-		t.Error("functional emulation run faulted")
+		t.Error("emulation run faulted")
 	}
 }
 

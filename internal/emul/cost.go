@@ -7,12 +7,14 @@ import (
 	"suit/internal/units"
 )
 
-// Emulate dispatches one disabled instruction to its software replacement.
+// emulate dispatches one disabled instruction to its software replacement.
 // imm carries the immediate operand where the instruction has one
 // (VPCLMULQDQ source selector, VPSRAD shift count). It returns an error
 // for opcodes that have no emulation (IMUL is hardened in hardware and
-// never trapped; background opcodes never trap).
-func Emulate(op isa.Opcode, a, b Vec128, imm uint8) (Vec128, error) {
+// never trapped; background opcodes never trap). The simulator charges
+// an emulation's cost (CostModel) without executing it; TestEmulateDispatch
+// holds this table to every faultable opcode.
+func emulate(op isa.Opcode, a, b Vec128, imm uint8) (Vec128, error) {
 	switch op {
 	case isa.OpVOR:
 		return VOR(a, b), nil

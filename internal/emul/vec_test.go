@@ -240,27 +240,27 @@ func TestEmulateDispatch(t *testing.T) {
 	a := Vec128{0xF0, 0x0F}
 	b := Vec128{0x0F, 0xF0}
 	for _, op := range isa.Faultable() {
-		got, err := Emulate(op, a, b, 0)
+		got, err := emulate(op, a, b, 0)
 		if err != nil {
-			t.Errorf("Emulate(%v) failed: %v", op, err)
+			t.Errorf("emulate(%v) failed: %v", op, err)
 			continue
 		}
 		_ = got
 	}
 	// Spot-check dispatch correctness.
-	if got, _ := Emulate(isa.OpVOR, a, b, 0); got != VOR(a, b) {
+	if got, _ := emulate(isa.OpVOR, a, b, 0); got != VOR(a, b) {
 		t.Error("VOR dispatch wrong")
 	}
-	if got, _ := Emulate(isa.OpAESENC, a, b, 0); got != AESENC(a, b) {
+	if got, _ := emulate(isa.OpAESENC, a, b, 0); got != AESENC(a, b) {
 		t.Error("AESENC dispatch wrong")
 	}
-	if got, _ := Emulate(isa.OpVPSRAD, a, b, 4); got != VPSRAD(a, 4) {
+	if got, _ := emulate(isa.OpVPSRAD, a, b, 4); got != VPSRAD(a, 4) {
 		t.Error("VPSRAD dispatch must use imm as shift count")
 	}
 	// Non-emulatable opcodes error.
 	for _, op := range []isa.Opcode{isa.OpIMUL, isa.OpALU, isa.OpNop} {
-		if _, err := Emulate(op, a, b, 0); err == nil {
-			t.Errorf("Emulate(%v) should fail", op)
+		if _, err := emulate(op, a, b, 0); err == nil {
+			t.Errorf("emulate(%v) should fail", op)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -243,97 +242,6 @@ func TestDecodeEntryRejectsMissingSum(t *testing.T) {
 	}{Key: key, Result: raw})
 	if _, ok, corrupt := decodeEntry[testResult](legacy, key); ok || !corrupt {
 		t.Errorf("digest-less entry: ok=%v corrupt=%v, want miss+corrupt", ok, corrupt)
-	}
-}
-
-func TestCheckpointJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	cp, err := OpenCheckpoint(path, "cfg=1", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Record("a")
-	cp.Record("b")
-	cp.Record("a") // idempotent
-	if cp.Completed() != 2 {
-		t.Fatalf("Completed = %d, want 2", cp.Completed())
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume with the same config loads the completed set.
-	re, err := OpenCheckpoint(path, "cfg=1", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Completed() != 2 || !re.Done("a") || !re.Done("b") || re.Done("c") {
-		t.Fatalf("resumed journal wrong: completed=%d", re.Completed())
-	}
-	re.Record("c")
-	re.Close()
-
-	// A different config must refuse to resume.
-	if _, err := OpenCheckpoint(path, "cfg=2", true); err == nil ||
-		!strings.Contains(err.Error(), "different run configuration") {
-		t.Fatalf("config mismatch accepted: %v", err)
-	}
-
-	// Without resume the journal restarts.
-	fresh, err := OpenCheckpoint(path, "cfg=2", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Completed() != 0 || fresh.Done("a") {
-		t.Error("truncating open kept old entries")
-	}
-	fresh.Close()
-}
-
-func TestCheckpointTornTailLineIgnored(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	cp, err := OpenCheckpoint(path, "cfg", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Record("a")
-	cp.Close()
-	// Simulate a SIGKILL mid-append: a half-written (non-hex-32) line.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("deadbeef")
-	f.Close()
-
-	re, err := OpenCheckpoint(path, "cfg", true)
-	if err != nil {
-		t.Fatalf("torn tail line broke resume: %v", err)
-	}
-	defer re.Close()
-	if re.Completed() != 1 || !re.Done("a") {
-		t.Errorf("completed=%d after torn line, want 1", re.Completed())
-	}
-}
-
-func TestCheckpointRejectsForeignFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	if err := os.WriteFile(path, []byte("this is not a journal\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path, "cfg", true); err == nil {
-		t.Fatal("foreign file accepted as a checkpoint journal")
-	}
-}
-
-func TestNilCheckpointIsInert(t *testing.T) {
-	var cp *Checkpoint
-	cp.Record("a")
-	if cp.Done("a") || cp.Completed() != 0 {
-		t.Error("nil checkpoint not inert")
-	}
-	if err := cp.Close(); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -188,15 +187,14 @@ func TestChaosRetriedRunIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosCheckpointResume kills a sweep mid-run and resumes it: the
-// final output must be byte-identical to an uninterrupted run, with
-// only the unfinished jobs recomputed.
-func TestChaosCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "journal")
-	cacheDir := filepath.Join(dir, "cache")
+// TestChaosInterruptedSweepResumesFromCache kills a sweep mid-run and
+// re-runs it on the same cache directory: the output must be
+// byte-identical to an uninterrupted run, every job the first run
+// finished must come back as a disk hit, only the rest may run, and
+// every job, hit or run, reports progress once.
+func TestChaosInterruptedSweepResumesFromCache(t *testing.T) {
+	cacheDir := t.TempDir()
 	in := chaosSpecs(40)
-	const config = "chaos-resume chip=C seed=7"
 
 	// Reference: one uninterrupted run, no cache involved.
 	ref := engine.New(chaosKey, chaosCompute, engine.Options{Workers: 4, BaseSeed: 7})
@@ -206,10 +204,6 @@ func TestChaosCheckpointResume(t *testing.T) {
 	}
 
 	// First run: killed (context cancelled, like SIGINT) after ~10 jobs.
-	cp, err := engine.OpenCheckpoint(journal, config, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls1 atomic.Int64
 	counting1 := func(c context.Context, s chaosSpec, seed uint64) (chaosResult, error) {
@@ -218,37 +212,24 @@ func TestChaosCheckpointResume(t *testing.T) {
 		}
 		return chaosCompute(c, s, seed)
 	}
-	e1 := engine.New(chaosKey, counting1, engine.Options{
-		Workers: 4, BaseSeed: 7, CacheDir: cacheDir, Checkpoint: cp,
-	})
+	e1 := engine.New(chaosKey, counting1, engine.Options{Workers: 4, BaseSeed: 7, CacheDir: cacheDir})
 	if _, err := e1.Run(ctx, in); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
-	cp.Close()
-	finished := cp.Completed()
-	if finished == 0 || finished >= len(in) {
+	finished := e1.Stats().Ran
+	if finished == 0 || finished >= int64(len(in)) {
 		t.Fatalf("interruption finished %d jobs, want a strict partial", finished)
 	}
 
-	// Second run: -resume. Journal must load, config must match, and
-	// only the unfinished jobs may recompute.
-	cp2, err := engine.OpenCheckpoint(journal, config, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if cp2.Completed() != finished {
-		t.Fatalf("resume loaded %d completions, journal had %d", cp2.Completed(), finished)
-	}
+	// Second run: same cache, fresh engine (a new process).
 	var calls2 atomic.Int64
 	counting2 := func(c context.Context, s chaosSpec, seed uint64) (chaosResult, error) {
 		calls2.Add(1)
 		return chaosCompute(c, s, seed)
 	}
-	e2 := engine.New(chaosKey, counting2, engine.Options{
-		Workers: 4, BaseSeed: 7, CacheDir: cacheDir, Checkpoint: cp2,
-	})
-	got, err := e2.Run(context.Background(), in)
+	e2 := engine.New(chaosKey, counting2, engine.Options{Workers: 4, BaseSeed: 7, CacheDir: cacheDir})
+	var resolved atomic.Int64
+	got, err := e2.RunProgress(context.Background(), in, func() { resolved.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,25 +237,20 @@ func TestChaosCheckpointResume(t *testing.T) {
 	wantJSON, _ := json.Marshal(want)
 	gotJSON, _ := json.Marshal(got)
 	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatal("resumed output is not byte-identical to the uninterrupted run")
+		t.Fatal("re-run output is not byte-identical to the uninterrupted run")
 	}
 	st := e2.Stats()
-	if st.Resumed != int64(finished) {
-		t.Errorf("Resumed = %d, want %d", st.Resumed, finished)
+	if st.DiskHits != finished {
+		t.Errorf("re-run served %d jobs from disk, the interrupted run finished %d", st.DiskHits, finished)
 	}
 	if st.Ran+st.DiskHits != int64(len(in)) {
-		t.Errorf("resume accounting broken: %+v", st)
+		t.Errorf("re-run accounting broken: %+v", st)
 	}
-	if int(calls2.Load()) != len(in)-int(st.DiskHits) {
-		t.Errorf("resume recomputed %d jobs, want only the %d unfinished ones",
-			calls2.Load(), len(in)-int(st.DiskHits))
+	if calls2.Load() != st.Ran {
+		t.Errorf("job function ran %d times, Stats.Ran = %d", calls2.Load(), st.Ran)
 	}
-	if st.DiskHits < int64(finished) {
-		t.Errorf("resume served %d jobs from cache, journal promised at least %d", st.DiskHits, finished)
-	}
-	// The journal is now complete: a third resume computes nothing.
-	if cp2.Completed() != len(in) {
-		t.Errorf("journal records %d completions after resume, want %d", cp2.Completed(), len(in))
+	if resolved.Load() != int64(len(in)) {
+		t.Errorf("re-run reported %d jobs resolved, want %d", resolved.Load(), len(in))
 	}
 }
 

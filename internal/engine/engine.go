@@ -15,9 +15,12 @@
 //   - a progress/throughput reporter (jobs done, jobs/s, ETA) on stderr;
 //   - a resilience layer: per-job panic containment, bounded retries
 //     with deterministic fingerprint-derived backoff, a per-job watchdog
-//     timeout, a Collect failure policy that finishes the sweep and
-//     reports failed specs by fingerprint, and a checkpoint journal so
-//     an interrupted sweep resumes where it left off.
+//     timeout, and a Collect failure policy that finishes the sweep and
+//     reports failed specs by fingerprint.
+//
+// The disk cache is also the resume record: an interrupted sweep re-run
+// with the same cache directory finds its finished jobs there and
+// recomputes only the rest.
 //
 // Results come back in spec order regardless of completion order, which
 // together with the seed contract makes engine output a pure function of
@@ -92,7 +95,7 @@ func (p FailurePolicy) String() string {
 
 // Options configures an Engine. The zero value is usable: GOMAXPROCS
 // workers, base seed 0, no disk cache, no retries, fail-fast, no
-// timeout, no checkpoint, no progress output.
+// timeout, no progress output.
 type Options struct {
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -123,9 +126,6 @@ type Options struct {
 	// the watchdog cancels the attempt's context and records a
 	// *TimeoutError. 0 disables the watchdog.
 	JobTimeout time.Duration
-	// Checkpoint, when non-nil, journals every completed fingerprint so
-	// an interrupted sweep can be resumed (see OpenCheckpoint).
-	Checkpoint *Checkpoint
 }
 
 // Stats counts the engine's work since creation. Jobs is the number of
@@ -148,9 +148,6 @@ type Stats struct {
 	// Quarantined counts corrupt on-disk cache entries that were set
 	// aside and recomputed.
 	Quarantined int64
-	// Resumed counts unique jobs that a checkpoint journal already
-	// recorded as complete when Run started.
-	Resumed int64
 	// Coalesced counts jobs that were served by another Run call's
 	// in-flight or just-finished execution instead of running themselves
 	// — the single-flight dedup that makes N concurrent identical
@@ -191,9 +188,6 @@ func (s Stats) String() string {
 	}
 	if s.Quarantined > 0 {
 		out += fmt.Sprintf(", %d cache entries quarantined", s.Quarantined)
-	}
-	if s.Resumed > 0 {
-		out += fmt.Sprintf(", %d resumed from checkpoint", s.Resumed)
 	}
 	if s.Coalesced > 0 {
 		out += fmt.Sprintf(", %d coalesced in flight", s.Coalesced)
@@ -288,21 +282,21 @@ type job[S any] struct {
 // sweep finishes and failures come back as a *RunError alongside the
 // partial results (failed indices hold the zero R). Cancelling ctx
 // stops dispatching (in-flight jobs finish first) and returns the
-// partial results plus ctx.Err(); completed jobs are already cached and
-// checkpointed, so a resumed run recomputes only what is missing. Run
-// never leaks goroutines on its own: all workers have exited by the
-// time it returns (only a job that ignores its context after the
-// watchdog fired can leave its computation behind).
+// partial results plus ctx.Err(); completed jobs are already cached, so
+// a re-run with the same cache directory recomputes only what is
+// missing. Run never leaks goroutines on its own: all workers have
+// exited by the time it returns (only a job that ignores its context
+// after the watchdog fired can leave its computation behind).
 func (e *Engine[S, R]) Run(ctx context.Context, specs []S) ([]R, error) {
-	return e.RunCheckpointed(ctx, specs, e.opts.Checkpoint)
+	return e.RunProgress(ctx, specs, func() {})
 }
 
-// RunCheckpointed is Run with a per-call checkpoint journal overriding
-// Options.Checkpoint (nil runs without one). A long-lived engine shared
-// by many independent sweeps — the suitd daemon — journals each sweep
-// into its own file this way, so one interrupted sweep resumes without
-// conflating its progress with its neighbours'.
-func (e *Engine[S, R]) RunCheckpointed(ctx context.Context, specs []S, cp *Checkpoint) ([]R, error) {
+// RunProgress is Run that calls resolved once per unique fingerprint of
+// specs when its result is known: a memo or disk hit, or the success of
+// this call's own or a coalesced execution. A long-lived engine shared
+// by many sweeps — the suitd daemon — counts each sweep's progress this
+// way. resolved may be called from several goroutines at once.
+func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func()) ([]R, error) {
 	start := time.Now() //lint:allow determinism wall-clock only feeds Stats.Elapsed and the progress reporter, never results
 	results := make([]R, len(specs))
 
@@ -330,22 +324,16 @@ func (e *Engine[S, R]) RunCheckpointed(ctx context.Context, specs []S, cp *Check
 		}
 	}
 
-	// Resolve the memo layers before spinning up workers. A checkpoint
-	// journal entry means a previous run completed the job: its result
-	// normally arrives via the disk cache; if the cache entry is gone or
-	// was quarantined the job is simply recomputed.
+	// Resolve the memo layers before spinning up workers.
 	var pending []*job[S]
-	var memHits, diskHits, resumed int64
+	var memHits, diskHits int64
 	for _, j := range order {
-		if cp.Done(j.key) {
-			resumed++
-		}
 		e.mu.Lock()
 		r, ok := e.memo[j.key]
 		e.mu.Unlock()
 		if ok {
 			fill(j, r)
-			cp.Record(j.key)
+			resolved()
 			memHits++
 			continue
 		}
@@ -354,7 +342,7 @@ func (e *Engine[S, R]) RunCheckpointed(ctx context.Context, specs []S, cp *Check
 			e.memo[j.key] = r
 			e.mu.Unlock()
 			fill(j, r)
-			cp.Record(j.key)
+			resolved()
 			diskHits++
 			continue
 		}
@@ -412,9 +400,8 @@ func (e *Engine[S, R]) RunCheckpointed(ctx context.Context, specs []S, cp *Check
 					// The leader already persisted a shared result.
 					e.diskPut(j.key, r)
 				}
-				// Journal into this call's checkpoint even when the
-				// execution was shared: the leader only journals its own.
-				cp.Record(j.key)
+				// A shared execution resolves this call's job too.
+				resolved()
 				fill(j, r)
 				done.Add(1)
 			}
@@ -437,7 +424,6 @@ feed:
 	e.stats.Unique += int64(len(order))
 	e.stats.MemHits += memHits
 	e.stats.DiskHits += diskHits
-	e.stats.Resumed += resumed
 	e.stats.Failed += int64(len(failures))
 	e.stats.Elapsed += time.Since(start) //lint:allow determinism Stats.Elapsed is operator telemetry, not a result
 	e.mu.Unlock()
@@ -447,7 +433,7 @@ feed:
 	}
 	if err := ctx.Err(); err != nil {
 		// Partial results: every completed index is filled, and the
-		// caches/checkpoint already hold the finished jobs.
+		// caches already hold the finished jobs.
 		return results, err
 	}
 	if len(failures) > 0 {

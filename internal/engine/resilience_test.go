@@ -278,7 +278,7 @@ func TestRetryDelayDeterministic(t *testing.T) {
 }
 
 // TestCancellationReturnsPartialResults: aborting mid-sweep returns the
-// completed prefix so callers (and the checkpoint) keep finished work.
+// completed prefix so callers (and the disk cache) keep finished work.
 func TestCancellationReturnsPartialResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64

@@ -166,53 +166,57 @@ func TestSingleFlightFollowerCancellation(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointedPerCallJournal: two sweeps sharing one engine
-// journal into separate checkpoints, and a coalesced completion is
-// recorded in the follower's journal too.
-func TestRunCheckpointedPerCallJournal(t *testing.T) {
-	dir := t.TempDir()
-	cpA, err := OpenCheckpoint(dir+"/a.journal", "sweep-a", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cpA.Close()
-	cpB, err := OpenCheckpoint(dir+"/b.journal", "sweep-b", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cpB.Close()
-
+// TestRunProgressCountsPerCall: two overlapping RunProgress calls on
+// one engine each count their own unique fingerprints — an in-batch
+// duplicate once, and a job the other call executed, whether it was
+// still in flight (coalesced) or already memoized.
+func TestRunProgressCountsPerCall(t *testing.T) {
+	yStarted, zStarted := make(chan struct{}), make(chan struct{})
+	release := make(chan struct{})
 	eng := New(
 		func(s string) string { return s },
 		func(ctx context.Context, spec string, seed uint64) (string, error) {
+			switch spec {
+			case "y":
+				close(yStarted)
+				<-release // hold "y" in flight until call B has queued it
+			case "z":
+				close(zStarted)
+			}
 			return "r:" + spec, nil
 		},
 		Options{Workers: 2},
 	)
-	if _, err := eng.RunCheckpointed(context.Background(), []string{"x", "y"}, cpA); err != nil {
-		t.Fatal(err)
+	var a, b, c atomic.Int64
+	errs := make(chan error, 2)
+	run := func(specs []string, n *atomic.Int64) {
+		_, err := eng.RunProgress(context.Background(), specs, func() { n.Add(1) })
+		errs <- err
 	}
-	// Second sweep overlaps on "y" (memo hit) and adds "z".
-	if _, err := eng.RunCheckpointed(context.Background(), []string{"y", "z"}, cpB); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []struct {
-		cp   *Checkpoint
-		keys []string
-	}{
-		{cpA, []string{"x", "y"}},
-		{cpB, []string{"y", "z"}},
-	} {
-		for _, k := range want.keys {
-			if !want.cp.Done(k) {
-				t.Errorf("checkpoint %s missing key %q", want.cp.path, k)
-			}
-		}
-		if got := want.cp.Completed(); got != 2 {
-			t.Errorf("checkpoint %s Completed = %d, want 2", want.cp.path, got)
+	go run([]string{"x", "y", "x"}, &a)
+	<-yStarted
+	go run([]string{"y", "z"}, &b)
+	<-zStarted // B's workers run, so B found "y" neither memoized nor done
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
-	if cpA.Done("z") {
-		t.Error("sweep A's journal recorded sweep B's job")
+	// C is served entirely from the memo: "x" from A, "z" from B.
+	run([]string{"z", "x", "z"}, &c)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []struct {
+		name string
+		n    int64
+	}{{"A", a.Load()}, {"B", b.Load()}, {"C", c.Load()}} {
+		if got.n != 2 {
+			t.Errorf("call %s resolved %d fingerprints, want 2", got.name, got.n)
+		}
+	}
+	if st := eng.Stats(); st.Ran != 3 || st.Coalesced != 1 {
+		t.Errorf("Stats.Ran = %d, Coalesced = %d; want 3 (x, y, z once each) and 1 (B's y)", st.Ran, st.Coalesced)
 	}
 }

@@ -148,14 +148,14 @@ func (j *Job) setRunning() {
 	j.publishLocked()
 }
 
-// setProgress updates the completed-point counter.
-func (j *Job) setProgress(done int) {
+// advance counts one more resolved scenario point.
+func (j *Job) advance() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if done == j.done || j.isTerminalLocked() {
+	if j.isTerminalLocked() {
 		return
 	}
-	j.done = done
+	j.done++
 	j.publishLocked()
 }
 

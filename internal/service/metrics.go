@@ -40,7 +40,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"suitd_engine_timeouts_total", "Scenario attempts killed by the watchdog.", "counter", float64(st.TimedOut)},
 		{"suitd_engine_panics_total", "Scenario attempts that panicked and were contained.", "counter", float64(st.Panicked)},
 		{"suitd_engine_quarantined_total", "Corrupt cache entries quarantined.", "counter", float64(st.Quarantined)},
-		{"suitd_engine_resumed_total", "Scenarios already journaled as complete when their run started.", "counter", float64(st.Resumed)},
 		{"suitd_engine_cache_hit_rate", "Fraction of unique scenarios served from a cache layer.", "gauge", st.HitRate()},
 		{"suitd_engine_run_seconds_total", "Wall-clock seconds spent inside engine runs.", "counter", st.Elapsed.Seconds()},
 		{"suitd_engine_throughput_scenarios_per_second", "Simulated scenarios per second of engine run time.", "gauge", st.Throughput()},

@@ -21,8 +21,7 @@ import (
 // explicit zero from unset (see its comment).
 type Config struct {
 	// StateDir is the daemon's persistent root: the engine's scenario
-	// cache lives in cas/, completed results in results/, per-job
-	// checkpoint journals in journals/. Required.
+	// cache lives in cas/, completed results in results/. Required.
 	StateDir string
 	// EngineWorkers bounds the engine's scenario worker pool
 	// (default GOMAXPROCS via the engine).
@@ -127,7 +126,7 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, sub := range []string{"cas", "results", "journals"} {
+	for _, sub := range []string{"cas", "results"} {
 		if err := os.MkdirAll(filepath.Join(cfg.StateDir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
@@ -274,11 +273,11 @@ func (s *Service) Draining() bool {
 
 // Drain shuts the service down gracefully: new submissions are
 // refused, queued-but-unstarted jobs are canceled (their submitters
-// resubmit after restart and hit the store or the journals), and
+// resubmit after restart and hit the store or the scenario cache), and
 // running jobs get until ctx's deadline to finish. When the deadline
 // expires the engine runs are cancelled — every completed scenario is
-// already journaled and cached, so a restarted daemon replays the
-// finished points from disk and the resumed result is byte-identical.
+// already cached, so a restarted daemon replays the finished points
+// from disk and the resubmitted result is byte-identical.
 // Always returns once the executors have stopped.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -327,8 +326,8 @@ func (s *Service) worker() {
 	}
 }
 
-// execute runs one job through the engine under its own checkpoint
-// journal and persists the aggregated result.
+// execute runs one job through the engine, publishing each resolved
+// point as progress, and persists the aggregated result.
 func (s *Service) execute(job *Job) {
 	job.setRunning()
 	scs, grid, err := job.Spec.Scenarios()
@@ -336,24 +335,11 @@ func (s *Service) execute(job *Job) {
 		job.finish(StateFailed, nil, err.Error())
 		return
 	}
-	journal := filepath.Join(s.cfg.StateDir, "journals", job.ID+".journal")
-	// resume=true: a journal left by an interrupted daemon marks this
-	// job's finished points; the engine replays them from the cache.
-	// The config line is the job ID, so a journal can never be applied
-	// to a different spec.
-	cp, err := engine.OpenCheckpoint(journal, "suitd job "+job.ID, true)
-	if err != nil {
-		job.finish(StateFailed, nil, err.Error())
-		return
-	}
-	stopProgress := s.watchProgress(job, cp)
-	outs, err := s.eng.RunCheckpointed(s.runCtx, scs, cp)
-	stopProgress()
-	cp.Close()
+	outs, err := s.eng.RunProgress(s.runCtx, scs, job.advance)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			job.finish(StateCanceled, nil,
-				"interrupted by drain: completed points are journaled; resubmit after restart to resume")
+				"interrupted by drain: completed points are cached; resubmit after restart to resume")
 			return
 		}
 		job.finish(StateFailed, nil, err.Error())
@@ -366,31 +352,4 @@ func (s *Service) execute(job *Job) {
 	}
 	s.store.put(job.ID, job.Spec.Fingerprint(), res)
 	job.finish(StateDone, res, "")
-}
-
-// watchProgress publishes the job's completed-point count while the
-// engine runs, read from the checkpoint journal's in-memory set. The
-// returned stop func flushes a final count.
-func (s *Service) watchProgress(job *Job, cp *engine.Checkpoint) func() {
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(200 * time.Millisecond) //lint:allow determinism the progress ticker paces event-stream telemetry; job results never depend on it
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				job.setProgress(cp.Completed())
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(stop)
-		wg.Wait()
-		job.setProgress(cp.Completed())
-	}
 }

@@ -219,10 +219,10 @@ func TestDrainRefusesSubmissions(t *testing.T) {
 	}
 }
 
-// TestDrainResumeByteIdentical is the service half of the PR 3
-// checkpoint contract: a daemon killed mid-sweep, restarted against
-// the same state dir and asked the same question reproduces the
-// uninterrupted result byte for byte (run with -race).
+// TestDrainResumeByteIdentical: a daemon killed mid-sweep, restarted
+// against the same state dir and asked the same question reproduces
+// the uninterrupted result byte for byte, recomputing only the points
+// its scenario cache does not hold (run with -race).
 func TestDrainResumeByteIdentical(t *testing.T) {
 	spec := tinySpec(6, 3)
 	specN, err := spec.Normalize()
@@ -288,8 +288,8 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 		t.Fatal("interrupted job must not have stored a result")
 	}
 
-	// Restarted lifetime on the same state dir: the journal marks the
-	// two finished points, the cache replays them, the rest computes.
+	// Restarted lifetime on the same state dir: the cache replays the
+	// two finished points, the rest computes.
 	svcC, err := New(Config{StateDir: dirB, EngineWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +306,8 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 		t.Fatalf("resumed job: %s (%s)", snap.State, snap.Error)
 	}
 	st := svcC.EngineStats()
-	if st.DiskHits != 2 || st.Resumed != 2 || st.Ran != 4 {
-		t.Errorf("resume accounting: disk hits %d, resumed %d, ran %d; want 2/2/4", st.DiskHits, st.Resumed, st.Ran)
+	if st.DiskHits != 2 || st.Ran != 4 {
+		t.Errorf("resume accounting: disk hits %d, ran %d; want 2/4", st.DiskHits, st.Ran)
 	}
 	bytesC, err := os.ReadFile(svcC.store.path(id))
 	if err != nil {
@@ -382,6 +382,61 @@ func TestJobEvents(t *testing.T) {
 	}
 	if last.State != StateDone || last.Done != last.Total || last.Total != 2 {
 		t.Errorf("terminal event = %+v", last)
+	}
+}
+
+// TestProgressPublishedPerPoint: a running job publishes each resolved
+// point as it lands, not only at the end — the event stream shows
+// Done == 1 while the second point is still executing.
+func TestProgressPublishedPerPoint(t *testing.T) {
+	var calls atomic.Int64
+	second := make(chan struct{})
+	release := make(chan struct{})
+	cfg := Config{StateDir: t.TempDir(), EngineWorkers: 1}
+	cfg.runJob = func(ctx context.Context, sc core.Scenario, seed uint64) (core.Outcome, error) {
+		if calls.Add(1) == 2 {
+			close(second)
+			select {
+			case <-release:
+			case <-ctx.Done(): // a failed test drains without waiting
+				return core.Outcome{}, ctx.Err()
+			}
+		}
+		return core.RunJob(ctx, sc, seed)
+	}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainNow(t, svc)
+	job, _, err := svc.Submit(tinySpec(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, cancel := job.Subscribe()
+	defer cancel()
+	select {
+	case <-second:
+	case <-time.After(120 * time.Second):
+		t.Fatal("second point never started")
+	}
+	var sawOne bool
+	for !sawOne {
+		select {
+		case ev := <-events:
+			if ev.State == StateRunning && ev.Done == 1 {
+				sawOne = true
+			}
+			if ev.Done > 1 || ev.State != StateQueued && ev.State != StateRunning {
+				t.Fatalf("event %+v before the second point finished", ev)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no running event with Done == 1 while the second point is held")
+		}
+	}
+	close(release)
+	if snap := waitTerminal(t, job); snap.State != StateDone || snap.Done != 2 {
+		t.Fatalf("job ended %+v, want done with 2 points", snap)
 	}
 }
 

@@ -6,8 +6,8 @@
 // and the engine's single-flight dedup. Results persist in a
 // content-addressed store next to the engine's scenario cache, progress
 // streams to subscribers, a bounded admission queue applies
-// backpressure, and graceful drain reuses the checkpoint journal so a
-// restarted daemon resumes byte-identically.
+// backpressure, and graceful drain leaves finished points in the
+// scenario cache so a restarted daemon resumes byte-identically.
 package service
 
 import (
