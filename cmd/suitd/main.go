@@ -32,6 +32,12 @@
 // (or $SUITD_WORKER_TOKEN) makes every /v1/work request require the
 // matching bearer token.
 //
+// Failures: each scenario is simulated once. The first that fails ends
+// its job failed, and the job's error names the scenario's fingerprint
+// (a panic carries its stack); suitd_engine_failed_total on /metrics
+// counts failed scenarios. A worker built at another results revision
+// is refused with 409 at its first claim.
+//
 // Backpressure: the admission queue is bounded (-queue); a submission
 // that finds it full gets 429 with a Retry-After estimate.
 //
@@ -94,8 +100,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers      = fs.Int("j", runtime.GOMAXPROCS(0), "engine scenario workers")
 		execJobs     = fs.Int("exec", 2, "jobs executed concurrently (they share the engine pool)")
 		queueDepth   = fs.Int("queue", 64, "admission queue capacity; submissions beyond it get 429 + Retry-After")
-		retries      = fs.Int("retries", 1, "per-scenario retry budget; 0 disables retries, as suitsweep defaults to (same derived seed every attempt)")
-		jobTimeout   = fs.Duration("job-timeout", 0, "per-scenario watchdog timeout (0 disables)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long running sweeps may finish after SIGTERM before their runs are cancelled")
 
 		leaseTTL       = fs.Duration("lease-ttl", 3*time.Second, "work-unit lease TTL: a worker that stops heartbeating for this long loses the unit to reassignment")
@@ -116,8 +120,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		EngineWorkers: *workers,
 		ExecJobs:      *execJobs,
 		QueueDepth:    *queueDepth,
-		Retries:       *retries,
-		JobTimeout:    *jobTimeout,
 		Dist: dist.Config{
 			LeaseTTL:       *leaseTTL,
 			RemoteAttempts: *remoteAttempts,

@@ -14,16 +14,16 @@
 // point runs its base machine and then its run machine over them. The
 // output does not depend on how points are scheduled.
 //
-// Resilience flags: -retries re-runs transiently failing points with
-// the same derived seed (default 0: no retries; contrast suitd, whose
-// -retries defaults to 1), -job-timeout arms a per-job watchdog,
-// -on-error=continue finishes the sweep past failures (failed points
-// are dropped from the ranking and their fingerprints listed on
-// stderr). An interrupted sweep re-run with the same -cache finds its
+// Failures: each point is simulated once. The first point that fails
+// stops the sweep, and its error on stderr names the scenario's
+// fingerprint (a panic comes with its stack); a simulation is a pure
+// function of its scenario and seed, so a retry would fail the same
+// way. An interrupted sweep re-run with the same -cache finds its
 // finished points there and computes only the rest.
 //
-// Exit codes: 0 success, 1 usage or environment error, 2 job failures,
-// 130 interrupted (finished points are in -cache; re-run to continue).
+// Exit codes: 0 success, 1 usage or environment error, 2 a failed
+// point, 130 interrupted (finished points are in -cache; re-run to
+// continue).
 //
 // Example:
 //
@@ -39,7 +39,6 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
-	"time"
 
 	"suit/internal/core"
 	"suit/internal/dvfs"
@@ -68,11 +67,9 @@ var (
 )
 
 // sweep evaluates the whole grid × workload matrix through the engine
-// and aggregates the per-point mean efficiency, preserving grid order.
-// Under the continue-on-error policy, failed scenarios come back as
-// fingerprints and every grid point they touch is excluded from the
-// ranking — a partially simulated point would corrupt its mean.
-func sweep(chip dvfs.Chip, grid []strategy.Params, benches []workload.Benchmark, spendAging bool, instr uint64) ([]sweepPoint, []string, error) {
+// and ranks the points by mean efficiency; the first failed scenario
+// fails the sweep.
+func sweep(chip dvfs.Chip, grid []strategy.Params, benches []workload.Benchmark, spendAging bool, instr uint64) ([]sweepPoint, error) {
 	scs := make([]core.Scenario, 0, len(grid)*len(benches))
 	for i := range grid {
 		for _, b := range benches {
@@ -84,23 +81,11 @@ func sweep(chip dvfs.Chip, grid []strategy.Params, benches []workload.Benchmark,
 		}
 	}
 	outs, err := core.RunAll(scs)
-	var re *engine.RunError
-	if err != nil && !errors.As(err, &re) {
-		return nil, nil, err
-	}
-	failedPoint := make([]bool, len(grid))
-	var failed []string
-	if re != nil {
-		failed = re.Keys()
-		for _, f := range re.Failures {
-			failedPoint[f.Index/len(benches)] = true
-		}
+	if err != nil {
+		return nil, err
 	}
 	points := make([]sweepPoint, 0, len(grid))
 	for i := range grid {
-		if failedPoint[i] {
-			continue
-		}
 		effs := make([]float64, len(benches))
 		for j := range benches {
 			effs[j] = outs[i*len(benches)+j].Efficiency
@@ -111,12 +96,12 @@ func sweep(chip dvfs.Chip, grid []strategy.Params, benches []workload.Benchmark,
 	// Rank by mean efficiency; exact ties keep grid order so the report
 	// never depends on sort internals.
 	sort.SliceStable(points, func(i, j int) bool { return points[i].eff > points[j].eff })
-	return points, failed, nil
+	return points, nil
 }
 
-// Exit codes. Usage mistakes and environment failures exit 1; job
-// failures under -on-error=continue exit 2 so scripts can tell "you
-// called it wrong" from "some simulations died"; SIGINT exits 130.
+// Exit codes. Usage mistakes and environment failures exit 1; a failed
+// point exits 2 so scripts can tell "you called it wrong" from "a
+// simulation died"; SIGINT exits 130.
 const (
 	exitOK     = 0
 	exitUsage  = 1
@@ -128,18 +113,15 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		chipName   = flag.String("chip", "C", "CPU model: A, B, C")
-		offset     = flag.Int("offset", 97, "undervolt in mV: 70 or 97")
-		instrStr   = flag.String("instr", "3e8", "instructions per run")
-		seed       = flag.Uint64("seed", 1, "base seed for deterministic per-point seed derivation")
-		top        = flag.Int("top", 10, "how many settings to print (>= 1)")
-		workers    = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
-		cacheDir   = flag.String("cache", "", "directory for the on-disk result cache (reused across runs)")
-		retries    = flag.Int("retries", 0, "per-job retry budget for transient failures (same derived seed on every attempt)")
-		onError    = flag.String("on-error", "fail", "failure policy: 'fail' stops at the first failed job, 'continue' finishes the sweep and reports failures")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-job watchdog timeout (0 disables)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on exit, including SIGINT)")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		chipName = flag.String("chip", "C", "CPU model: A, B, C")
+		offset   = flag.Int("offset", 97, "undervolt in mV: 70 or 97")
+		instrStr = flag.String("instr", "3e8", "instructions per run")
+		seed     = flag.Uint64("seed", 1, "base seed for deterministic per-point seed derivation")
+		top      = flag.Int("top", 10, "how many settings to print (>= 1)")
+		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
+		cacheDir = flag.String("cache", "", "directory for the on-disk result cache (reused across runs)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on exit, including SIGINT)")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	// ContinueOnError so a flag typo follows the same usage exit code as
 	// our own validation, instead of the flag package's hardwired 2.
@@ -162,17 +144,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "bad -instr: %v\n", err)
 		return exitUsage
 	}
-	var policy engine.FailurePolicy
-	switch *onError {
-	case "fail":
-		policy = engine.FailFast
-	case "continue":
-		policy = engine.Collect
-	default:
-		fmt.Fprintf(os.Stderr, "bad -on-error %q: want 'fail' or 'continue'\n", *onError)
-		return exitUsage
-	}
-
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -191,15 +162,11 @@ func run() int {
 	core.SetRunContext(ctx)
 
 	core.SetEngineOptions(engine.Options{
-		Workers:      *workers,
-		BaseSeed:     *seed,
-		CacheDir:     *cacheDir,
-		Progress:     os.Stderr,
-		Label:        "suitsweep",
-		Retries:      *retries,
-		RetryBackoff: 100 * time.Millisecond,
-		Policy:       policy,
-		JobTimeout:   *jobTimeout,
+		Workers:  *workers,
+		BaseSeed: *seed,
+		CacheDir: *cacheDir,
+		Progress: os.Stderr,
+		Label:    "suitsweep",
 	})
 
 	grid := sweepGrid(chip)
@@ -211,7 +178,7 @@ func run() int {
 	fmt.Printf("sweeping %d parameter settings × %d workloads on %s at −%d mV...\n",
 		len(grid), len(benches), chip.Name, *offset)
 
-	results, failed, err := sweep(chip, grid, benches, *offset == 97, instr)
+	results, err := sweep(chip, grid, benches, *offset == 97, instr)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			if *cacheDir != "" {
@@ -223,36 +190,28 @@ func run() int {
 			return exitSignal
 		}
 		fmt.Fprintln(os.Stderr, err)
-		return exitUsage
-	}
-
-	if len(results) > 0 {
-		n := *top
-		if n > len(results) {
-			n = len(results)
-		}
-		t := report.NewTable(fmt.Sprintf("Top %d parameter settings (mean efficiency over %d workloads)", n, len(benches)),
-			"p_dl", "p_ts", "p_ec", "p_df", "efficiency")
-		for _, r := range results[:n] {
-			t.AddRow(r.p.Deadline.String(), r.p.TimeSpan.String(),
-				fmt.Sprintf("%d", r.p.MaxExceptions), fmt.Sprintf("%.0f", r.p.DeadlineFactor),
-				report.Pct(r.eff))
-		}
-		if err := t.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitUsage
-		}
-		spread := results[0].eff - results[len(results)-1].eff
-		fmt.Printf("\nbest-to-worst spread: %.2f points — the paper notes workloads tolerate a wide range (§6.4)\n", spread*100)
-		fmt.Printf("Table 7 reference: 𝒜&𝒞 30 µs/450 µs/3/14; ℬ 700 µs/14 ms/4/9\n")
-	}
-	fmt.Fprintf(os.Stderr, "suitsweep: %s\n", core.EngineStats())
-	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "suitsweep: %d scenarios failed; their grid points were dropped from the ranking:\n", len(failed))
-		for _, k := range failed {
-			fmt.Fprintf(os.Stderr, "  failed: %s\n", k)
-		}
+		fmt.Fprintf(os.Stderr, "suitsweep: stats: %s\n", core.EngineStats())
 		return exitFailed
 	}
+
+	n := *top
+	if n > len(results) {
+		n = len(results)
+	}
+	t := report.NewTable(fmt.Sprintf("Top %d parameter settings (mean efficiency over %d workloads)", n, len(benches)),
+		"p_dl", "p_ts", "p_ec", "p_df", "efficiency")
+	for _, r := range results[:n] {
+		t.AddRow(r.p.Deadline.String(), r.p.TimeSpan.String(),
+			fmt.Sprintf("%d", r.p.MaxExceptions), fmt.Sprintf("%.0f", r.p.DeadlineFactor),
+			report.Pct(r.eff))
+	}
+	if err := t.Render(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
+	}
+	spread := results[0].eff - results[len(results)-1].eff
+	fmt.Printf("\nbest-to-worst spread: %.2f points — the paper notes workloads tolerate a wide range (§6.4)\n", spread*100)
+	fmt.Printf("Table 7 reference: 𝒜&𝒞 30 µs/450 µs/3/14; ℬ 700 µs/14 ms/4/9\n")
+	fmt.Fprintf(os.Stderr, "suitsweep: %s\n", core.EngineStats())
 	return exitOK
 }

@@ -82,12 +82,9 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 			opts.CacheDir = cacheDir
 		}
 		core.SetEngineOptions(opts)
-		points, failed, err := sweep(chip, grid, benches, true, 2_000_000)
+		points, err := sweep(chip, grid, benches, true, 2_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
-		}
-		if len(failed) != 0 {
-			t.Fatalf("%s: unexpected failures %v", v.name, failed)
 		}
 		runs = append(runs, points)
 	}
@@ -108,11 +105,10 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepDropsFailedPointsUnderCollect: with -on-error=continue a
-// failing grid point must not abort the sweep or leak a zero-valued
-// mean into the ranking — its scenarios are reported by fingerprint and
-// the point disappears from the table.
-func TestSweepDropsFailedPointsUnderCollect(t *testing.T) {
+// TestSweepFailsOnAFailedPoint: a failing grid point fails the whole
+// sweep — no ranking with a point missing — and the error names the
+// failed scenario's fingerprint.
+func TestSweepFailsOnAFailedPoint(t *testing.T) {
 	chip := dvfs.XeonSilver4208()
 	grid := sweepGrid(chip)[:3]
 	grid[1] = strategy.Params{} // invalid: every scenario at this point fails
@@ -120,29 +116,17 @@ func TestSweepDropsFailedPointsUnderCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	benches = benches[:2]
+	benches = benches[:1]
 
-	core.SetEngineOptions(engine.Options{Workers: 4, BaseSeed: 1, Policy: engine.Collect})
+	core.SetEngineOptions(engine.Options{Workers: 1, BaseSeed: 1})
 	defer core.SetEngineOptions(engine.Options{})
-	points, failed, err := sweep(chip, grid, benches, true, 2_000_000)
-	if err != nil {
-		t.Fatalf("collect policy must not abort the sweep: %v", err)
+	points, err := sweep(chip, grid, benches, true, 2_000_000)
+	if err == nil {
+		t.Fatalf("sweep with an invalid point returned %d points and no error", len(points))
 	}
-	if len(failed) != len(benches) {
-		t.Fatalf("%d failed fingerprints, want %d (one per workload at the bad point)", len(failed), len(benches))
-	}
-	if len(points) != 2 {
-		t.Fatalf("%d ranked points, want 2 (the failed point must be dropped)", len(points))
-	}
-	for _, p := range points {
-		if p.p == grid[1] {
-			t.Error("failed grid point survived into the ranking")
-		}
-	}
-
-	// FailFast with the same grid aborts instead.
-	core.SetEngineOptions(engine.Options{Workers: 4, BaseSeed: 1})
-	if _, _, err := sweep(chip, grid, benches, true, 2_000_000); err == nil {
-		t.Fatal("fail-fast policy should surface the failure as an error")
+	bad := core.Scenario{Chip: chip, Bench: benches[0], Kind: core.KindFV,
+		SpendAging: true, Instructions: 2_000_000, Params: &grid[1]}.Fingerprint()
+	if !strings.Contains(err.Error(), bad) {
+		t.Errorf("error does not name the failed point's fingerprint %q: %v", bad, err)
 	}
 }

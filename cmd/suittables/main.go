@@ -14,9 +14,9 @@
 // the simulated instruction streams for a fast pass.
 //
 // A failed experiment does not abort the batch: the remaining
-// experiments still run, every failure is summarised on stderr (with
-// the failed scenario fingerprints when the engine reports them), and
-// the process exits 2. A paper cell outside its band with no recorded
+// experiments still run, every failure is summarised on stderr (an
+// engine failure names the failed scenario's fingerprint), and the
+// process exits 2. A paper cell outside its band with no recorded
 // deviation, or a deviation whose claimed shape does not hold, is a
 // failure too. Usage errors exit 1; SIGINT exits 130, and a re-run with
 // the same -cache computes only the jobs the interrupted run left.
@@ -33,7 +33,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"suit/internal/core"
 	"suit/internal/engine"
@@ -97,30 +96,17 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		exp        = flag.String("exp", "all", "experiment id to run, or 'all'")
-		quick      = flag.Bool("quick", false, "shorter simulations (lower fidelity)")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		outDir     = flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
-		workers    = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
-		cacheDir   = flag.String("cache", "", "directory for the on-disk result cache (reused across runs)")
-		retries    = flag.Int("retries", 0, "per-job retry budget for transient failures (same derived seed on every attempt)")
-		onError    = flag.String("on-error", "fail", "engine failure policy: 'fail' stops a sweep at the first failed job, 'continue' finishes it and reports failures")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-job watchdog timeout (0 disables)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on exit, including SIGINT)")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file (flushed on exit, including SIGINT)")
+		exp      = flag.String("exp", "all", "experiment id to run, or 'all'")
+		quick    = flag.Bool("quick", false, "shorter simulations (lower fidelity)")
+		seed     = flag.Uint64("seed", 1, "simulation seed")
+		outDir   = flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
+		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
+		cacheDir = flag.String("cache", "", "directory for the on-disk result cache (reused across runs)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on exit, including SIGINT)")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file (flushed on exit, including SIGINT)")
 	)
 	flag.CommandLine.Init("suittables", flag.ContinueOnError)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		return exitUsage
-	}
-	var policy engine.FailurePolicy
-	switch *onError {
-	case "fail":
-		policy = engine.FailFast
-	case "continue":
-		policy = engine.Collect
-	default:
-		fmt.Fprintf(os.Stderr, "bad -on-error %q: want 'fail' or 'continue'\n", *onError)
 		return exitUsage
 	}
 
@@ -140,15 +126,11 @@ func run() int {
 	core.SetRunContext(ctx)
 
 	core.SetEngineOptions(engine.Options{
-		Workers:      *workers,
-		BaseSeed:     *seed,
-		CacheDir:     *cacheDir,
-		Progress:     os.Stderr,
-		Label:        "suittables",
-		Retries:      *retries,
-		RetryBackoff: 100 * time.Millisecond,
-		Policy:       policy,
-		JobTimeout:   *jobTimeout,
+		Workers:  *workers,
+		BaseSeed: *seed,
+		CacheDir: *cacheDir,
+		Progress: os.Stderr,
+		Label:    "suittables",
 	})
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -250,12 +232,6 @@ func runExperiments(ctx context.Context, torun []experiment, c cfg, stdout, stde
 				return nil, nil, err
 			}
 			fmt.Fprintf(stderr, "%s: %v\n", e.id, err)
-			var re *engine.RunError
-			if errors.As(err, &re) {
-				for _, k := range re.Keys() {
-					fmt.Fprintf(stderr, "  failed: %s\n", k)
-				}
-			}
 			failed = append(failed, e.id)
 			continue
 		}

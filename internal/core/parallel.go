@@ -50,7 +50,7 @@ func benchFingerprint(b workload.Benchmark) string {
 // of fingerprint + base seed), giving every sweep point its own
 // deterministic stream. The simulator itself is not context-aware, so a
 // cancelled job finishes its current simulation before the worker
-// returns; the engine's watchdog handles a genuinely hung one.
+// returns; the event loop's step bound keeps every simulation finite.
 // Exported so callers that need their own engine instance — the suitd
 // service keeps one with its own cache and stats — run scenarios
 // exactly like the process-wide engine does.
@@ -111,10 +111,9 @@ func runContext() context.Context {
 // RunAll evaluates the scenarios through the shared parallel engine and
 // returns outcomes in scenario order. Results are memoized by
 // fingerprint for the life of the process (and on disk when configured),
-// and are identical at any worker count. Under the engine's Collect
-// policy a *engine.RunError comes back alongside the partial outcomes
-// (failed scenarios hold the zero Outcome); callers that aggregate must
-// treat any error as disqualifying the affected outcomes.
+// and are identical at any worker count. The first failed scenario
+// fails the call with an error naming its fingerprint; a cancelled run
+// context returns the partial outcomes with the context error.
 func RunAll(scs []Scenario) ([]Outcome, error) {
 	return getEngine().Run(runContext(), scs)
 }

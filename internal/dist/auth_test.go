@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"suit/internal/core"
+	"suit/internal/engine"
 )
 
 // TestWorkerTokenRequired: with a WorkerToken configured, every
@@ -23,7 +27,7 @@ func TestWorkerTokenRequired(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	claimBody, _ := json.Marshal(ClaimRequest{WorkerID: "intruder"})
+	claimBody, _ := json.Marshal(ClaimRequest{WorkerID: "intruder", Revision: engine.ResultsRevision})
 	post := func(path, token string, body []byte) *http.Response {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, srv.URL+path, bytes.NewReader(body))
@@ -91,5 +95,46 @@ func TestWorkerTokenEndToEnd(t *testing.T) {
 	v := waitVerdict(t, startExecute(d, sc))
 	if !v.handled || v.err != nil || v.out.Efficiency != 3 {
 		t.Fatalf("verdict %+v, want the authorized worker's outcome", v)
+	}
+}
+
+// TestClaimRevisionMismatchRefused: a claim from a worker built at
+// another results revision, or before claims carried one, gets 409
+// naming both revisions and never registers the worker as live, so no
+// offer is parked for it; a current worker then completes a unit.
+func TestClaimRevisionMismatchRefused(t *testing.T) {
+	d := newTestDispatcher(t, Config{})
+	mux := http.NewServeMux()
+	d.Register(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	for _, c := range []struct {
+		rev  int
+		body string
+	}{{-1, `{"worker_id":"skewed","revision":-1}`}, {0, `{"worker_id":"pre-revision"}`}} {
+		resp, err := http.Post(srv.URL+"/v1/work/claim", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := fmt.Sprintf("worker results revision %d, daemon results revision %d", c.rev, engine.ResultsRevision)
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(msg), want) {
+			t.Errorf("claim %s: status %d %q, want 409 naming %q", c.body, resp.StatusCode, msg, want)
+		}
+	}
+	if st := d.Stats(); st.RevisionRefusals != 2 || st.LiveWorkers != 0 {
+		t.Fatalf("RevisionRefusals = %d, LiveWorkers = %d, want 2 and 0", st.RevisionRefusals, st.LiveWorkers)
+	}
+
+	stop := runWorker(t, WorkerConfig{BaseURL: srv.URL, ID: "current", PollInterval: 5 * time.Millisecond,
+		runFn: func(ctx context.Context, got core.Scenario, seed uint64) (core.Outcome, error) {
+			return core.Outcome{Scenario: got, Efficiency: 3}, nil
+		}})
+	defer stop()
+	waitLiveWorkers(t, d, 1)
+	if v := waitVerdict(t, startExecute(d, testScenario(t, 41))); !v.handled || v.err != nil || v.out.Efficiency != 3 {
+		t.Fatalf("verdict %+v, want the current worker's outcome", v)
 	}
 }

@@ -162,6 +162,9 @@ type Stats struct {
 	Quarantines        int64
 	QuarantineRefusals int64
 	Trips              int64
+	// RevisionRefusals counts claims refused because the worker was
+	// built at another engine.ResultsRevision.
+	RevisionRefusals int64
 	// Gauges.
 	PendingUnits       int
 	LeasedUnits        int
@@ -354,11 +357,10 @@ func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, 
 	// was checked at offer time only; if the last worker crashes while
 	// the unit is queued (or after its lease expires), nothing will ever
 	// claim it again and no lease failure fires to exhaust its attempt
-	// budget. Without the recheck the wait would be unbounded — the
-	// remote offer runs before the engine's per-attempt JobTimeout
-	// watchdog, so nothing else caps it. Under the default config a dead
-	// fleet hands the unit back to local execution; under RemoteOnly the
-	// wait-for-workers contract holds and only ctx bounds it.
+	// budget, so without the recheck the wait would be unbounded. Under
+	// the default config a dead fleet hands the unit back to local
+	// execution; under RemoteOnly the wait-for-workers contract holds and
+	// only ctx bounds it.
 	recheck := d.cfg.LiveWindow / 4
 	if recheck < 10*time.Millisecond {
 		recheck = 10 * time.Millisecond

@@ -167,9 +167,14 @@ func chipLetterFor(name string) (string, error) {
 	return "", fmt.Errorf("dist: chip %q is not in the registry", name)
 }
 
-// ClaimRequest asks the dispatcher for one work unit.
+// ClaimRequest asks the dispatcher for one work unit. Revision is the
+// worker build's engine.ResultsRevision; the dispatcher refuses a
+// claim whose revision differs from its own, so a worker with other
+// result semantics never computes a unit. A worker built before the
+// field existed sends none, which decodes as 0 and is refused too.
 type ClaimRequest struct {
 	WorkerID string `json:"worker_id"`
+	Revision int    `json:"revision"`
 }
 
 // Grant is a successful claim: a lease on one work unit. The worker

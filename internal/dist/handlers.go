@@ -5,8 +5,11 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
+
+	"suit/internal/engine"
 )
 
 // maxResultBytes bounds a result post's body. Outcomes are small JSON
@@ -17,7 +20,7 @@ const maxResultBytes = 4 << 20
 // Register mounts the work-distribution endpoints on mux (Go 1.22
 // method+pattern routing):
 //
-//	POST /v1/work/claim              → claim one leased unit (204 if none)
+//	POST /v1/work/claim              → claim one leased unit (204 if none, 409 on a revision mismatch)
 //	POST /v1/work/{lease}/heartbeat  → extend a lease (410 if gone)
 //	POST /v1/work/{lease}/result     → deliver a result (202/200/409/410/422)
 //
@@ -60,6 +63,16 @@ func (d *Dispatcher) handleClaim(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.WorkerID == "" {
 		httpError(w, http.StatusBadRequest, "claim must name a worker_id")
+		return
+	}
+	if req.Revision != engine.ResultsRevision {
+		// Refused before Claim, so the worker never counts as live: a
+		// daemon would otherwise park offers that no worker can claim.
+		d.mu.Lock()
+		d.stats.RevisionRefusals++
+		d.mu.Unlock()
+		httpError(w, http.StatusConflict, fmt.Sprintf(
+			"worker results revision %d, daemon results revision %d: rebuild the worker", req.Revision, engine.ResultsRevision))
 		return
 	}
 	grant, ok := d.Claim(req.WorkerID)

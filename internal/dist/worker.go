@@ -150,7 +150,7 @@ func (w *Worker) slotLoop(ctx context.Context, slot int) {
 
 // claim asks for one unit. ok=false with a nil error is an empty poll.
 func (w *Worker) claim(ctx context.Context) (Grant, bool, error) {
-	body, _ := json.Marshal(ClaimRequest{WorkerID: w.cfg.ID})
+	body, _ := json.Marshal(ClaimRequest{WorkerID: w.cfg.ID, Revision: engine.ResultsRevision})
 	resp, err := w.post(ctx, w.cfg.BaseURL+"/v1/work/claim", body)
 	if err != nil {
 		return Grant{}, false, err

@@ -13,10 +13,11 @@
 //     (-cache dir) — keyed by the canonical spec fingerprint, so repeated
 //     table/sweep runs skip already-computed points;
 //   - a progress/throughput reporter (jobs done, jobs/s, ETA) on stderr;
-//   - a resilience layer: per-job panic containment, bounded retries
-//     with deterministic fingerprint-derived backoff, a per-job watchdog
-//     timeout, and a Collect failure policy that finishes the sweep and
-//     reports failed specs by fingerprint.
+//   - one failure path: each job is attempted once under recover, and the
+//     first failure cancels the batch and comes back naming the job's
+//     fingerprint. A job is a pure function of its spec and derived
+//     seed, so a second attempt would fail the same way; the simulator's
+//     step bound (cpu.maxSteps) keeps every attempt finite.
 //
 // The disk cache is also the resume record: an interrupted sweep re-run
 // with the same cache directory finds its finished jobs there and
@@ -25,9 +26,6 @@
 // Results come back in spec order regardless of completion order, which
 // together with the seed contract makes engine output a pure function of
 // (specs, base seed): `-j 1` and `-j 8` produce byte-identical reports.
-// Retries preserve that contract: a retried attempt reuses the same
-// derived seed, so a run that needed retries is byte-identical to a run
-// that did not.
 package engine
 
 import (
@@ -37,18 +35,15 @@ import (
 	"hash/fnv"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // RunFunc computes one job's result from its spec and derived seed. The
-// context is cancelled when the sweep is aborted or when the job's
-// watchdog timeout fires; long-running implementations should honor it
-// so a killed job releases its worker promptly (a run that ignores the
-// context is abandoned by the watchdog and its goroutine lingers until
-// the computation finishes on its own).
+// context is cancelled when the sweep is aborted; an implementation that
+// honors it releases its worker promptly, one that ignores it (core.RunJob)
+// finishes its current job first.
 type RunFunc[S, R any] func(ctx context.Context, spec S, seed uint64) (R, error)
 
 // RemoteFunc offers one job to an external execution tier — a pool of
@@ -68,34 +63,8 @@ type RunFunc[S, R any] func(ctx context.Context, spec S, seed uint64) (R, error)
 // remotely can change timing but never bytes.
 type RemoteFunc[S, R any] func(ctx context.Context, spec S, key string, seed uint64) (r R, handled bool, err error)
 
-// FailurePolicy selects what Run does when a job fails after all
-// retries.
-type FailurePolicy int
-
-const (
-	// FailFast cancels the remaining queue on the first failed job and
-	// returns its error — the strict, abort-everything behavior.
-	FailFast FailurePolicy = iota
-	// Collect finishes the whole sweep, fills every successful index,
-	// and returns the partial results together with a *RunError listing
-	// each failed spec by fingerprint.
-	Collect
-)
-
-func (p FailurePolicy) String() string {
-	switch p {
-	case FailFast:
-		return "fail"
-	case Collect:
-		return "continue"
-	default:
-		return fmt.Sprintf("FailurePolicy(%d)", int(p))
-	}
-}
-
 // Options configures an Engine. The zero value is usable: GOMAXPROCS
-// workers, base seed 0, no disk cache, no retries, fail-fast, no
-// timeout, no progress output.
+// workers, base seed 0, no disk cache, no progress output.
 type Options struct {
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -104,29 +73,16 @@ type Options struct {
 	// CacheDir, when non-empty, persists results as JSON files keyed by
 	// the spec fingerprint (plus BaseSeed), shared across processes.
 	CacheDir string
-	// Progress, when non-nil, receives periodic throughput lines and a
-	// final summary. Point it at os.Stderr to keep stdout reproducible.
+	// Progress, when non-nil, receives a throughput line every
+	// progressEvery and a final summary. Point it at os.Stderr to keep
+	// stdout reproducible.
 	Progress io.Writer
-	// ProgressEvery is the reporting interval; <= 0 means 1s.
-	ProgressEvery time.Duration
 	// Label prefixes progress lines; empty means "engine".
 	Label string
-
-	// Retries is how many times a failed job is re-run before it counts
-	// as failed (0 = a single attempt). Retried attempts reuse the same
-	// derived seed, so retries never change results.
-	Retries int
-	// RetryBackoff is the base delay between attempts; the actual delay
-	// grows with the attempt number plus a deterministic jitter derived
-	// from the job fingerprint (see RetryDelay). 0 retries immediately.
-	RetryBackoff time.Duration
-	// Policy selects fail-fast or collect-and-continue error handling.
-	Policy FailurePolicy
-	// JobTimeout bounds a single attempt's wall time; when it elapses
-	// the watchdog cancels the attempt's context and records a
-	// *TimeoutError. 0 disables the watchdog.
-	JobTimeout time.Duration
 }
+
+// progressEvery is the progress reporter's interval.
+const progressEvery = time.Second
 
 // Stats counts the engine's work since creation. Jobs is the number of
 // submitted specs; Unique excludes within-batch duplicates; Ran is the
@@ -138,12 +94,13 @@ type Stats struct {
 	Ran      int64
 	MemHits  int64
 	DiskHits int64
-	// Retried counts re-run attempts; Failed counts jobs that exhausted
-	// their retries; TimedOut and Panicked break Failed-or-retried
-	// attempts down by cause.
-	Retried  int64
+	// Retried is always 0: every job is attempted once. It stays only
+	// because the benchmark harness reads it.
+	Retried int64
+	// Failed counts jobs whose one attempt failed (jobs a cancelled
+	// sweep never finished do not count); Panicked is the subset whose
+	// run function panicked.
 	Failed   int64
-	TimedOut int64
 	Panicked int64
 	// Quarantined counts corrupt on-disk cache entries that were set
 	// aside and recomputed.
@@ -182,9 +139,8 @@ func (s Stats) Throughput() float64 {
 func (s Stats) String() string {
 	out := fmt.Sprintf("%d jobs (%d unique), %d ran, %d memo + %d disk hits (%.1f%% hit rate), %.1f jobs/s",
 		s.Jobs, s.Unique, s.Ran, s.MemHits, s.DiskHits, s.HitRate()*100, s.Throughput())
-	if s.Retried > 0 || s.Failed > 0 {
-		out += fmt.Sprintf(", %d retried, %d failed (%d timeouts, %d panics)",
-			s.Retried, s.Failed, s.TimedOut, s.Panicked)
+	if s.Failed > 0 {
+		out += fmt.Sprintf(", %d failed (%d panics)", s.Failed, s.Panicked)
 	}
 	if s.Quarantined > 0 {
 		out += fmt.Sprintf(", %d cache entries quarantined", s.Quarantined)
@@ -206,9 +162,9 @@ type Engine[S, R any] struct {
 	run  RunFunc[S, R]
 	opts Options
 
-	// remote, when non-nil, is offered every job before the local
-	// attempt loop runs it (see RemoteFunc and SetRemote). Options
-	// cannot carry it because Options is not generic.
+	// remote, when non-nil, is offered every job before it runs locally
+	// (see RemoteFunc and SetRemote). Options cannot carry it because
+	// Options is not generic.
 	remote RemoteFunc[S, R]
 
 	sweepTemps sync.Once
@@ -236,9 +192,6 @@ type flight[R any] struct {
 func New[S, R any](key func(S) string, run RunFunc[S, R], opts Options) *Engine[S, R] {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.ProgressEvery <= 0 {
-		opts.ProgressEvery = time.Second
 	}
 	if opts.Label == "" {
 		opts.Label = "engine"
@@ -277,16 +230,13 @@ type job[S any] struct {
 
 // Run evaluates every spec and returns the results in spec order.
 //
-// Under the FailFast policy the first job failure (after retries)
-// cancels the remaining queue and is returned; under Collect the whole
-// sweep finishes and failures come back as a *RunError alongside the
-// partial results (failed indices hold the zero R). Cancelling ctx
-// stops dispatching (in-flight jobs finish first) and returns the
-// partial results plus ctx.Err(); completed jobs are already cached, so
-// a re-run with the same cache directory recomputes only what is
-// missing. Run never leaks goroutines on its own: all workers have
-// exited by the time it returns (only a job that ignores its context
-// after the watchdog fired can leave its computation behind).
+// The first job failure cancels the remaining queue and is returned,
+// naming the job's fingerprint; a panic comes back as a *PanicError.
+// Cancelling ctx stops dispatching (in-flight jobs finish first) and
+// returns the partial results plus ctx.Err(); completed jobs are
+// already cached, so a re-run with the same cache directory recomputes
+// only what is missing. All workers have exited by the time Run
+// returns.
 func (e *Engine[S, R]) Run(ctx context.Context, specs []S) ([]R, error) {
 	return e.RunProgress(ctx, specs, func() {})
 }
@@ -358,7 +308,6 @@ func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
-	var failures []JobFailure
 	for w := 0; w < e.opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -367,21 +316,12 @@ func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func
 				if runCtx.Err() != nil {
 					continue // drain the queue without working
 				}
-				r, attempts, shared, err := e.executeShared(runCtx, j)
+				r, shared, err := e.executeShared(runCtx, j)
 				if err != nil {
 					if runCtx.Err() != nil && errors.Is(err, context.Canceled) {
 						continue // sweep aborted, not a job failure
 					}
 					e.countFailure(err)
-					if e.opts.Policy == Collect {
-						errMu.Lock()
-						failures = append(failures, JobFailure{
-							Key: j.key, Index: j.indices[0], Attempts: attempts, Err: err,
-						})
-						errMu.Unlock()
-						done.Add(1)
-						continue
-					}
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("engine: job %d/%d (%s): %w", j.indices[0]+1, len(specs), j.key, err)
@@ -424,7 +364,6 @@ feed:
 	e.stats.Unique += int64(len(order))
 	e.stats.MemHits += memHits
 	e.stats.DiskHits += diskHits
-	e.stats.Failed += int64(len(failures))
 	e.stats.Elapsed += time.Since(start) //lint:allow determinism Stats.Elapsed is operator telemetry, not a result
 	e.mu.Unlock()
 
@@ -436,12 +375,6 @@ feed:
 		// caches already hold the finished jobs.
 		return results, err
 	}
-	if len(failures) > 0 {
-		// Completion order is scheduling-dependent; report failures in
-		// spec order so the error text is deterministic.
-		sort.Slice(failures, func(i, k int) bool { return failures[i].Index < failures[k].Index })
-		return results, &RunError{Failures: failures, Jobs: len(order)}
-	}
 	return results, nil
 }
 
@@ -450,11 +383,10 @@ feed:
 // concurrent Run call landing on the same key waits for the leader and
 // shares its result (shared=true, counted in Stats.Coalesced) instead
 // of executing a second time. A leader failure is not shared: the
-// follower loops around and executes under its own retry budget, so
-// one Run's bad luck (or cancelled context) cannot fail another's job.
-// A follower whose own context is cancelled stops waiting and returns
-// the context error.
-func (e *Engine[S, R]) executeShared(ctx context.Context, j *job[S]) (r R, attempts int, shared bool, err error) {
+// follower loops around and executes the job itself, so one Run's
+// cancelled context cannot fail another's job. A follower whose own
+// context is cancelled stops waiting and returns the context error.
+func (e *Engine[S, R]) executeShared(ctx context.Context, j *job[S]) (r R, shared bool, err error) {
 	for {
 		e.mu.Lock()
 		// A concurrent Run may have finished the key after this batch's
@@ -462,7 +394,7 @@ func (e *Engine[S, R]) executeShared(ctx context.Context, j *job[S]) (r R, attem
 		if r, ok := e.memo[j.key]; ok {
 			e.stats.Coalesced++
 			e.mu.Unlock()
-			return r, 0, true, nil
+			return r, true, nil
 		}
 		if f, ok := e.flights[j.key]; ok {
 			e.mu.Unlock()
@@ -472,37 +404,34 @@ func (e *Engine[S, R]) executeShared(ctx context.Context, j *job[S]) (r R, attem
 					e.mu.Lock()
 					e.stats.Coalesced++
 					e.mu.Unlock()
-					return f.r, 0, true, nil
+					return f.r, true, nil
 				}
 				continue // leader failed: try to lead our own execution
 			case <-ctx.Done():
-				return r, 0, false, ctx.Err()
+				return r, false, ctx.Err()
 			}
 		}
 		f := &flight[R]{done: make(chan struct{})}
 		e.flights[j.key] = f
 		e.mu.Unlock()
 
-		r, attempts, err = e.executeJob(ctx, j)
+		r, err = e.executeJob(ctx, j)
 		e.mu.Lock()
 		delete(e.flights, j.key)
 		e.mu.Unlock()
 		f.r, f.err = r, err
 		close(f.done)
-		return r, attempts, false, err
+		return r, false, err
 	}
 }
 
-// countFailure attributes a failed or retried attempt's cause.
+// countFailure counts one failed job, and its panic if it panicked.
 func (e *Engine[S, R]) countFailure(err error) {
-	var te *TimeoutError
 	var pe *PanicError
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch {
-	case errors.As(err, &te):
-		e.stats.TimedOut++
-	case errors.As(err, &pe):
+	e.stats.Failed++
+	if errors.As(err, &pe) {
 		e.stats.Panicked++
 	}
 }
@@ -530,7 +459,7 @@ func (e *Engine[S, R]) startProgress(done *atomic.Int64, total int, start time.T
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		t := time.NewTicker(e.opts.ProgressEvery) //lint:allow determinism the progress ticker paces stderr telemetry, never results
+		t := time.NewTicker(progressEvery) //lint:allow determinism the progress ticker paces stderr telemetry, never results
 		defer t.Stop()
 		for {
 			select {
@@ -551,7 +480,7 @@ func (e *Engine[S, R]) startProgress(done *atomic.Int64, total int, start time.T
 // DeriveSeed maps (base seed, spec fingerprint) to the job's simulation
 // seed: an FNV-1a hash of the fingerprint mixed with the base seed and
 // finalized with splitmix64. The derivation depends only on its inputs —
-// never on worker count, completion order or retry attempt — which is
+// never on worker count or completion order — which is
 // what makes sweep output reproducible at any parallelism level. The
 // result is never 0 so downstream code can keep treating a zero seed as
 // "unset".

@@ -178,8 +178,8 @@ func TestDiskCache(t *testing.T) {
 	}
 }
 
-// TestErrorPropagation: the first failing job aborts the sweep with a
-// contextualized error.
+// TestErrorPropagation: the first failing job aborts the sweep with an
+// error that names its fingerprint.
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	failing := func(ctx context.Context, s testSpec, seed uint64) (testResult, error) {
@@ -193,8 +193,8 @@ func TestErrorPropagation(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if !strings.Contains(err.Error(), "job") {
-		t.Errorf("error lacks job context: %v", err)
+	if !strings.Contains(err.Error(), specKey(testSpec{ID: 3})) {
+		t.Errorf("error does not name the failed fingerprint: %v", err)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestCancellationLeavesNoGoroutines(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return computeFn(ctx, s, seed)
 	}
-	e := New(specKey, slow, Options{Workers: 4, Progress: io.Discard, ProgressEvery: time.Millisecond})
+	e := New(specKey, slow, Options{Workers: 4, Progress: io.Discard})
 	_, err := e.Run(ctx, specs(200))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

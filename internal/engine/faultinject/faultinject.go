@@ -1,152 +1,26 @@
-// Package faultinject deterministically injects faults into engine
-// runs so every recovery path — retry, panic containment, watchdog
-// timeout, collect-policy degradation, cache quarantine — can be
-// exercised by reproducible chaos tests. The related undervolting
-// literature validates resilience the same way (hardware vs. software
-// fault injection of undervolted SRAMs; Scrooge-style crash/recovery
-// of undervolted nodes): faults are chosen by a pure function of
-// (fingerprint, fault seed), never by the wall clock or the global
-// rand source, so a chaos run replays bit-for-bit.
+// Package faultinject deterministically injects faults so the
+// recovery paths that production keeps can be exercised by reproducible
+// chaos tests: CorruptFile damages a cache or result-store entry (which
+// must read back as a quarantined miss), and the HTTP transport in
+// http.go drops, delays, fails, tears or duplicates the dist tier's
+// requests. The related undervolting literature validates resilience
+// the same way (hardware vs. software fault injection of undervolted
+// SRAMs; Scrooge-style crash/recovery of undervolted nodes): faults are
+// chosen by a pure function of (fingerprint, fault seed), never by the
+// wall clock or the global rand source, so a chaos run replays
+// bit-for-bit.
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 
 	"suit/internal/engine"
 )
 
-// Kind enumerates the injectable faults.
-type Kind int
-
-const (
-	// None leaves the job alone.
-	None Kind = iota
-	// Error makes the attempt return ErrInjected.
-	Error
-	// Panic makes the attempt panic.
-	Panic
-	// Hang blocks the attempt until its context is cancelled (the
-	// engine watchdog's job) and then returns the context error.
-	Hang
-)
-
-func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case Error:
-		return "error"
-	case Panic:
-		return "panic"
-	case Hang:
-		return "hang"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// ErrInjected is the base error every injected Error fault wraps.
+// ErrInjected is the base error every injected transport error wraps.
 var ErrInjected = errors.New("injected fault")
-
-// Plan decides which jobs fault and how often. The zero value injects
-// nothing.
-type Plan struct {
-	// Seed feeds the deterministic per-key fault decision.
-	Seed uint64
-	// Faults pins explicit fingerprints to fault kinds.
-	Faults map[string]Kind
-	// Rate additionally faults that fraction of all keys (0..1), chosen
-	// by hashing (key, Seed) — deterministic, uniform, independent of
-	// execution order. RateKind is the fault those keys suffer.
-	Rate     float64
-	RateKind Kind
-	// Times is how many attempts per key fault before the real function
-	// runs: 1 means "fails once, succeeds on first retry"; a negative
-	// value faults every attempt. 0 defaults to 1.
-	Times int
-}
-
-// Decide returns the fault kind for a fingerprint — a pure function of
-// (key, plan), so the same plan faults the same jobs in every run at
-// any parallelism level.
-func (p Plan) Decide(key string) Kind {
-	if k, ok := p.Faults[key]; ok {
-		return k
-	}
-	if p.Rate > 0 {
-		// engine.DeriveSeed is uniform over uint64; compare against the
-		// rate threshold for an order-free Bernoulli draw.
-		h := engine.DeriveSeed(p.Seed, "faultinject|"+key)
-		if float64(h) < p.Rate*float64(^uint64(0)) {
-			return p.RateKind
-		}
-	}
-	return None
-}
-
-// times normalizes Plan.Times.
-func (p Plan) times() int {
-	if p.Times == 0 {
-		return 1
-	}
-	return p.Times
-}
-
-// Injector wraps a RunFunc, injecting the plan's faults ahead of the
-// real computation. It tracks attempts per fingerprint so "fail N
-// times, then succeed" scenarios drive the engine's retry path.
-type Injector[S, R any] struct {
-	plan Plan
-	key  func(S) string
-	run  engine.RunFunc[S, R]
-
-	mu       sync.Mutex
-	attempts map[string]int
-}
-
-// New builds an injector around run; key must be the same fingerprint
-// function the engine uses.
-func New[S, R any](plan Plan, key func(S) string, run engine.RunFunc[S, R]) *Injector[S, R] {
-	return &Injector[S, R]{plan: plan, key: key, run: run, attempts: make(map[string]int)}
-}
-
-// Run is the engine.RunFunc: it injects the planned fault for the first
-// plan.Times attempts on a key, then delegates to the real function.
-func (in *Injector[S, R]) Run(ctx context.Context, spec S, seed uint64) (R, error) {
-	var zero R
-	key := in.key(spec)
-	in.mu.Lock()
-	in.attempts[key]++
-	attempt := in.attempts[key]
-	in.mu.Unlock()
-
-	kind := in.plan.Decide(key)
-	if kind == None || (in.plan.times() >= 0 && attempt > in.plan.times()) {
-		return in.run(ctx, spec, seed)
-	}
-	switch kind {
-	case Error:
-		return zero, fmt.Errorf("%w: %s (attempt %d)", ErrInjected, key, attempt)
-	case Panic:
-		panic(fmt.Sprintf("faultinject: panic for %s (attempt %d)", key, attempt))
-	case Hang:
-		<-ctx.Done() // a hung simulation: only the watchdog gets us out
-		return zero, ctx.Err()
-	default:
-		return in.run(ctx, spec, seed)
-	}
-}
-
-// Attempts reports how many times the injector saw a fingerprint.
-func (in *Injector[S, R]) Attempts(key string) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.attempts[key]
-}
 
 // CorruptFile deterministically damages a file in place — the
 // software analogue of a torn or bit-flipped cache write. mode cycles

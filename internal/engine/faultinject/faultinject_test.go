@@ -1,146 +1,10 @@
 package faultinject
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"suit/internal/engine"
 )
-
-type spec struct{ ID int }
-
-func key(s spec) string { return fmt.Sprintf("s%d", s.ID) }
-
-func passthrough(_ context.Context, s spec, seed uint64) (int, error) {
-	return s.ID*1000 + int(seed%1000), nil
-}
-
-func TestDecideDeterministic(t *testing.T) {
-	p := Plan{Seed: 42, Rate: 0.5, RateKind: Error}
-	for i := 0; i < 50; i++ {
-		k := fmt.Sprintf("s%d", i)
-		if p.Decide(k) != p.Decide(k) {
-			t.Fatalf("Decide(%q) is not stable", k)
-		}
-	}
-}
-
-func TestDecideExplicitFaultsWin(t *testing.T) {
-	p := Plan{Seed: 1, Rate: 0, Faults: map[string]Kind{"s3": Hang}}
-	if got := p.Decide("s3"); got != Hang {
-		t.Errorf("Decide(s3) = %v, want Hang", got)
-	}
-	if got := p.Decide("s4"); got != None {
-		t.Errorf("Decide(s4) = %v, want None with zero rate", got)
-	}
-}
-
-func TestDecideRateRoughlyProportional(t *testing.T) {
-	p := Plan{Seed: 7, Rate: 0.3, RateKind: Error}
-	faulted := 0
-	const n = 2000
-	for i := 0; i < n; i++ {
-		if p.Decide(fmt.Sprintf("key-%d", i)) == Error {
-			faulted++
-		}
-	}
-	frac := float64(faulted) / n
-	if frac < 0.2 || frac > 0.4 {
-		t.Errorf("rate 0.3 faulted %.3f of keys", frac)
-	}
-	if all := (Plan{Seed: 7, Rate: 1, RateKind: Panic}); all.Decide("anything") != Panic {
-		t.Error("rate 1.0 must fault every key")
-	}
-}
-
-func TestTimesFailThenSucceed(t *testing.T) {
-	in := New(Plan{Faults: map[string]Kind{"s0": Error}, Times: 2}, key,
-		engine.RunFunc[spec, int](passthrough))
-	for attempt := 1; attempt <= 2; attempt++ {
-		if _, err := in.Run(context.Background(), spec{0}, 9); !errors.Is(err, ErrInjected) {
-			t.Fatalf("attempt %d: err = %v, want ErrInjected", attempt, err)
-		}
-	}
-	got, err := in.Run(context.Background(), spec{0}, 9)
-	if err != nil {
-		t.Fatalf("attempt 3 should succeed: %v", err)
-	}
-	if want, _ := passthrough(context.Background(), spec{0}, 9); got != want {
-		t.Errorf("delegated result %d, want %d", got, want)
-	}
-	if in.Attempts("s0") != 3 {
-		t.Errorf("Attempts = %d, want 3", in.Attempts("s0"))
-	}
-}
-
-func TestTimesNegativeAlwaysFaults(t *testing.T) {
-	in := New(Plan{Faults: map[string]Kind{"s0": Error}, Times: -1}, key,
-		engine.RunFunc[spec, int](passthrough))
-	for attempt := 1; attempt <= 5; attempt++ {
-		if _, err := in.Run(context.Background(), spec{0}, 0); !errors.Is(err, ErrInjected) {
-			t.Fatalf("attempt %d: err = %v, want ErrInjected", attempt, err)
-		}
-	}
-}
-
-func TestTimesZeroDefaultsToOne(t *testing.T) {
-	in := New(Plan{Faults: map[string]Kind{"s0": Error}}, key,
-		engine.RunFunc[spec, int](passthrough))
-	if _, err := in.Run(context.Background(), spec{0}, 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("first attempt: err = %v, want ErrInjected", err)
-	}
-	if _, err := in.Run(context.Background(), spec{0}, 0); err != nil {
-		t.Fatalf("second attempt should delegate: %v", err)
-	}
-}
-
-func TestHangHonorsContext(t *testing.T) {
-	in := New(Plan{Faults: map[string]Kind{"s0": Hang}}, key,
-		engine.RunFunc[spec, int](passthrough))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := in.Run(ctx, spec{0}, 0)
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("hang returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("hang did not honor context cancellation")
-	}
-}
-
-func TestPanicPanics(t *testing.T) {
-	in := New(Plan{Faults: map[string]Kind{"s0": Panic}}, key,
-		engine.RunFunc[spec, int](passthrough))
-	defer func() {
-		if recover() == nil {
-			t.Error("Panic fault did not panic")
-		}
-	}()
-	in.Run(context.Background(), spec{0}, 0)
-}
-
-func TestUnfaultedKeysDelegate(t *testing.T) {
-	in := New(Plan{Faults: map[string]Kind{"s9": Error}, Times: -1}, key,
-		engine.RunFunc[spec, int](passthrough))
-	got, err := in.Run(context.Background(), spec{1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := passthrough(context.Background(), spec{1}, 5); got != want {
-		t.Errorf("delegated result %d, want %d", got, want)
-	}
-}
 
 func TestCorruptFileModesChangeBytes(t *testing.T) {
 	orig := []byte(`{"key":"k","result":{"v":12345},"sum":"abc"}`)

@@ -65,10 +65,10 @@ func (k HTTPKind) String() string {
 // fixed order chaos tests can sweep.
 var AllHTTPKinds = []HTTPKind{HTTPDrop, HTTPDelay, HTTPErr500, HTTPTruncate, HTTPDup}
 
-// HTTPPlan decides which requests fault and how. Like Plan, the choice
-// is a pure function of the request fingerprint and the seed — never of
-// the wall clock or the global rand source — so a chaos run replays
-// bit-for-bit at any concurrency.
+// HTTPPlan decides which requests fault and how. The choice is a pure
+// function of the request fingerprint and the seed — never of the wall
+// clock or the global rand source — so a chaos run replays bit-for-bit
+// at any concurrency.
 type HTTPPlan struct {
 	// Seed feeds the per-request fault decision.
 	Seed uint64

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -78,27 +77,25 @@ func TestRemoteHookDeclinedFallsBackLocal(t *testing.T) {
 }
 
 // TestRemoteHookErrorFailsJob: handled=true with an error is a job
-// failure like any local one — retryable by policy, reported by
-// fingerprint.
+// failure like any local one, reported by fingerprint.
 func TestRemoteHookErrorFailsJob(t *testing.T) {
 	eng := New(specKey, func(ctx context.Context, spec testSpec, seed uint64) (int, error) {
 		t.Error("local run must not execute for a handled job")
 		return 0, nil
-	}, Options{Workers: 1, Policy: Collect})
+	}, Options{Workers: 1})
 	sentinel := errors.New("remote tier exploded")
 	eng.SetRemote(func(ctx context.Context, spec testSpec, key string, seed uint64) (int, bool, error) {
-		return 0, true, fmt.Errorf("job %s: %w", key, sentinel)
+		return 0, true, sentinel
 	})
 
 	_, err := eng.Run(context.Background(), []testSpec{{ID: 1}})
-	var re *RunError
-	if !errors.As(err, &re) || len(re.Failures) != 1 {
-		t.Fatalf("err = %v, want a RunError with 1 failure", err)
-	}
-	if !errors.Is(re.Failures[0].Err, sentinel) {
-		t.Errorf("failure error = %v, want the remote sentinel", re.Failures[0].Err)
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the remote sentinel", err)
 	}
 	if !strings.Contains(err.Error(), specKey(testSpec{ID: 1})) {
 		t.Errorf("error text %q does not name the failed fingerprint", err)
+	}
+	if st := eng.Stats(); st.Failed != 1 || st.Remote != 0 {
+		t.Errorf("stats = %+v, want 1 failed and 0 remote", st)
 	}
 }

@@ -2,16 +2,14 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"time"
 )
 
 // PanicError wraps a panic recovered from a job's run function: the
-// sweep survives, the job is retried or reported, and the panic value
-// plus stack travel with the failure instead of crashing the process.
+// job fails, and the panic value plus stack travel with the failure
+// instead of crashing the process.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -21,65 +19,15 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("job panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// TimeoutError reports that a job attempt exceeded Options.JobTimeout
-// and was killed by the watchdog.
-type TimeoutError struct {
-	Timeout time.Duration
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("job exceeded the %s watchdog timeout", e.Timeout)
-}
-
-// JobFailure is one job that exhausted its retries, identified by its
-// canonical spec fingerprint.
-type JobFailure struct {
-	Key      string // spec fingerprint
-	Index    int    // first spec index carrying this fingerprint
-	Attempts int    // attempts made (1 + retries)
-	Err      error  // last attempt's error
-}
-
-// RunError aggregates every failed job of a Collect-policy sweep. The
-// successful jobs' results are returned alongside it; Failures is
-// sorted by spec index so the error text is deterministic.
-type RunError struct {
-	Failures []JobFailure
-	Jobs     int // unique jobs in the batch
-}
-
-func (e *RunError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "engine: %d of %d jobs failed", len(e.Failures), e.Jobs)
-	for _, f := range e.Failures {
-		short := f.Err
-		var pe *PanicError
-		if errors.As(f.Err, &pe) {
-			// The stack is available via Failures; keep the summary line short.
-			fmt.Fprintf(&b, "\n  job %d [%s] after %d attempts: job panicked: %v", f.Index+1, f.Key, f.Attempts, pe.Value)
-			continue
-		}
-		fmt.Fprintf(&b, "\n  job %d [%s] after %d attempts: %v", f.Index+1, f.Key, f.Attempts, short)
-	}
-	return b.String()
-}
-
-// Keys lists the failed fingerprints in spec order.
-func (e *RunError) Keys() []string {
-	keys := make([]string, len(e.Failures))
-	for i, f := range e.Failures {
-		keys[i] = f.Key
-	}
-	return keys
-}
-
 // RetryDelay is the pause before retry attempt (attempt counts from 0:
 // the delay between the first failure and the second attempt). The
 // delay doubles per attempt up to 32× base and carries a deterministic
 // jitter derived from the job fingerprint — never from the global rand
-// source — so two processes sweeping the same grid do not retry in
-// lockstep, yet a given (fingerprint, attempt) always waits the same
-// time. A base <= 0 retries immediately.
+// source — so two processes retrying the same fingerprints do not retry
+// in lockstep, yet a given (fingerprint, attempt) always waits the same
+// time. A base <= 0 retries immediately. The engine itself never
+// retries; internal/dist paces lease reassignment and result posts
+// with it.
 func RetryDelay(base time.Duration, key string, attempt int) time.Duration {
 	if base <= 0 {
 		return 0
@@ -93,17 +41,13 @@ func RetryDelay(base time.Duration, key string, attempt int) time.Duration {
 	return d + jitter
 }
 
-// executeJob runs one job to completion: up to 1+Retries attempts, each
-// panic-contained and watchdog-bounded, every attempt reusing the same
-// derived seed so retries cannot change results. It returns the number
-// of attempts made alongside the result or final error.
-//
-// When a remote hook is installed the job is offered there first; a
-// handled job returns without local work, a declined one (no live
-// workers, tripped dispatcher, exhausted remote attempts) falls through
-// to the local attempt loop — the graceful-degradation contract that
-// keeps a daemon with zero workers exactly as capable as before.
-func (e *Engine[S, R]) executeJob(ctx context.Context, j *job[S]) (R, int, error) {
+// executeJob runs one job once. When a remote hook is installed the job
+// is offered there first; a handled job returns without local work, a
+// declined one (no live workers, tripped dispatcher, exhausted remote
+// attempts) runs locally — the graceful-degradation contract that keeps
+// a daemon with zero workers exactly as capable as before. A local run
+// is panic-contained: a panic becomes a *PanicError.
+func (e *Engine[S, R]) executeJob(ctx context.Context, j *job[S]) (r R, err error) {
 	seed := DeriveSeed(e.opts.BaseSeed, j.key)
 	if e.remote != nil {
 		if r, handled, err := e.remote(ctx, j.spec, j.key, seed); handled {
@@ -112,90 +56,13 @@ func (e *Engine[S, R]) executeJob(ctx context.Context, j *job[S]) (R, int, error
 				e.stats.Remote++
 				e.mu.Unlock()
 			}
-			return r, 1, err
+			return r, err
 		}
 	}
-	var r R
-	var err error
-	for attempt := 0; ; attempt++ {
-		r, err = e.attempt(ctx, j.spec, seed)
-		if err == nil || ctx.Err() != nil {
-			return r, attempt + 1, err
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
-		if attempt >= e.opts.Retries {
-			return r, attempt + 1, err
-		}
-		e.countFailure(err) // attribute the retried attempt's cause
-		e.mu.Lock()
-		e.stats.Retried++
-		e.mu.Unlock()
-		if !sleepCtx(ctx, RetryDelay(e.opts.RetryBackoff, j.key, attempt)) {
-			return r, attempt + 1, ctx.Err()
-		}
-	}
-}
-
-// attempt runs the job function once with panic containment and, when
-// JobTimeout is set, under a watchdog: the attempt gets a cancellable
-// child context, and if the timer fires first the attempt's context is
-// cancelled and a *TimeoutError returned. A run function that honors
-// its context exits promptly (zero goroutines linger); one that ignores
-// it is abandoned — its goroutine finishes in the background — but the
-// worker pool moves on either way, so a hung simulation can no longer
-// stall the sweep.
-func (e *Engine[S, R]) attempt(ctx context.Context, spec S, seed uint64) (r R, err error) {
-	if e.opts.JobTimeout <= 0 {
-		defer func() {
-			if p := recover(); p != nil {
-				err = &PanicError{Value: p, Stack: debug.Stack()}
-			}
-		}()
-		return e.run(ctx, spec, seed)
-	}
-
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		r   R
-		err error
-	}
-	ch := make(chan outcome, 1) // buffered: the attempt goroutine can always exit
-	go func() {
-		var o outcome
-		defer func() {
-			if p := recover(); p != nil {
-				o = outcome{err: &PanicError{Value: p, Stack: debug.Stack()}}
-			}
-			ch <- o
-		}()
-		o.r, o.err = e.run(actx, spec, seed)
 	}()
-
-	wd := time.NewTimer(e.opts.JobTimeout) //lint:allow determinism the watchdog bounds a hung job's wall time; it only ever converts a non-result into a TimeoutError
-	defer wd.Stop()
-	select {
-	case o := <-ch:
-		return o.r, o.err
-	case <-ctx.Done():
-		cancel()
-		return r, ctx.Err()
-	case <-wd.C:
-		cancel() // a context-honoring run returns promptly and the goroutine exits
-		return r, &TimeoutError{Timeout: e.opts.JobTimeout}
-	}
-}
-
-// sleepCtx pauses for d, returning false if ctx is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d) //lint:allow determinism the backoff timer paces retries; the retried attempt reuses the same derived seed, so timing never reaches results
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return e.run(ctx, j.spec, seed)
 }

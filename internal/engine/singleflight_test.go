@@ -77,7 +77,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 }
 
 // TestSingleFlightLeaderFailureNotShared: a follower must not inherit
-// the leader's failure — it re-executes under its own budget.
+// the leader's failure — it executes the job itself.
 func TestSingleFlightLeaderFailureNotShared(t *testing.T) {
 	var executions atomic.Int64
 	firstArrived := make(chan struct{})

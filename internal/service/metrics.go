@@ -35,10 +35,8 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"suitd_engine_mem_hits_total", "Unique scenarios served from the in-memory memo.", "counter", float64(st.MemHits)},
 		{"suitd_engine_disk_hits_total", "Unique scenarios served from the on-disk cache.", "counter", float64(st.DiskHits)},
 		{"suitd_engine_coalesced_total", "Scenarios served by another run's in-flight execution.", "counter", float64(st.Coalesced)},
-		{"suitd_engine_retried_total", "Scenario attempts retried.", "counter", float64(st.Retried)},
-		{"suitd_engine_failed_total", "Scenarios that exhausted their retries.", "counter", float64(st.Failed)},
-		{"suitd_engine_timeouts_total", "Scenario attempts killed by the watchdog.", "counter", float64(st.TimedOut)},
-		{"suitd_engine_panics_total", "Scenario attempts that panicked and were contained.", "counter", float64(st.Panicked)},
+		{"suitd_engine_failed_total", "Scenarios whose one attempt failed.", "counter", float64(st.Failed)},
+		{"suitd_engine_panics_total", "Failed scenarios that panicked and were contained.", "counter", float64(st.Panicked)},
 		{"suitd_engine_quarantined_total", "Corrupt cache entries quarantined.", "counter", float64(st.Quarantined)},
 		{"suitd_engine_cache_hit_rate", "Fraction of unique scenarios served from a cache layer.", "gauge", st.HitRate()},
 		{"suitd_engine_run_seconds_total", "Wall-clock seconds spent inside engine runs.", "counter", st.Elapsed.Seconds()},
@@ -66,6 +64,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		sample{"suitd_dist_bad_digests_total", "Results rejected for a torn or garbled body.", "counter", float64(ds.BadDigests)},
 		sample{"suitd_dist_worker_quarantines_total", "Workers quarantined after consecutive lease failures.", "counter", float64(ds.Quarantines)},
 		sample{"suitd_dist_trips_total", "Dispatcher circuit-breaker trips.", "counter", float64(ds.Trips)},
+		sample{"suitd_dist_revision_refusals_total", "Claims refused because the worker was built at another results revision.", "counter", float64(ds.RevisionRefusals)},
 		sample{"suitd_dist_pending_units", "Units queued for workers right now.", "gauge", float64(ds.PendingUnits)},
 		sample{"suitd_dist_leased_units", "Units out under a live lease right now.", "gauge", float64(ds.LeasedUnits)},
 		sample{"suitd_dist_live_workers", "Workers seen within the liveness window.", "gauge", float64(ds.LiveWorkers)},

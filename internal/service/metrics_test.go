@@ -2,12 +2,16 @@ package service
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"suit/internal/core"
 )
 
 var (
@@ -115,6 +119,44 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		if _, ok := values[fmt.Sprintf("suitd_jobs{state=%q}", string(state))]; !ok {
 			t.Errorf("per-state gauge for %q missing", state)
 		}
+	}
+}
+
+// TestFailedScenarioFailsJob: a scenario whose run fails ends its job
+// failed, with the scenario's fingerprint in the job error, and /metrics
+// counts the failed scenario once.
+func TestFailedScenarioFailsJob(t *testing.T) {
+	spec, err := tinySpec(2, 1).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, _, err := spec.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := scs[1].Fingerprint()
+	cfg := Config{EngineWorkers: 1}
+	cfg.runJob = func(ctx context.Context, sc core.Scenario, seed uint64) (core.Outcome, error) {
+		if sc.Fingerprint() == bad {
+			return core.Outcome{}, errors.New("simulated failure")
+		}
+		return core.RunJob(ctx, sc, seed)
+	}
+	svc, ts := newTestServer(t, cfg)
+	job, _, err := svc.Submit(tinySpec(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := waitTerminal(t, job); snap.State != StateFailed || !strings.Contains(snap.Error, bad) {
+		t.Fatalf("job ended %s (%q), want failed naming %q", snap.State, snap.Error, bad)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if got := parsePromText(t, readAll(t, resp))["suitd_engine_failed_total"]; got != 1 {
+		t.Errorf("suitd_engine_failed_total = %g, want 1", got)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 )
 
 // Config sizes the service. The zero value of every field except
-// StateDir and Retries means "use the default"; Retries distinguishes
-// explicit zero from unset (see its comment).
+// StateDir means "use the default".
 type Config struct {
 	// StateDir is the daemon's persistent root: the engine's scenario
 	// cache lives in cas/, completed results in results/. Required.
@@ -32,14 +31,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a submission that finds
 	// it full is rejected with retry advice. Default 64.
 	QueueDepth int
-	// Retries is the per-scenario retry budget. Zero is honored as zero
-	// (no retries — the engine's single-attempt mode, and what suitsweep
-	// defaults to); negative means "use the default" of 1, the budget
-	// cmd/suitd runs with unless -retries says otherwise. Retried
-	// attempts reuse the derived seed, so retries never change bytes.
-	Retries int
-	// JobTimeout arms the engine's per-scenario watchdog (0 disables).
-	JobTimeout time.Duration
 	// Dist configures the distributed tier: every daemon runs a work
 	// dispatcher (costless with zero workers — the first offer declines
 	// to local execution), and suitworker processes pull leased units
@@ -62,9 +53,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Retries < 0 {
-		c.Retries = 1
 	}
 	return c, nil
 }
@@ -147,14 +135,10 @@ func New(cfg Config) (*Service, error) {
 		runJob = core.RunJob
 	}
 	s.eng = engine.New(core.Scenario.Fingerprint, runJob, engine.Options{
-		Workers:      cfg.EngineWorkers,
-		BaseSeed:     0, // specs carry explicit per-scenario seeds
-		CacheDir:     filepath.Join(cfg.StateDir, "cas"),
-		Retries:      cfg.Retries,
-		RetryBackoff: 100 * time.Millisecond,
-		Policy:       engine.FailFast,
-		JobTimeout:   cfg.JobTimeout,
-		Label:        "suitd",
+		Workers:  cfg.EngineWorkers,
+		BaseSeed: 0, // specs carry explicit per-scenario seeds
+		CacheDir: filepath.Join(cfg.StateDir, "cas"),
+		Label:    "suitd",
 	})
 	// The distributed tier: the engine offers every uncached scenario to
 	// the dispatcher first; with no live workers (or a tripped breaker)

@@ -440,28 +440,6 @@ func TestProgressPublishedPerPoint(t *testing.T) {
 	}
 }
 
-// TestRetriesExplicitZeroSticks is the regression test for the config
-// bug where `-retries 0` was silently promoted to 1: zero must be
-// honored as "no retries" (the engine's single-attempt mode and
-// suitsweep's default), while negative means "unset → default 1" (the
-// suitd default).
-func TestRetriesExplicitZeroSticks(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{in: 0, want: 0},
-		{in: -1, want: 1},
-		{in: -7, want: 1},
-		{in: 3, want: 3},
-	} {
-		cfg, err := Config{StateDir: t.TempDir(), Retries: tc.in}.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.Retries != tc.want {
-			t.Errorf("Retries %d → %d, want %d", tc.in, cfg.Retries, tc.want)
-		}
-	}
-}
-
 // TestRetryAfterScalesWithQueueDepth pins the backpressure advice to
 // the backlog: ⌈queued / ExecJobs⌉ waves of the mean job duration,
 // clamped to [1, 300]. The service is built directly (no executor pool)
