@@ -3,9 +3,11 @@
 // Every submitted spec is content-addressed by its canonical
 // fingerprint, so identical submissions — concurrent or repeated,
 // within one daemon lifetime or across restarts — cost one simulation:
-// concurrent duplicates coalesce onto the live job (single-flight),
-// repeats hit the persistent result store, and overlapping sweeps share
-// scenario results through the engine's content-addressed cache.
+// duplicates coalesce onto the live or done job (single-flight), a
+// resubmission after a restart replays every finished point from the
+// engine's content-addressed scenario cache, and overlapping sweeps
+// share scenario results through the same cache. A failed job is not
+// memoized: resubmitting its spec runs it again.
 //
 // API:
 //
@@ -96,7 +98,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr         = fs.String("addr", ":8470", "listen address")
-		stateDir     = fs.String("state", "", "persistent state directory (scenario cache and result store); required")
+		stateDir     = fs.String("state", "", "persistent state directory (the scenario cache, in cas/); required")
 		workers      = fs.Int("j", runtime.GOMAXPROCS(0), "engine scenario workers")
 		execJobs     = fs.Int("exec", 2, "jobs executed concurrently (they share the engine pool)")
 		queueDepth   = fs.Int("queue", 64, "admission queue capacity; submissions beyond it get 429 + Retry-After")
@@ -111,7 +113,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	if *stateDir == "" {
-		fmt.Fprintln(stderr, "suitd: -state is required: the daemon's cache and result store live there")
+		fmt.Fprintln(stderr, "suitd: -state is required: the daemon's scenario cache lives there")
 		return exitUsage
 	}
 

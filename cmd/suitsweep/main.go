@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -109,88 +110,94 @@ const (
 	exitSignal = 130
 )
 
-func main() { os.Exit(run()) }
+func main() {
+	// SIGINT cancels the run context: dispatch stops, in-flight jobs
+	// finish and are cached, and run reports how to resume.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-func run() int {
-	var (
-		chipName = flag.String("chip", "C", "CPU model: A, B, C")
-		offset   = flag.Int("offset", 97, "undervolt in mV: 70 or 97")
-		instrStr = flag.String("instr", "3e8", "instructions per run")
-		seed     = flag.Uint64("seed", 1, "base seed for deterministic per-point seed derivation")
-		top      = flag.Int("top", 10, "how many settings to print (>= 1)")
-		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
-		cacheDir = flag.String("cache", "", "directory for the on-disk result cache (reused across runs)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on exit, including SIGINT)")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+// run is main with its context, arguments, streams and exit status
+// lifted out, so tests can drive the exit codes in-process. Cancelling
+// ctx interrupts the sweep as SIGINT does in main.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// ContinueOnError so a flag typo follows the same usage exit code as
 	// our own validation, instead of the flag package's hardwired 2.
-	flag.CommandLine.Init("suitsweep", flag.ContinueOnError)
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+	fs := flag.NewFlagSet("suitsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		chipName = fs.String("chip", "C", "CPU model: A, B, C")
+		offset   = fs.Int("offset", 97, "undervolt in mV: 70 or 97")
+		instrStr = fs.String("instr", "3e8", "instructions per run")
+		seed     = fs.Uint64("seed", 1, "base seed for deterministic per-point seed derivation")
+		top      = fs.Int("top", 10, "how many settings to print (>= 1)")
+		workers  = fs.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
+		cacheDir = fs.String("cache", "", "directory for the on-disk result cache (reused across runs)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (flushed on exit, including SIGINT)")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
 
 	chip, err := chipByName(*chipName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
 	if *top < 1 {
-		fmt.Fprintf(os.Stderr, "bad -top %d: need at least one setting to print\n", *top)
+		fmt.Fprintf(stderr, "bad -top %d: need at least one setting to print\n", *top)
 		return exitUsage
 	}
 	instr, err := workload.ParseInstructions(*instrStr, 1e6)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -instr: %v\n", err)
+		fmt.Fprintf(stderr, "bad -instr: %v\n", err)
 		return exitUsage
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "suitsweep: profile flush:", err)
+			fmt.Fprintln(stderr, "suitsweep: profile flush:", err)
 		}
 	}()
 
-	// SIGINT cancels the run context: dispatch stops, in-flight jobs
-	// finish and are cached, and we report how to resume.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	core.SetRunContext(ctx)
-
 	core.SetEngineOptions(engine.Options{
 		Workers:  *workers,
 		BaseSeed: *seed,
 		CacheDir: *cacheDir,
-		Progress: os.Stderr,
+		Progress: stderr,
 		Label:    "suitsweep",
 	})
 
 	grid := sweepGrid(chip)
 	benches, err := sweepBenches()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
-	fmt.Printf("sweeping %d parameter settings × %d workloads on %s at −%d mV...\n",
+	fmt.Fprintf(stdout, "sweeping %d parameter settings × %d workloads on %s at −%d mV...\n",
 		len(grid), len(benches), chip.Name, *offset)
 
 	results, err := sweep(chip, grid, benches, *offset == 97, instr)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			if *cacheDir != "" {
-				fmt.Fprintf(os.Stderr, "suitsweep: interrupted — completed jobs are cached; re-run with the same -cache to continue\n")
+				fmt.Fprintf(stderr, "suitsweep: interrupted — completed jobs are cached; re-run with the same -cache to continue\n")
 			} else {
-				fmt.Fprintf(os.Stderr, "suitsweep: interrupted — nothing was kept; run with -cache to make a re-run continue\n")
+				fmt.Fprintf(stderr, "suitsweep: interrupted — nothing was kept; run with -cache to make a re-run continue\n")
 			}
-			fmt.Fprintf(os.Stderr, "suitsweep: partial stats: %s\n", core.EngineStats())
+			fmt.Fprintf(stderr, "suitsweep: partial stats: %s\n", core.EngineStats())
 			return exitSignal
 		}
-		fmt.Fprintln(os.Stderr, err)
-		fmt.Fprintf(os.Stderr, "suitsweep: stats: %s\n", core.EngineStats())
+		fmt.Fprintln(stderr, err)
+		fmt.Fprintf(stderr, "suitsweep: stats: %s\n", core.EngineStats())
 		return exitFailed
 	}
 
@@ -205,13 +212,13 @@ func run() int {
 			fmt.Sprintf("%d", r.p.MaxExceptions), fmt.Sprintf("%.0f", r.p.DeadlineFactor),
 			report.Pct(r.eff))
 	}
-	if err := t.Render(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := t.Render(stdout); err != nil {
+		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
 	spread := results[0].eff - results[len(results)-1].eff
-	fmt.Printf("\nbest-to-worst spread: %.2f points — the paper notes workloads tolerate a wide range (§6.4)\n", spread*100)
-	fmt.Printf("Table 7 reference: 𝒜&𝒞 30 µs/450 µs/3/14; ℬ 700 µs/14 ms/4/9\n")
-	fmt.Fprintf(os.Stderr, "suitsweep: %s\n", core.EngineStats())
+	fmt.Fprintf(stdout, "\nbest-to-worst spread: %.2f points — the paper notes workloads tolerate a wide range (§6.4)\n", spread*100)
+	fmt.Fprintf(stdout, "Table 7 reference: 𝒜&𝒞 30 µs/450 µs/3/14; ℬ 700 µs/14 ms/4/9\n")
+	fmt.Fprintf(stderr, "suitsweep: %s\n", core.EngineStats())
 	return exitOK
 }

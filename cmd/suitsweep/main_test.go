@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,5 +130,51 @@ func TestSweepFailsOnAFailedPoint(t *testing.T) {
 		SpendAging: true, Instructions: 2_000_000, Params: &grid[1]}.Fingerprint()
 	if !strings.Contains(err.Error(), bad) {
 		t.Errorf("error does not name the failed point's fingerprint %q: %v", bad, err)
+	}
+}
+
+// TestRunExitCodes drives run in-process: usage mistakes exit 1, a
+// cancelled context exits 130 with the interrupted line and the partial
+// stats, and a short sweep exits 0 with its table on stdout.
+func TestRunExitCodes(t *testing.T) {
+	defer core.SetEngineOptions(engine.Options{}) // restore defaults for other tests
+	defer core.SetRunContext(nil)
+	usage := []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-not-a-flag"}, "flag provided but not defined: -not-a-flag"},
+		{[]string{"-chip", "Z"}, `"Z"`},
+		{[]string{"-top", "0"}, "bad -top 0"},
+	}
+	for _, tc := range usage {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), tc.args, &stdout, &stderr); code != exitUsage {
+			t.Errorf("run(%q) = %d, want usage exit %d", tc.args, code, exitUsage)
+		}
+		if !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("run(%q) stderr %q lacks %q", tc.args, stderr.String(), tc.msg)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stdout, stderr bytes.Buffer
+	if code := run(ctx, []string{"-instr", "1e6"}, &stdout, &stderr); code != exitSignal {
+		t.Errorf("cancelled run = %d, want %d", code, exitSignal)
+	}
+	for _, want := range []string{"suitsweep: interrupted — nothing was kept", "suitsweep: partial stats: "} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("cancelled run's stderr %q lacks %q", stderr.String(), want)
+		}
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(context.Background(), []string{"-instr", "1e6", "-top", "1"}, &stdout, &stderr); code != exitOK {
+		t.Fatalf("run = %d, want %d; stderr:\n%s", code, exitOK, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "Top 1 parameter settings") {
+		t.Errorf("stdout lacks the ranked table:\n%s", stdout.String())
 	}
 }

@@ -1,7 +1,7 @@
 // Package faultinject deterministically injects faults so the
 // recovery paths that production keeps can be exercised by reproducible
-// chaos tests: CorruptFile damages a cache or result-store entry (which
-// must read back as a quarantined miss), and the HTTP transport in
+// chaos tests: CorruptFile damages a scenario cache entry (which must
+// read back as a quarantined miss), and the HTTP transport in
 // http.go drops, delays, fails, tears or duplicates the dist tier's
 // requests. The related undervolting literature validates resilience
 // the same way (hardware vs. software fault injection of undervolted

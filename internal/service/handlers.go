@@ -104,10 +104,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	switch outcome {
 	case SubmitQueued:
-		// A job whose points are all engine-memo hits can be done
+		// A job whose points are all memo or cache hits can be done
 		// already; its view then carries the result.
 		writeJSON(w, http.StatusCreated, viewOf(job, true))
-	case SubmitCoalesced, SubmitStored:
+	case SubmitCoalesced:
 		// Content-addressed hit: same spec, same job, no new execution.
 		writeJSON(w, http.StatusOK, viewOf(job, true))
 	case SubmitQueueFull:

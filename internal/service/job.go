@@ -33,7 +33,7 @@ type Event struct {
 // Job is one content-addressed unit of work in the registry. The ID is
 // the spec fingerprint digest, so the registry key doubles as the
 // single-flight key: a second submission of the same spec finds this
-// job instead of creating another.
+// job instead of creating another, unless this job failed.
 type Job struct {
 	ID   string
 	Spec Spec

@@ -21,9 +21,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	}
 	samples := []sample{
 		{"suitd_submissions_total", "Spec submissions received.", "counter", float64(s.submissions.Load())},
-		{"suitd_cache_hits_total", "Submissions served without a new engine execution (registry dedup + persistent result store).", "counter", float64(s.dedupHits.Load() + s.storeHits.Load())},
-		{"suitd_singleflight_dedup_total", "Submissions coalesced onto an existing registry job.", "counter", float64(s.dedupHits.Load())},
-		{"suitd_result_store_hits_total", "Submissions served from the persistent result store.", "counter", float64(s.storeHits.Load())},
+		{"suitd_cache_hits_total", "Submissions coalesced onto a live or done registry job, with no new engine execution.", "counter", float64(s.dedupHits.Load())},
 		{"suitd_rejected_total", "Submissions rejected with backpressure (admission queue full).", "counter", float64(s.rejected.Load())},
 		{"suitd_jobs_executed_total", "Jobs whose execution ran to a terminal state in this daemon lifetime.", "counter", float64(s.jobsExecuted.Load())},
 		{"suitd_queue_depth", "Jobs waiting in the admission queue.", "gauge", float64(queued)},
@@ -42,7 +40,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"suitd_engine_run_seconds_total", "Wall-clock seconds spent inside engine runs.", "counter", st.Elapsed.Seconds()},
 		{"suitd_engine_throughput_scenarios_per_second", "Simulated scenarios per second of engine run time.", "gauge", st.Throughput()},
 		{"suitd_engine_remote_total", "Scenarios executed by remote workers (within ran).", "counter", float64(st.Remote)},
-		{"suitd_store_quarantined_total", "Corrupt result-store entries moved aside.", "counter", float64(s.store.Quarantined())},
 	}
 	ds := s.DistStats()
 	tripped := 0.0

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"suit/internal/core"
@@ -96,16 +97,14 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	values := parsePromText(t, b.String())
 
 	want := map[string]float64{
-		"suitd_submissions_total":        2,
-		"suitd_cache_hits_total":         1,
-		"suitd_singleflight_dedup_total": 1,
-		"suitd_result_store_hits_total":  0,
-		"suitd_rejected_total":           0,
-		"suitd_jobs_executed_total":      1,
-		"suitd_queue_depth":              0,
-		"suitd_engine_ran_total":         2,
-		`suitd_jobs{state="done"}`:       1,
-		`suitd_jobs{state="queued"}`:     0,
+		"suitd_submissions_total":    2,
+		"suitd_cache_hits_total":     1,
+		"suitd_rejected_total":       0,
+		"suitd_jobs_executed_total":  1,
+		"suitd_queue_depth":          0,
+		"suitd_engine_ran_total":     2,
+		`suitd_jobs{state="done"}`:   1,
+		`suitd_jobs{state="queued"}`: 0,
 	}
 	for name, v := range want {
 		got, ok := values[name]
@@ -124,7 +123,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 
 // TestFailedScenarioFailsJob: a scenario whose run fails ends its job
 // failed, with the scenario's fingerprint in the job error, and /metrics
-// counts the failed scenario once.
+// counts the failed scenario once. A failure is not memoized: once the
+// fault is gone, resubmitting the spec runs it afresh under the same ID,
+// and the listing keeps one entry for that ID.
 func TestFailedScenarioFailsJob(t *testing.T) {
 	spec, err := tinySpec(2, 1).Normalize()
 	if err != nil {
@@ -135,9 +136,10 @@ func TestFailedScenarioFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := scs[1].Fingerprint()
+	var failed atomic.Bool
 	cfg := Config{EngineWorkers: 1}
 	cfg.runJob = func(ctx context.Context, sc core.Scenario, seed uint64) (core.Outcome, error) {
-		if sc.Fingerprint() == bad {
+		if sc.Fingerprint() == bad && failed.CompareAndSwap(false, true) {
 			return core.Outcome{}, errors.New("simulated failure")
 		}
 		return core.RunJob(ctx, sc, seed)
@@ -157,6 +159,42 @@ func TestFailedScenarioFailsJob(t *testing.T) {
 	defer resp.Body.Close()
 	if got := parsePromText(t, readAll(t, resp))["suitd_engine_failed_total"]; got != 1 {
 		t.Errorf("suitd_engine_failed_total = %g, want 1", got)
+	}
+
+	again, outcome, err := svc.Submit(tinySpec(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != SubmitQueued || again == job || again.ID != job.ID {
+		t.Fatalf("resubmitting a failed spec: outcome %d, fresh job %v; want SubmitQueued and a fresh job", outcome, again != job)
+	}
+	if snap := waitTerminal(t, again); snap.State != StateDone {
+		t.Fatalf("resubmitted job ended %s (%s), want done", snap.State, snap.Error)
+	}
+	if jobs := svc.JobsInOrder(); len(jobs) != 1 || jobs[0] != again {
+		t.Errorf("listing holds %d jobs, want the resubmitted one alone", len(jobs))
+	}
+}
+
+// TestFailedJobKeptWhenQueueFull: a failed spec is readmitted like any
+// submission, so a full queue answers 429 and leaves the failed job in
+// the registry. The service is built without executors and with an
+// unbuffered queue, which is always full.
+func TestFailedJobKeptWhenQueueFull(t *testing.T) {
+	s := &Service{cfg: Config{ExecJobs: 1}, jobs: make(map[string]*Job), queue: make(chan *Job)}
+	spec, err := tinySpec(1, 1).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := newJob(spec.ID(), spec, 1)
+	failed.finish(StateFailed, nil, "simulated failure")
+	s.jobs[failed.ID] = failed
+	s.order = []string{failed.ID}
+	if _, outcome, err := s.Submit(tinySpec(1, 1)); err != nil || outcome != SubmitQueueFull {
+		t.Fatalf("outcome %d err %v, want SubmitQueueFull", outcome, err)
+	}
+	if j, _ := s.Job(failed.ID); j != failed || len(s.JobsInOrder()) != 1 {
+		t.Error("a rejected resubmission replaced or duplicated the failed job")
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // Result is the deliverable of a completed job. Every field is a pure
 // function of the normalized spec — no timestamps, no throughput, no
 // hostnames — so the JSON encoding is byte-identical across runs,
-// restarts and resumes, which is what makes the result store
-// content-addressable and the drain/resume contract testable with cmp.
+// restarts and resumes. That is why no result is stored: after a
+// restart, aggregate rebuilds the same bytes from the points the
+// scenario cache replays, and the drain/resume contract is testable
+// with cmp.
 type Result struct {
 	ID   string `json:"id"`
 	Spec Spec   `json:"spec"`

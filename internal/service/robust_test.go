@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,76 +12,7 @@ import (
 
 	"suit/internal/core"
 	"suit/internal/dist"
-	"suit/internal/engine/faultinject"
 )
-
-// fakeResult builds a small valid Result for store tests.
-func fakeResult(points int) *Result {
-	r := &Result{GridPoints: points}
-	return r
-}
-
-// TestStoreQuarantinesCorruptEntries: a corrupt result file reads as a
-// miss AND is moved to *.quarantined — the engine cache's self-heal,
-// applied to the persistent result store.
-func TestStoreQuarantinesCorruptEntries(t *testing.T) {
-	dir := t.TempDir()
-	store, err := newResultStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range []uint64{1, 2, 3} {
-		id := fmt.Sprintf("job%d", i)
-		store.put(id, "fp-"+id, fakeResult(i+1))
-		if _, ok := store.get(id, "fp-"+id); !ok {
-			t.Fatalf("entry %s unreadable before corruption", id)
-		}
-		if err := faultinject.CorruptFile(store.path(id), seed); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := store.get(id, "fp-"+id); ok {
-			t.Fatalf("corrupt entry %s (mode %d) served a result", id, seed%3)
-		}
-		if _, err := os.Stat(store.path(id)); !os.IsNotExist(err) {
-			t.Errorf("corrupt entry %s still occupies its slot", id)
-		}
-		quarantined, err := filepath.Glob(store.path(id) + ".quarantined*")
-		if err != nil || len(quarantined) == 0 {
-			t.Errorf("corrupt entry %s was removed without quarantine (mode %d)", id, seed%3)
-		}
-	}
-	if got := store.Quarantined(); got != 3 {
-		t.Errorf("Quarantined() = %d, want 3", got)
-	}
-	// A recomputed result lands cleanly in the freed slot.
-	store.put("job0", "fp-job0", fakeResult(1))
-	if _, ok := store.get("job0", "fp-job0"); !ok {
-		t.Error("slot not reusable after quarantine")
-	}
-}
-
-// TestStoreForeignEntryIsMissNotQuarantine: an entry whose digest is
-// self-consistent but answers a different fingerprint is someone else's
-// valid data — a miss, never quarantined.
-func TestStoreForeignEntryIsMissNotQuarantine(t *testing.T) {
-	store, err := newResultStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.put("job", "fingerprint-a", fakeResult(2))
-	if _, ok := store.get("job", "fingerprint-b"); ok {
-		t.Fatal("foreign entry served as a result")
-	}
-	if _, err := os.Stat(store.path("job")); err != nil {
-		t.Errorf("foreign-but-valid entry was quarantined: %v", err)
-	}
-	if got := store.Quarantined(); got != 0 {
-		t.Errorf("Quarantined() = %d, want 0", got)
-	}
-	if _, ok := store.get("job", "fingerprint-a"); !ok {
-		t.Error("original entry no longer readable")
-	}
-}
 
 // TestSubmitTooLargeIs413: a spec body over the limit gets 413 with a
 // distinct message, not a generic 400.
@@ -262,7 +190,7 @@ func TestDistributedServiceByteIdentical(t *testing.T) {
 	if _, err := page.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"suitd_dist_completed_total", "suitd_dist_live_workers", "suitd_engine_remote_total", "suitd_store_quarantined_total"} {
+	for _, want := range []string{"suitd_dist_completed_total", "suitd_dist_live_workers", "suitd_engine_remote_total"} {
 		if !strings.Contains(page.String(), want) {
 			t.Errorf("/metrics is missing %s", want)
 		}

@@ -20,7 +20,7 @@ import (
 // StateDir means "use the default".
 type Config struct {
 	// StateDir is the daemon's persistent root: the engine's scenario
-	// cache lives in cas/, completed results in results/. Required.
+	// cache lives in cas/, the one record of finished work. Required.
 	StateDir string
 	// EngineWorkers bounds the engine's scenario worker pool
 	// (default GOMAXPROCS via the engine).
@@ -63,12 +63,9 @@ type SubmitOutcome int
 const (
 	// SubmitQueued admitted a new job to the queue.
 	SubmitQueued SubmitOutcome = iota
-	// SubmitCoalesced matched an existing registry job (in any state):
-	// the single-flight path — no new engine execution.
+	// SubmitCoalesced matched a live or done registry job: the
+	// single-flight path — no new engine execution.
 	SubmitCoalesced
-	// SubmitStored served a completed result from the persistent store
-	// (computed in an earlier daemon lifetime).
-	SubmitStored
 	// SubmitQueueFull rejected the submission: the admission queue is
 	// at capacity. Retry after RetryAfterSeconds.
 	SubmitQueueFull
@@ -78,13 +75,12 @@ const (
 )
 
 // Service is the sweep-as-a-service layer: a job registry keyed by
-// spec fingerprint, a bounded admission queue, a pool of job executors
-// sharing one engine, and a persistent content-addressed result store.
+// spec fingerprint, a bounded admission queue, and a pool of job
+// executors sharing one engine and its scenario cache.
 type Service struct {
-	cfg   Config
-	eng   *engine.Engine[core.Scenario, core.Outcome]
-	store *resultStore
-	dist  *dist.Dispatcher
+	cfg  Config
+	eng  *engine.Engine[core.Scenario, core.Outcome]
+	dist *dist.Dispatcher
 
 	runCtx     context.Context
 	cancelRuns context.CancelFunc
@@ -101,7 +97,6 @@ type Service struct {
 	// wall time (telemetry only — never part of a result).
 	submissions     atomic.Int64
 	dedupHits       atomic.Int64
-	storeHits       atomic.Int64
 	rejected        atomic.Int64
 	jobsExecuted    atomic.Int64
 	jobSecondsMilli atomic.Int64
@@ -114,18 +109,12 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, sub := range []string{"cas", "results"} {
-		if err := os.MkdirAll(filepath.Join(cfg.StateDir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-	}
-	store, err := newResultStore(filepath.Join(cfg.StateDir, "results"))
-	if err != nil {
+	cacheDir := filepath.Join(cfg.StateDir, "cas")
+	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	s := &Service{
 		cfg:   cfg,
-		store: store,
 		jobs:  make(map[string]*Job),
 		queue: make(chan *Job, cfg.QueueDepth),
 	}
@@ -137,7 +126,7 @@ func New(cfg Config) (*Service, error) {
 	s.eng = engine.New(core.Scenario.Fingerprint, runJob, engine.Options{
 		Workers:  cfg.EngineWorkers,
 		BaseSeed: 0, // specs carry explicit per-scenario seeds
-		CacheDir: filepath.Join(cfg.StateDir, "cas"),
+		CacheDir: cacheDir,
 		Label:    "suitd",
 	})
 	// The distributed tier: the engine offers every uncached scenario to
@@ -167,8 +156,12 @@ func (s *Service) Inflight() int { return s.eng.Inflight() }
 func (s *Service) QueueDepth() (int, int) { return len(s.queue), s.cfg.QueueDepth }
 
 // Submit resolves a spec submission: normalize, content-address,
-// dedup against the registry and the persistent store, else admit to
-// the bounded queue. A non-nil error means the spec itself was invalid.
+// coalesce onto a live or done registry job, else admit to the bounded
+// queue. An admitted spec whose points are in the scenario cache (a
+// resubmission after a restart) replays them as disk hits. A failed job
+// is not memoized, like a failed engine job: its spec is admitted
+// afresh under the same ID. A non-nil error means the spec itself was
+// invalid.
 func (s *Service) Submit(raw Spec) (*Job, SubmitOutcome, error) {
 	spec, err := raw.Normalize()
 	if err != nil {
@@ -182,26 +175,21 @@ func (s *Service) Submit(raw Spec) (*Job, SubmitOutcome, error) {
 	if s.draining {
 		return nil, SubmitDraining, nil
 	}
-	if j, ok := s.jobs[id]; ok {
+	prev, known := s.jobs[id]
+	if known && prev.State() != StateFailed {
 		// The single-flight path: identical spec, one execution —
 		// whether the original is still queued, mid-run, or finished.
 		s.dedupHits.Add(1)
-		return j, SubmitCoalesced, nil
-	}
-	if res, ok := s.store.get(id, spec.Fingerprint()); ok {
-		j := newJob(id, spec, res.GridPoints*len(spec.Benches))
-		j.finish(StateDone, res, "")
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.storeHits.Add(1)
-		return j, SubmitStored, nil
+		return prev, SubmitCoalesced, nil
 	}
 	total := len(spec.grid()) * len(spec.Benches)
 	j := newJob(id, spec, total)
 	select {
 	case s.queue <- j:
 		s.jobs[id] = j
-		s.order = append(s.order, id)
+		if !known {
+			s.order = append(s.order, id)
+		}
 		return j, SubmitQueued, nil
 	default:
 		s.rejected.Add(1)
@@ -257,7 +245,7 @@ func (s *Service) Draining() bool {
 
 // Drain shuts the service down gracefully: new submissions are
 // refused, queued-but-unstarted jobs are canceled (their submitters
-// resubmit after restart and hit the store or the scenario cache), and
+// resubmit after restart and replay from the scenario cache), and
 // running jobs get until ctx's deadline to finish. When the deadline
 // expires the engine runs are cancelled — every completed scenario is
 // already cached, so a restarted daemon replays the finished points
@@ -304,36 +292,35 @@ func (s *Service) worker() {
 			continue
 		}
 		start := time.Now() //lint:allow determinism job wall time only feeds the Retry-After estimate and /metrics, never results
-		s.execute(job)
+		state, res, errText := s.execute(job)
 		s.jobsExecuted.Add(1)
 		s.jobSecondsMilli.Add(time.Since(start).Milliseconds()) //lint:allow determinism telemetry-only duration accounting
+		// Counted before it is published, so a client that sees the job
+		// end also sees it in suitd_jobs_executed_total.
+		job.finish(state, res, errText)
 	}
 }
 
 // execute runs one job through the engine, publishing each resolved
-// point as progress, and persists the aggregated result.
-func (s *Service) execute(job *Job) {
+// point as progress, and returns the terminal state the worker
+// finishes it with: done with the aggregated result, or failed or
+// canceled with the reason.
+func (s *Service) execute(job *Job) (State, *Result, string) {
 	job.setRunning()
 	scs, grid, err := job.Spec.Scenarios()
 	if err != nil {
-		job.finish(StateFailed, nil, err.Error())
-		return
+		return StateFailed, nil, err.Error()
 	}
 	outs, err := s.eng.RunProgress(s.runCtx, scs, job.advance)
+	if errors.Is(err, context.Canceled) {
+		return StateCanceled, nil, "interrupted by drain: completed points are cached; resubmit after restart to resume"
+	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			job.finish(StateCanceled, nil,
-				"interrupted by drain: completed points are cached; resubmit after restart to resume")
-			return
-		}
-		job.finish(StateFailed, nil, err.Error())
-		return
+		return StateFailed, nil, err.Error()
 	}
 	res, err := aggregate(job.ID, job.Spec, grid, outs)
 	if err != nil {
-		job.finish(StateFailed, nil, err.Error())
-		return
+		return StateFailed, nil, err.Error()
 	}
-	s.store.put(job.ID, job.Spec.Fingerprint(), res)
-	job.finish(StateDone, res, "")
+	return StateDone, res, ""
 }

@@ -3,17 +3,17 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"suit/internal/core"
+	"suit/internal/engine"
+	"suit/internal/engine/faultinject"
 )
 
 // tinySpec is a fast submission: n grid points over one short network
@@ -53,6 +53,20 @@ func waitTerminal(t *testing.T, j *Job) Event {
 		t.Fatalf("job %s did not reach a terminal state", j.ID)
 	}
 	return j.snapshot()
+}
+
+// resultJSON waits for j to finish done and returns its result as the
+// API serves it.
+func resultJSON(t *testing.T, j *Job) []byte {
+	t.Helper()
+	if snap := waitTerminal(t, j); snap.State != StateDone {
+		t.Fatalf("job %s: %s (%s)", j.ID, snap.State, snap.Error)
+	}
+	raw, err := json.Marshal(j.result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func TestSubmitRunsToDone(t *testing.T) {
@@ -225,15 +239,9 @@ func TestDrainRefusesSubmissions(t *testing.T) {
 // its scenario cache does not hold (run with -race).
 func TestDrainResumeByteIdentical(t *testing.T) {
 	spec := tinySpec(6, 3)
-	specN, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := specN.ID()
 
 	// Reference: an uninterrupted daemon lifetime.
-	dirA := t.TempDir()
-	svcA, err := New(Config{StateDir: dirA, EngineWorkers: 1})
+	svcA, err := New(Config{StateDir: t.TempDir(), EngineWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,14 +249,8 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := waitTerminal(t, jobA); snap.State != StateDone {
-		t.Fatalf("reference job: %s (%s)", snap.State, snap.Error)
-	}
+	bytesA := resultJSON(t, jobA)
 	drainNow(t, svcA)
-	bytesA, err := os.ReadFile(svcA.store.path(id))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Interrupted lifetime: two scenarios complete, the third blocks
 	// until drain cancels it.
@@ -284,9 +286,6 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	if snap := jobB.snapshot(); snap.State != StateCanceled {
 		t.Fatalf("interrupted job state = %s (%s), want canceled", snap.State, snap.Error)
 	}
-	if _, err := os.Stat(svcB.store.path(id)); err == nil {
-		t.Fatal("interrupted job must not have stored a result")
-	}
 
 	// Restarted lifetime on the same state dir: the cache replays the
 	// two finished points, the rest computes.
@@ -302,56 +301,76 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	if outcome != SubmitQueued {
 		t.Fatalf("resubmission outcome = %d, want queued (a fresh registry)", outcome)
 	}
-	if snap := waitTerminal(t, jobC); snap.State != StateDone {
-		t.Fatalf("resumed job: %s (%s)", snap.State, snap.Error)
-	}
+	bytesC := resultJSON(t, jobC)
 	st := svcC.EngineStats()
 	if st.DiskHits != 2 || st.Ran != 4 {
 		t.Errorf("resume accounting: disk hits %d, ran %d; want 2/4", st.DiskHits, st.Ran)
-	}
-	bytesC, err := os.ReadFile(svcC.store.path(id))
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !bytes.Equal(bytesA, bytesC) {
 		t.Errorf("resumed result differs from uninterrupted run:\nA: %s\nC: %s", bytesA, bytesC)
 	}
 }
 
-// TestResultStoreAcrossRestart: a completed result is served from the
-// persistent store by a fresh daemon lifetime without any engine work.
-func TestResultStoreAcrossRestart(t *testing.T) {
+// TestRestartReplaysFromCache: a fresh daemon lifetime answers a spec
+// finished in an earlier one from the scenario cache alone — a new job
+// whose every point is a disk hit, with the first lifetime's result
+// bytes — and a damaged cache entry costs one recomputation, never a
+// different result. The state dir holds nothing but the cache.
+func TestRestartReplaysFromCache(t *testing.T) {
 	dir := t.TempDir()
-	svcA, err := New(Config{StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
+	spec := tinySpec(2, 5)
+	lifetime := func() (*Service, []byte) {
+		t.Helper()
+		svc, err := New(Config{StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { drainNow(t, svc) })
+		job, outcome, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outcome != SubmitQueued {
+			t.Fatalf("outcome = %d, want SubmitQueued (a fresh registry)", outcome)
+		}
+		raw := resultJSON(t, job)
+		drainNow(t, svc)
+		return svc, raw
 	}
-	jobA, _, err := svcA.Submit(tinySpec(2, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := waitTerminal(t, jobA); snap.State != StateDone {
-		t.Fatalf("job: %s (%s)", snap.State, snap.Error)
-	}
-	drainNow(t, svcA)
+	_, want := lifetime()
 
-	svcB, err := New(Config{StateDir: dir})
+	svc, got := lifetime()
+	if st := svc.EngineStats(); st.Ran != 0 || st.DiskHits != 2 {
+		t.Errorf("restart ran %d scenarios with %d disk hits, want 0 and 2", st.Ran, st.DiskHits)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("replayed result differs from the first lifetime's:\n%s\n%s", got, want)
+	}
+
+	specN, err := spec.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer drainNow(t, svcB)
-	jobB, outcome, err := svcB.Submit(tinySpec(2, 5))
+	scs, _, err := specN.Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcome != SubmitStored {
-		t.Fatalf("outcome = %d, want SubmitStored", outcome)
+	if err := faultinject.CorruptFile(engine.CachePath(filepath.Join(dir, "cas"), 0, scs[0].Fingerprint()), 1); err != nil {
+		t.Fatal(err)
 	}
-	if jobB.State() != StateDone || jobB.result == nil {
-		t.Fatal("stored job should be done with a result immediately")
+	svc, got = lifetime()
+	if st := svc.EngineStats(); st.Ran != 1 || st.DiskHits != 1 || st.Quarantined != 1 {
+		t.Errorf("after damaging one entry: ran %d, disk hits %d, quarantined %d; want 1, 1, 1", st.Ran, st.DiskHits, st.Quarantined)
 	}
-	if ran := svcB.EngineStats().Ran; ran != 0 {
-		t.Errorf("restart served from store but ran %d scenarios", ran)
+	if !bytes.Equal(got, want) {
+		t.Errorf("result after a damaged cache entry differs:\n%s\n%s", got, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "cas" {
+		t.Errorf("state dir holds %v, want only cas/", entries)
 	}
 }
 
@@ -460,50 +479,5 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	s.jobSecondsMilli.Store(2_000_000) // mean 1000 s: the clamp must hold
 	if got := s.RetryAfterSeconds(); got != 300 {
 		t.Errorf("clamp: RetryAfterSeconds = %d, want 300", got)
-	}
-}
-
-// TestEarlierVersionStoredResultNotServed: a state directory from a
-// build whose fingerprints carried the suitd/v1 prefix holds results
-// computed with that build's energy model. Resubmitting the same spec
-// must run it afresh, not serve the v1 entry stored under the v1 job ID.
-func TestEarlierVersionStoredResultNotServed(t *testing.T) {
-	dir := t.TempDir()
-	spec, err := tinySpec(2, 5).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := strings.Replace(spec.Fingerprint(), "suitd/v2|", "suitd/v1|", 1)
-	if v1 == spec.Fingerprint() {
-		t.Fatalf("fingerprint %q lacks the suitd/v2 prefix", spec.Fingerprint())
-	}
-	sum := sha256.Sum256([]byte(v1))
-	v1ID := hex.EncodeToString(sum[:16])
-	if v1ID == spec.ID() {
-		t.Fatal("v1 and v2 job IDs coincide")
-	}
-	store, err := newResultStore(filepath.Join(dir, "results"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.put(v1ID, v1, &Result{})
-
-	svc, err := New(Config{StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainNow(t, svc)
-	job, outcome, err := svc.Submit(tinySpec(2, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome == SubmitStored || job.ID == v1ID {
-		t.Fatalf("outcome %d, job %s: the v1 stored result answered a v2 submission", outcome, job.ID)
-	}
-	if snap := waitTerminal(t, job); snap.State != StateDone {
-		t.Fatalf("job: %s (%s)", snap.State, snap.Error)
-	}
-	if ran := svc.EngineStats().Ran; ran == 0 {
-		t.Error("the resubmitted spec was not recomputed")
 	}
 }

@@ -3,11 +3,12 @@
 // spec is content-addressed by its canonical fingerprint (PR 1's
 // fingerprint→seed contract), and identical submissions — concurrent or
 // repeated — coalesce onto one engine execution via the job registry
-// and the engine's single-flight dedup. Results persist in a
-// content-addressed store next to the engine's scenario cache, progress
-// streams to subscribers, a bounded admission queue applies
-// backpressure, and graceful drain leaves finished points in the
-// scenario cache so a restarted daemon resumes byte-identically.
+// and the engine's single-flight dedup. The engine's scenario cache is
+// the one record of finished work: a result is rebuilt from its points,
+// so a restarted daemon replays a resubmitted spec's finished points
+// from the cache, computes only the rest, and returns byte-identical
+// result bytes. Progress streams to subscribers, and a bounded
+// admission queue applies backpressure.
 package service
 
 import (
@@ -145,8 +146,8 @@ func (s Spec) Normalize() (Spec, error) {
 // appears; an empty Params means "the chip's full Table 7 grid", which
 // is stable across submissions by construction. The version prefix is
 // engine.ResultsRevision, the simulator's result semantics: v2 results
-// carry per-epoch closed-form energies, so v1 job IDs and stored
-// results never answer a v2 submission.
+// carry per-epoch closed-form energies, so a v1 job ID never answers a
+// v2 submission.
 func (s Spec) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "suitd/v%d|kind=%s|chip=%s|offset=%d|instr=%d|seed=%d|top=%d|benches=%s",

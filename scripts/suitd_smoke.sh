@@ -4,11 +4,17 @@
 # submission is a cache hit via /metrics, then SIGTERM and require a
 # clean exit-0 drain inside the budget.
 #
+# The restart phase boots the daemon again on the same state dir: the
+# resubmitted spec is a new job (201) whose every point replays from
+# the scenario cache (no engine run), its GET view must be
+# byte-identical to the first lifetime's, and the state dir must hold
+# only cas/.
+#
 # Phase 2 is the distributed kill-a-worker e2e: a second daemon with a
 # fresh state dir executes the same spec through two suitworker
 # processes, one of which is SIGKILLed mid-sweep; the sweep must still
-# complete (lease reassignment or local fallback) and the stored result
-# file must be byte-identical to the single-process daemon's.
+# complete (lease reassignment or local fallback) and its GET view must
+# be byte-identical to the single-process daemon's.
 #
 # Run from the repository root: scripts/suitd_smoke.sh
 set -euo pipefail
@@ -30,19 +36,47 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# wait_up URL PID: wait until the daemon at URL answers /healthz.
+wait_up() {
+  for _ in $(seq 1 100); do
+    if curl -fsS "$1/healthz" >/dev/null 2>&1; then return 0; fi
+    if ! kill -0 "$2" 2>/dev/null; then echo "suitd at $1 died during startup" >&2; exit 1; fi
+    sleep 0.1
+  done
+  echo "suitd at $1 never answered /healthz" >&2
+  exit 1
+}
+
+# job_state URL ID: print the job's lifecycle state.
+job_state() {
+  curl -fsS "$1/v1/sweeps/$2" | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])'
+}
+
+# wait_done URL ID TRIES: poll every 0.2 s until the job is done.
+wait_done() {
+  local state=""
+  for _ in $(seq 1 "$3"); do
+    state=$(job_state "$1" "$2")
+    [ "$state" = done ] && return 0
+    case "$state" in
+      failed|canceled) echo "job $2 at $1 ended $state" >&2; exit 1 ;;
+    esac
+    sleep 0.2
+  done
+  echo "job $2 at $1 stuck in state '$state'" >&2
+  exit 1
+}
+
+# metric TEXT NAME: print one sample's value from a /metrics page.
+metric() {
+  echo "$1" | awk -v n="$2" '$1 == n {print $2}'
+}
+
 go build -o "$WORK/suitd" ./cmd/suitd
 go build -o "$WORK/suitworker" ./cmd/suitworker
 "$WORK/suitd" -addr "$ADDR" -state "$WORK/state" -drain-timeout 30s &
 PID=$!
-
-# Wait for the daemon to come up.
-up=""
-for _ in $(seq 1 100); do
-  if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then up=1; break; fi
-  if ! kill -0 "$PID" 2>/dev/null; then echo "suitd died during startup" >&2; exit 1; fi
-  sleep 0.1
-done
-[ -n "$up" ] || { echo "suitd never answered /healthz" >&2; exit 1; }
+wait_up "$BASE" "$PID"
 
 # Readiness is split from liveness: a freshly booted daemon is both.
 curl -fsS "$BASE/readyz" >/dev/null || { echo "/readyz not ready on a fresh daemon" >&2; exit 1; }
@@ -52,20 +86,12 @@ SPEC='{"instructions":50000,"benches":["VLC","557.xz"],"params":[{"p_dl_us":30,"
 ID=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC" "$BASE/v1/sweeps" |
   python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')
 echo "submitted job $ID"
+wait_done "$BASE" "$ID" 300
 
-state=""
-for _ in $(seq 1 300); do
-  state=$(curl -fsS "$BASE/v1/sweeps/$ID" |
-    python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')
-  [ "$state" = done ] && break
-  case "$state" in
-    failed|canceled) echo "job ended $state" >&2; exit 1 ;;
-  esac
-  sleep 0.2
-done
-[ "$state" = done ] || { echo "job stuck in state '$state'" >&2; exit 1; }
-
-curl -fsS "$BASE/v1/sweeps/$ID" | python3 -c '
+# Every field of a done job's view is deterministic; the restart phase
+# and phase 2 compare their views with this one byte for byte.
+curl -fsS "$BASE/v1/sweeps/$ID" > "$WORK/view1.json"
+python3 -c '
 import json, sys
 v = json.load(sys.stdin)
 pts = v["result"]["points"]
@@ -73,15 +99,16 @@ assert v["state"] == "done" and pts, v
 effs = [p["efficiency"] for p in pts]
 assert effs == sorted(effs, reverse=True), "ranking not descending"
 print(f"ranked {len(pts)} points; best efficiency {effs[0]:.4f}")
-'
+' < "$WORK/view1.json"
 
-# The second identical submission must be answered from the cache (200,
-# not 201) and /metrics must prove no second execution happened.
+# The second identical submission must be answered by the registry's
+# done job (200, not 201) and /metrics must prove no second execution
+# happened.
 CODE=$(curl -fsS -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' -d "$SPEC" "$BASE/v1/sweeps")
 [ "$CODE" = 200 ] || { echo "duplicate POST got HTTP $CODE, want 200" >&2; exit 1; }
 METRICS=$(curl -fsS "$BASE/metrics")
-HITS=$(echo "$METRICS" | awk '$1 == "suitd_cache_hits_total" {print $2}')
-EXECUTED=$(echo "$METRICS" | awk '$1 == "suitd_jobs_executed_total" {print $2}')
+HITS=$(metric "$METRICS" suitd_cache_hits_total)
+EXECUTED=$(metric "$METRICS" suitd_jobs_executed_total)
 [ "$HITS" = 1 ] || { echo "suitd_cache_hits_total = '$HITS', want 1" >&2; exit 1; }
 [ "$EXECUTED" = 1 ] || { echo "suitd_jobs_executed_total = '$EXECUTED', want 1" >&2; exit 1; }
 
@@ -96,11 +123,41 @@ PID=""
 echo "suitd smoke OK: served 1 sweep, deduped the repeat (hits=$HITS), drained cleanly"
 
 # ---------------------------------------------------------------------
+# Restart: a new daemon lifetime on the same state dir. The registry
+# starts empty, so the resubmission is a new job (201); the scenario
+# cache is the one record of finished work, so every point is a disk
+# hit, nothing is simulated, and the GET view matches the first
+# lifetime's byte for byte.
+# ---------------------------------------------------------------------
+"$WORK/suitd" -addr "$ADDR" -state "$WORK/state" -drain-timeout 30s &
+PID=$!
+wait_up "$BASE" "$PID"
+CODE=$(curl -fsS -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' -d "$SPEC" "$BASE/v1/sweeps")
+[ "$CODE" = 201 ] || { echo "POST after a restart got HTTP $CODE, want 201" >&2; exit 1; }
+wait_done "$BASE" "$ID" 300
+curl -fsS "$BASE/v1/sweeps/$ID" > "$WORK/view_restart.json"
+cmp "$WORK/view1.json" "$WORK/view_restart.json" ||
+  { echo "the view after a restart differs from the first lifetime's" >&2; exit 1; }
+METRICS=$(curl -fsS "$BASE/metrics")
+RAN=$(metric "$METRICS" suitd_engine_ran_total)
+DISK=$(metric "$METRICS" suitd_engine_disk_hits_total)
+[ "$RAN" = 0 ] || { echo "suitd_engine_ran_total = '$RAN' after a restart, want 0" >&2; exit 1; }
+[ "$DISK" = 4 ] || { echo "suitd_engine_disk_hits_total = '$DISK' after a restart, want 4" >&2; exit 1; }
+kill -TERM "$PID"
+RC=0
+wait "$PID" || RC=$?
+PID=""
+[ "$RC" = 0 ] || { echo "restarted suitd exited $RC after SIGTERM, want 0" >&2; exit 1; }
+LEFT=$(ls -A "$WORK/state")
+[ "$LEFT" = cas ] || { echo "state dir holds '$LEFT', want only cas" >&2; exit 1; }
+echo "suitd restart OK: resubmission replayed $DISK points from cas/, ran $RAN, view bytes identical"
+
+# ---------------------------------------------------------------------
 # Phase 2: distributed kill-a-worker e2e. A second daemon (fresh state,
 # short lease TTL) runs the SAME spec through two pull workers; one
 # worker is SIGKILLed while leases are out. The sweep must complete via
-# lease reassignment (or local fallback) and the stored result file
-# must be byte-identical to the single-process daemon's.
+# lease reassignment (or local fallback) and its GET view must be
+# byte-identical to the single-process daemon's.
 # ---------------------------------------------------------------------
 TOKEN=smoke-worker-secret
 "$WORK/suitd" -addr "$ADDR2" -state "$WORK/state2" -lease-ttl 1s -worker-token "$TOKEN" -drain-timeout 30s &
@@ -128,7 +185,7 @@ W2=$!
 # offers decline straight to local and nothing is distributed.
 live=""
 for _ in $(seq 1 100); do
-  live=$(curl -fsS "$BASE2/metrics" | awk '$1 == "suitd_dist_live_workers" {print $2}')
+  live=$(metric "$(curl -fsS "$BASE2/metrics")" suitd_dist_live_workers)
   [ "${live:-0}" = 2 ] && break
   sleep 0.1
 done
@@ -141,11 +198,9 @@ ID2=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC" "$BASE2/v
 # SIGKILL one worker the moment leases are out — a real crash: no
 # goodbye, no result post, just a lease that stops heartbeating.
 for _ in $(seq 1 200); do
-  leases=$(curl -fsS "$BASE2/metrics" | awk '$1 == "suitd_dist_leases_total" {print $2}')
+  leases=$(metric "$(curl -fsS "$BASE2/metrics")" suitd_dist_leases_total)
   if [ "${leases:-0}" != 0 ] && [ "${leases:-0}" != "" ]; then break; fi
-  state=$(curl -fsS "$BASE2/v1/sweeps/$ID2" |
-    python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')
-  [ "$state" = done ] && break
+  [ "$(job_state "$BASE2" "$ID2")" = done ] && break
   sleep 0.05
 done
 kill -9 "$W1" 2>/dev/null || true
@@ -153,28 +208,19 @@ wait "$W1" 2>/dev/null || true
 W1=""
 echo "SIGKILLed worker smoke-w1 (leases granted so far: ${leases:-0})"
 
-state=""
-for _ in $(seq 1 600); do
-  state=$(curl -fsS "$BASE2/v1/sweeps/$ID2" |
-    python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')
-  [ "$state" = done ] && break
-  case "$state" in
-    failed|canceled) echo "distributed job ended $state" >&2; exit 1 ;;
-  esac
-  sleep 0.2
-done
-[ "$state" = done ] || { echo "distributed job stuck in state '$state'" >&2; exit 1; }
+wait_done "$BASE2" "$ID2" 600
 
-# The robustness contract, on disk: the distributed daemon's stored
-# result file is byte-identical to the single-process daemon's.
-cmp "$WORK/state/results/$ID.json" "$WORK/state2/results/$ID2.json" ||
-  { echo "distributed result file differs from the single-process one" >&2; exit 1; }
+# The robustness contract: the distributed daemon's GET view is
+# byte-identical to the single-process daemon's.
+curl -fsS "$BASE2/v1/sweeps/$ID2" > "$WORK/view2.json"
+cmp "$WORK/view1.json" "$WORK/view2.json" ||
+  { echo "distributed view differs from the single-process one" >&2; exit 1; }
 
 M2=$(curl -fsS "$BASE2/metrics")
-COMPLETED=$(echo "$M2" | awk '$1 == "suitd_dist_completed_total" {print $2}')
-EXPIRED=$(echo "$M2" | awk '$1 == "suitd_dist_leases_expired_total" {print $2}')
-FALLBACKS=$(echo "$M2" | awk '$1 == "suitd_dist_local_fallbacks_total" {print $2}')
-CONFLICTS=$(echo "$M2" | awk '$1 == "suitd_dist_conflicts_total" {print $2}')
+COMPLETED=$(metric "$M2" suitd_dist_completed_total)
+EXPIRED=$(metric "$M2" suitd_dist_leases_expired_total)
+FALLBACKS=$(metric "$M2" suitd_dist_local_fallbacks_total)
+CONFLICTS=$(metric "$M2" suitd_dist_conflicts_total)
 [ "$CONFLICTS" = 0 ] || { echo "suitd_dist_conflicts_total = $CONFLICTS — determinism violation" >&2; exit 1; }
 echo "distributed sweep OK: remote-completed=$COMPLETED expired-leases=$EXPIRED local-fallbacks=$FALLBACKS conflicts=0"
 
@@ -186,4 +232,4 @@ RC=0
 wait "$PID2" || RC=$?
 PID2=""
 [ "$RC" = 0 ] || { echo "second suitd exited $RC after SIGTERM, want 0" >&2; exit 1; }
-echo "suitd distributed smoke OK: worker killed mid-sweep, result bytes identical, clean drain"
+echo "suitd distributed smoke OK: worker killed mid-sweep, view bytes identical, clean drain"
