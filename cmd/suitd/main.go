@@ -25,7 +25,7 @@
 // fingerprint-addressed scenario units from. Workers are optional: with
 // none connected every sweep runs in-process exactly as before, and
 // because results are content-addressed, local and remote execution
-// store byte-identical files. A worker that crashes mid-unit simply
+// cache byte-identical records. A worker that crashes mid-unit simply
 // stops heartbeating; its lease expires (-lease-ttl) and the unit is
 // reassigned, or — after -remote-attempts failed leases — falls back to
 // local execution. -remote-only forbids that fallback for daemons that

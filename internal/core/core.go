@@ -78,9 +78,8 @@ type Scenario struct {
 
 // Outcome is the result of one scenario against its baseline.
 type Outcome struct {
-	Scenario Scenario
-	Base     cpu.Result
-	Run      cpu.Result
+	Base cpu.Result
+	Run  cpu.Result
 	// Change holds the performance and power deltas; Efficiency is the
 	// paper's 1/(Δduration·Δpower) − 1.
 	Change     metrics.Change
@@ -349,7 +348,6 @@ func Run(s Scenario) (Outcome, error) {
 		float64(base.AvgPower), float64(run.AvgPower),
 	)
 	return Outcome{
-		Scenario:       s,
 		Base:           base,
 		Run:            run,
 		Change:         change,

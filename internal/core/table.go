@@ -52,8 +52,8 @@ func runParallel(scs []Scenario) (map[string]Outcome, error) {
 		return nil, err
 	}
 	out := make(map[string]Outcome, len(outs))
-	for _, o := range outs {
-		out[o.Scenario.Bench.Name] = o
+	for i, o := range outs {
+		out[scs[i].Bench.Name] = o
 	}
 	return out, nil
 }

@@ -78,8 +78,8 @@ func TestWorkerTokenEndToEnd(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	sc := testScenario(t, 40)
-	run := func(ctx context.Context, got core.Scenario, seed uint64) (core.Outcome, error) {
-		return core.Outcome{Scenario: got, Efficiency: 3}, nil
+	run := func(context.Context, core.Scenario, uint64) (core.Outcome, error) {
+		return core.Outcome{Efficiency: 3}, nil
 	}
 
 	stopDenied := runWorker(t, WorkerConfig{
@@ -129,8 +129,8 @@ func TestClaimRevisionMismatchRefused(t *testing.T) {
 	}
 
 	stop := runWorker(t, WorkerConfig{BaseURL: srv.URL, ID: "current", PollInterval: 5 * time.Millisecond,
-		runFn: func(ctx context.Context, got core.Scenario, seed uint64) (core.Outcome, error) {
-			return core.Outcome{Scenario: got, Efficiency: 3}, nil
+		runFn: func(context.Context, core.Scenario, uint64) (core.Outcome, error) {
+			return core.Outcome{Efficiency: 3}, nil
 		}})
 	defer stop()
 	waitLiveWorkers(t, d, 1)

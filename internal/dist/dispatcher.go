@@ -306,16 +306,7 @@ func (d *Dispatcher) Tripped() bool {
 // exhaustion as a real error.
 func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, seed uint64) (core.Outcome, bool, error) {
 	var zero core.Outcome
-	wire, err := EncodeScenario(sc)
-	if err != nil {
-		// Not expressible on the wire (ad-hoc benchmark, foreign chip):
-		// permanently a local job, never an error.
-		d.mu.Lock()
-		d.stats.LocalFallbacks++
-		d.mu.Unlock()
-		return zero, false, nil
-	}
-	u := &unit{key: key, wire: WorkUnit{Fingerprint: key, Seed: seed, Scenario: wire}, done: make(chan struct{})}
+	var u *unit
 	for {
 		d.mu.Lock()
 		now := d.cfg.now()
@@ -327,6 +318,22 @@ func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, 
 			return zero, false, nil
 		}
 		if d.eligibleLocked(now) {
+			if u == nil {
+				// Encode only now, so a decline never pays for a wire
+				// form; then re-check under the lock before enqueueing.
+				d.mu.Unlock()
+				wire, err := EncodeScenario(sc)
+				if err != nil {
+					// Not expressible on the wire (ad-hoc benchmark, foreign
+					// chip): permanently a local job, never an error.
+					d.mu.Lock()
+					d.stats.LocalFallbacks++
+					d.mu.Unlock()
+					return zero, false, nil
+				}
+				u = &unit{key: key, wire: WorkUnit{Fingerprint: key, Seed: seed, Scenario: wire}, done: make(chan struct{})}
+				continue
+			}
 			if _, dup := d.units[key]; dup {
 				// The engine's single-flight layer makes concurrent offers
 				// of one fingerprint impossible; if it ever happens, local
@@ -341,13 +348,12 @@ func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, 
 			d.mu.Unlock()
 			break
 		}
-		d.mu.Unlock()
 		if !d.cfg.RemoteOnly {
-			d.mu.Lock()
 			d.stats.LocalFallbacks++
 			d.mu.Unlock()
 			return zero, false, nil
 		}
+		d.mu.Unlock()
 		if !sleepCtx(ctx, 50*time.Millisecond) {
 			return zero, true, ctx.Err()
 		}
@@ -527,7 +533,7 @@ func (d *Dispatcher) Result(leaseID string, msg ResultMsg) (string, error) {
 		// (ours expired, or a torn 500 made the worker resend) re-delivers
 		// here: verify against the recorded digest and dedup.
 		if dig, done := d.completed[msg.Fingerprint]; done && msg.Error == "" {
-			if msg.Digest == dig && ResultDigest(msg.Fingerprint, msg.Outcome) == dig {
+			if msg.Digest == dig && engine.ResultDigest(msg.Fingerprint, msg.Outcome) == dig {
 				d.stats.Duplicates++
 				return "duplicate", nil
 			}
@@ -551,7 +557,7 @@ func (d *Dispatcher) Result(leaseID string, msg ResultMsg) (string, error) {
 		d.failLeaseLocked(l, now, "fingerprint mismatch")
 		return "", ErrMismatch
 	}
-	if ResultDigest(msg.Fingerprint, msg.Outcome) != msg.Digest {
+	if engine.ResultDigest(msg.Fingerprint, msg.Outcome) != msg.Digest {
 		d.stats.BadDigests++
 		d.failLeaseLocked(l, now, "digest mismatch")
 		return "", ErrBadDigest

@@ -186,10 +186,11 @@ type Grant struct {
 	Unit      WorkUnit `json:"unit"`
 }
 
-// ResultMsg is the worker's report for a leased unit: either a
-// digest-protected outcome or an error (fingerprint mismatch, failed
-// simulation) that releases the lease for reassignment without waiting
-// for expiry.
+// ResultMsg is the worker's report for a leased unit: either an outcome
+// with its engine.ResultDigest, which catches torn and garbled bodies and
+// lets an at-least-once duplicate delivery verify instead of conflict,
+// or an error (fingerprint mismatch, failed simulation) that releases
+// the lease for reassignment without waiting for expiry.
 type ResultMsg struct {
 	Fingerprint string          `json:"fingerprint"`
 	Outcome     json.RawMessage `json:"outcome,omitempty"`
@@ -200,19 +201,6 @@ type ResultMsg struct {
 // ResultAck is the dispatcher's answer to a result post.
 type ResultAck struct {
 	Status string `json:"status"` // accepted | duplicate | retrying
-}
-
-// ResultDigest is the transport-integrity digest over a unit's outcome:
-// SHA-256 of (fingerprint, 0x00, outcome JSON), truncated like the
-// engine cache's entry digest. It catches torn and garbled bodies; a
-// digest recorded at completion also lets an at-least-once duplicate
-// delivery verify instead of conflict.
-func ResultDigest(fingerprint string, outcome []byte) string {
-	h := sha256.New()
-	h.Write([]byte(fingerprint))
-	h.Write([]byte{0})
-	h.Write(outcome)
-	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // shortKey abbreviates a fingerprint for lease IDs and error text.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"suit/internal/core"
+	"suit/internal/engine"
 	"suit/internal/units"
 )
 
@@ -93,16 +94,14 @@ func TestEncodeScenarioRejectsForeignChip(t *testing.T) {
 	}
 }
 
-// resultFor builds a valid ResultMsg for a unit. The outcome embeds a
-// registry scenario because Benchmark's unmarshal validates itself — an
-// outcome with no benchmark would be rejected as undecodable.
+// resultFor builds a valid ResultMsg for a unit.
 func resultFor(t *testing.T, fp string, marker int) ResultMsg {
 	t.Helper()
-	raw, err := json.Marshal(core.Outcome{Scenario: testScenario(t, 0), Efficiency: float64(marker)})
+	raw, err := json.Marshal(core.Outcome{Efficiency: float64(marker)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ResultMsg{Fingerprint: fp, Outcome: raw, Digest: ResultDigest(fp, raw)}
+	return ResultMsg{Fingerprint: fp, Outcome: raw, Digest: engine.ResultDigest(fp, raw)}
 }
 
 // startExecute launches Execute in the background and returns a channel
@@ -195,6 +194,24 @@ func TestDispatcherNoWorkersDeclines(t *testing.T) {
 	}
 	if st := d.Stats(); st.LocalFallbacks != 1 {
 		t.Errorf("LocalFallbacks = %d, want 1", st.LocalFallbacks)
+	}
+}
+
+// TestDeclineSkipsEncoding: with no live worker, a decline checks
+// eligibility before it builds the scenario's wire form. Encoding a
+// scenario makes about a hundred allocations, so a decline that stays
+// within a handful never paid for it.
+func TestDeclineSkipsEncoding(t *testing.T) {
+	d := newTestDispatcher(t, Config{})
+	sc := testScenario(t, 2)
+	key := sc.Fingerprint()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, handled, err := d.Execute(context.Background(), sc, key, 1); handled || err != nil {
+			t.Fatalf("Execute: handled=%v err=%v, want a decline", handled, err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("a decline made %.0f allocations, want at most 4", allocs)
 	}
 }
 

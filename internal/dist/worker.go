@@ -227,7 +227,7 @@ func (w *Worker) execute(ctx context.Context, g Grant) {
 	msg := ResultMsg{
 		Fingerprint: unit.Fingerprint,
 		Outcome:     raw,
-		Digest:      ResultDigest(unit.Fingerprint, raw),
+		Digest:      engine.ResultDigest(unit.Fingerprint, raw),
 	}
 	if w.postResult(ctx, g.LeaseID, msg) {
 		w.count(func(s *WorkerStats) { s.Completed++ })

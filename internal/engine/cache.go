@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,23 +9,32 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
+	"sync"
 )
 
-// cacheEntry is the on-disk record: the full key is stored alongside the
-// result so a filename hash collision reads as a miss, never as a wrong
-// result, and an integrity digest over (key, result) detects garbled
-// bytes that still happen to parse as JSON — a bit-flip inside a cached
-// number would otherwise read back as a silently wrong result.
-type cacheEntry struct {
+// ResultsRevision versions what a result means, for the whole fleet. A
+// fingerprint describes the work, not the simulator that did it, so a
+// change that moves result bits without moving any fingerprint bumps
+// this: cache segments of other revisions are plain misses, suitd job
+// IDs (fingerprints prefixed suitd/v<N>) move, and the dispatcher
+// refuses claims from workers built at another revision. Revision 2
+// brought per-epoch closed-form energy; revision 3, append-only cache
+// segments and outcomes without the scenario echo.
+const ResultsRevision = 3
+
+// record is one line of a segment. Its digest over key and result makes
+// damage that still parses as JSON — a bit-flip inside a cached number
+// — read as damage, never as a silently wrong result.
+type record struct {
 	Key    string          `json:"key"`
 	Result json.RawMessage `json:"result"`
 	Sum    string          `json:"sum"`
 }
 
-// entrySum is the integrity digest stored in Sum: SHA-256 over the key
-// and the raw result bytes.
-func entrySum(key string, result []byte) string {
+// ResultDigest is the integrity digest over a job's result JSON: SHA-256
+// of (key, 0x00, result), truncated to 16 bytes. Cache records carry it,
+// and so do internal/dist's result messages.
+func ResultDigest(key string, result []byte) string {
 	h := sha256.New()
 	h.Write([]byte(key))
 	h.Write([]byte{0})
@@ -32,113 +42,131 @@ func entrySum(key string, result []byte) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// quarantineSuffix marks a corrupt cache file that was set aside: the
-// entry stops being parsed on every lookup but stays on disk for
-// inspection. Quarantined files are ignored by the cache forever.
-const quarantineSuffix = ".quarantined"
-
-// tmpPattern is the os.CreateTemp pattern for in-flight cache writes;
-// cleanStaleTemps matches files it produces.
-const tmpPattern = ".tmp-*"
-
-// staleTempAge is how old an orphaned temp file must be before the
-// cleanup sweep removes it. Generous enough that a temp file belonging
-// to a concurrent live sweep (written and renamed within milliseconds)
-// is never touched.
-const staleTempAge = 10 * time.Minute
-
-// ResultsRevision versions what a result means, for the whole fleet. A
-// fingerprint describes the work, not the simulator that did it, so a
-// change that moves result bits without moving any fingerprint bumps
-// this: cache entries written by earlier builds then live at other
-// paths and are plain misses, suitd job IDs (whose fingerprints carry
-// it as the suitd/v<N> prefix) move, and the dispatcher refuses claims
-// from workers built at another revision. Revision 2: per-epoch
-// closed-form energy (revision 1, whose cache paths carried no
-// revision, integrated energy per segment by Simpson's rule).
-const ResultsRevision = 2
-
-// CachePath returns the on-disk cache file for a (cache dir, base seed,
-// fingerprint) triple: entries bucket by the SHA-256 of the key, base
-// seed and results revision, so caches warmed under different -seed
-// values or by builds with different result semantics never alias.
-// Exported so chaos tests and tooling can locate a specific entry.
-func CachePath(dir string, baseSeed uint64, key string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|base=%d|rev=%d", key, baseSeed, ResultsRevision)))
-	return filepath.Join(dir, hex.EncodeToString(sum[:16])+".json")
+// parseRecord decodes one segment line; ok means its digest checks.
+func parseRecord(line []byte) (rec record, ok bool) {
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return rec, false
+	}
+	return rec, rec.Sum == ResultDigest(rec.Key, rec.Result)
 }
 
-func (e *Engine[S, R]) cachePath(key string) string {
-	return CachePath(e.opts.CacheDir, e.opts.BaseSeed, key)
-}
-
-// decodeEntry parses an on-disk cache entry for key. ok reports a
-// usable result; corrupt distinguishes undecodable bytes (truncated or
-// garbled files, which the caller should quarantine) from a well-formed
-// entry that simply belongs to a different key (a filename-hash
-// collision — a miss, but not damage).
-func decodeEntry[R any](data []byte, key string) (r R, ok, corrupt bool) {
-	var ent cacheEntry
-	if err := json.Unmarshal(data, &ent); err != nil {
-		return r, false, true
-	}
-	if ent.Key != key {
-		// Distinguish a healthy foreign entry (filename-hash collision)
-		// from one whose key bytes were damaged: a foreign entry still
-		// carries a digest consistent with its own key.
-		if ent.Sum == entrySum(ent.Key, ent.Result) {
-			return r, false, false
-		}
-		return r, false, true
-	}
-	if ent.Sum != entrySum(ent.Key, ent.Result) {
-		return r, false, true
-	}
-	if err := json.Unmarshal(ent.Result, &r); err != nil {
+// decodeRecord reads a record's bytes back as key's result.
+func decodeRecord[R any](line []byte, key string) (r R, ok bool) {
+	rec, ok := parseRecord(line)
+	if !ok || rec.Key != key || json.Unmarshal(rec.Result, &r) != nil {
 		var zero R
-		return zero, false, true
-	}
-	return r, true, false
-}
-
-// diskGet loads a cached result. A missing or foreign entry is a miss;
-// a corrupt (truncated, torn, garbled) entry is quarantined so it is
-// never parsed again and the job is recomputed — corruption can cost a
-// recomputation, never a wrong result and never a failed sweep.
-func (e *Engine[S, R]) diskGet(key string) (R, bool) {
-	var zero R
-	if e.opts.CacheDir == "" {
 		return zero, false
 	}
-	path := e.cachePath(key)
-	data, err := os.ReadFile(path)
+	return r, true
+}
+
+// segmentPrefix starts the name of every segment an engine of this
+// revision and base seed reads or writes; a random part and
+// segmentSuffix follow. Nothing else in the directory matches it.
+func segmentPrefix(baseSeed uint64) string {
+	return fmt.Sprintf("rev%d-seed%d-", ResultsRevision, baseSeed)
+}
+
+const segmentSuffix = ".jsonl"
+
+// spot locates one record.
+type spot struct {
+	path string
+	off  int64
+	n    int
+}
+
+// segments is an engine's disk cache: an index of the directory's
+// records when the engine first ran, and its own segment, created on
+// its first write and open for the engine's life. Later records are not
+// indexed: the memo holds this engine's own, and the next engine sees
+// other processes'.
+type segments struct {
+	once  sync.Once
+	index map[string]spot // read-only once built
+
+	mu      sync.Mutex
+	w       *os.File
+	stopped bool // a write failed; this engine writes no more
+}
+
+// indexSegment adds one segment's records to index, the first per key
+// winning, and returns how many it skipped as damaged. A record ends at
+// a newline; a process killed mid-append leaves a last record without
+// one, kept only if it is whole.
+func indexSegment(index map[string]spot, path string, data []byte) (bad int64) {
+	for off := 0; off < len(data); {
+		n := bytes.IndexByte(data[off:], '\n')
+		if n < 0 {
+			n = len(data) - off
+		}
+		if n > 0 {
+			if rec, ok := parseRecord(data[off : off+n]); !ok {
+				bad++
+			} else if _, dup := index[rec.Key]; !dup {
+				index[rec.Key] = spot{path: path, off: int64(off), n: n}
+			}
+		}
+		off += n + 1
+	}
+	return bad
+}
+
+// openCache indexes the cache directory's segments of this revision and
+// base seed, counting damaged records in Quarantined. No directory (or
+// no CacheDir) indexes as empty, and an unreadable segment costs
+// recomputations, never a failed sweep.
+func (e *Engine[S, R]) openCache() {
+	e.disk.index = make(map[string]spot)
+	ents, _ := os.ReadDir(e.opts.CacheDir)
+	prefix := segmentPrefix(e.opts.BaseSeed)
+	var bad int64
+	for _, ent := range ents {
+		name := ent.Name()
+		if !ent.Type().IsRegular() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, segmentSuffix) {
+			continue
+		}
+		path := filepath.Join(e.opts.CacheDir, name)
+		if data, err := os.ReadFile(path); err == nil {
+			bad += indexSegment(e.disk.index, path, data)
+		}
+	}
+	e.mu.Lock()
+	e.stats.Quarantined += bad
+	e.mu.Unlock()
+}
+
+// diskGet reads key's record back from its segment. A record that no
+// longer reads back whole is a miss counted in Quarantined: damage can
+// cost a recomputation, never a wrong result.
+func (e *Engine[S, R]) diskGet(key string) (R, bool) {
+	var zero R
+	s, ok := e.disk.index[key]
+	if !ok {
+		return zero, false
+	}
+	f, err := os.Open(s.path)
 	if err != nil {
 		return zero, false
 	}
-	r, ok, corrupt := decodeEntry[R](data, key)
-	if corrupt {
-		e.quarantine(path)
-		return zero, false
-	}
-	return r, ok
-}
-
-// quarantine sets a corrupt cache file aside (best-effort: if the
-// rename fails the file is removed instead, and if that fails too the
-// entry simply stays a slow miss).
-func (e *Engine[S, R]) quarantine(path string) {
-	if err := os.Rename(path, path+quarantineSuffix); err != nil {
-		os.Remove(path)
+	defer f.Close()
+	line := make([]byte, s.n)
+	if _, err := f.ReadAt(line, s.off); err == nil {
+		if r, ok := decodeRecord[R](line, key); ok {
+			return r, true
+		}
 	}
 	e.mu.Lock()
 	e.stats.Quarantined++
 	e.mu.Unlock()
+	return zero, false
 }
 
-// diskPut persists a result via write-to-temp + rename so concurrent
-// sweeps sharing a cache directory never observe torn files. Cache
-// writes are best-effort: a full disk or unmarshalable result type only
-// disables reuse, it never fails the sweep.
+// diskPut appends key's record to the engine's segment, creating it on
+// the first write; one write per record under the lock, so records
+// never interleave. Writes are best-effort: a failed one stops this
+// engine's writes (a partial record reads as damage at the next open)
+// but never fails the sweep.
 func (e *Engine[S, R]) diskPut(key string, r R) {
 	if e.opts.CacheDir == "" {
 		return
@@ -147,56 +175,26 @@ func (e *Engine[S, R]) diskPut(key string, r R) {
 	if err != nil {
 		return
 	}
-	data, err := json.Marshal(cacheEntry{Key: key, Result: raw, Sum: entrySum(key, raw)})
+	data, err := json.Marshal(record{Key: key, Result: raw, Sum: ResultDigest(key, raw)})
 	if err != nil {
 		return
 	}
-	if err := os.MkdirAll(e.opts.CacheDir, 0o755); err != nil {
+	data = append(data, '\n')
+	d := &e.disk
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stopped {
 		return
 	}
-	path := e.cachePath(key)
-	tmp, err := os.CreateTemp(e.opts.CacheDir, tmpPattern)
+	if d.w == nil {
+		if err = os.MkdirAll(e.opts.CacheDir, 0o755); err == nil {
+			d.w, err = os.CreateTemp(e.opts.CacheDir, segmentPrefix(e.opts.BaseSeed)+"*"+segmentSuffix)
+		}
+	}
+	if err == nil {
+		_, err = d.w.Write(data)
+	}
 	if err != nil {
-		return
+		d.stopped = true
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
-// cleanStaleTemps removes orphaned temp files that a killed process
-// left behind mid-write (the temp-file + rename protocol never cleans
-// them up on SIGKILL). Only files matching the temp pattern and older
-// than staleTempAge are removed, so the in-flight writes of concurrent
-// live sweeps sharing the directory are safe. Best-effort: an
-// unreadable directory just skips the sweep.
-func cleanStaleTemps(dir string) (removed int) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	cutoff := time.Now().Add(-staleTempAge) //lint:allow determinism the temp-file age check is cache-directory hygiene; it cannot influence any result
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, ".tmp-") {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil || !info.ModTime().Before(cutoff) {
-			continue
-		}
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			removed++
-		}
-	}
-	return removed
 }

@@ -70,8 +70,9 @@ type Options struct {
 	Workers int
 	// BaseSeed is mixed into every derived job seed (see DeriveSeed).
 	BaseSeed uint64
-	// CacheDir, when non-empty, persists results as JSON files keyed by
-	// the spec fingerprint (plus BaseSeed), shared across processes.
+	// CacheDir, when non-empty, keeps results on disk: the engine appends
+	// them to a segment of its own there, and reads the segments of its
+	// results revision and BaseSeed that exist when it first runs.
 	CacheDir string
 	// Progress, when non-nil, receives a throughput line every
 	// progressEvery and a final summary. Point it at os.Stderr to keep
@@ -97,18 +98,18 @@ type Stats struct {
 	// Retried is always 0: every job is attempted once. It stays only
 	// because the benchmark harness reads it.
 	Retried int64
-	// Failed counts jobs whose one attempt failed (jobs a cancelled
-	// sweep never finished do not count); Panicked is the subset whose
-	// run function panicked.
+	// Failed counts jobs whose one attempt failed (not jobs a cancelled
+	// sweep never finished, nor jobs that shared another Run's failure);
+	// Panicked is the subset whose run function panicked.
 	Failed   int64
 	Panicked int64
-	// Quarantined counts corrupt on-disk cache entries that were set
-	// aside and recomputed.
+	// Quarantined counts damaged disk cache records, skipped and left to
+	// recompute.
 	Quarantined int64
-	// Coalesced counts jobs that were served by another Run call's
-	// in-flight or just-finished execution instead of running themselves
-	// — the single-flight dedup that makes N concurrent identical
-	// submissions cost one simulation.
+	// Coalesced counts jobs that took their result, or their failure,
+	// from another Run call's in-flight or just-finished execution
+	// instead of running themselves — the single-flight dedup that makes
+	// N concurrent identical submissions cost one simulation.
 	Coalesced int64
 	// Remote counts jobs executed by the remote tier (see RemoteFunc);
 	// they are included in Ran, so Ran-Remote is the local share.
@@ -143,7 +144,7 @@ func (s Stats) String() string {
 		out += fmt.Sprintf(", %d failed (%d panics)", s.Failed, s.Panicked)
 	}
 	if s.Quarantined > 0 {
-		out += fmt.Sprintf(", %d cache entries quarantined", s.Quarantined)
+		out += fmt.Sprintf(", %d damaged cache records skipped", s.Quarantined)
 	}
 	if s.Coalesced > 0 {
 		out += fmt.Sprintf(", %d coalesced in flight", s.Coalesced)
@@ -167,7 +168,7 @@ type Engine[S, R any] struct {
 	// Options is not generic.
 	remote RemoteFunc[S, R]
 
-	sweepTemps sync.Once
+	disk segments // unused when opts.CacheDir is empty
 
 	mu      sync.Mutex
 	memo    map[string]R
@@ -250,9 +251,7 @@ func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func
 	start := time.Now() //lint:allow determinism wall-clock only feeds Stats.Elapsed and the progress reporter, never results
 	results := make([]R, len(specs))
 
-	if e.opts.CacheDir != "" {
-		e.sweepTemps.Do(func() { cleanStaleTemps(e.opts.CacheDir) })
-	}
+	e.disk.once.Do(e.openCache)
 
 	// Group duplicate fingerprints so each is computed once per batch.
 	byKey := make(map[string]*job[S], len(specs))
@@ -282,21 +281,18 @@ func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func
 		r, ok := e.memo[j.key]
 		e.mu.Unlock()
 		if ok {
-			fill(j, r)
-			resolved()
 			memHits++
-			continue
-		}
-		if r, ok := e.diskGet(j.key); ok {
+		} else if r, ok = e.diskGet(j.key); ok {
 			e.mu.Lock()
 			e.memo[j.key] = r
 			e.mu.Unlock()
-			fill(j, r)
-			resolved()
 			diskHits++
+		} else {
+			pending = append(pending, j)
 			continue
 		}
-		pending = append(pending, j)
+		fill(j, r)
+		resolved()
 	}
 
 	var done atomic.Int64
@@ -321,7 +317,9 @@ func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func
 					if runCtx.Err() != nil && errors.Is(err, context.Canceled) {
 						continue // sweep aborted, not a job failure
 					}
-					e.countFailure(err)
+					if !shared {
+						e.countFailure(err) // the leader counted a shared failure
+					}
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("engine: job %d/%d (%s): %w", j.indices[0]+1, len(specs), j.key, err)
@@ -382,10 +380,11 @@ feed:
 // call to reach a fingerprint becomes its leader and executes it; any
 // concurrent Run call landing on the same key waits for the leader and
 // shares its result (shared=true, counted in Stats.Coalesced) instead
-// of executing a second time. A leader failure is not shared: the
-// follower loops around and executes the job itself, so one Run's
-// cancelled context cannot fail another's job. A follower whose own
-// context is cancelled stops waiting and returns the context error.
+// of executing a second time. A job failure is shared too, since a
+// second execution would fail the same way; a leader stopped by its own
+// context has not failed the job, so the follower loops around and
+// executes it itself. A follower whose own context is cancelled stops
+// waiting and returns the context error.
 func (e *Engine[S, R]) executeShared(ctx context.Context, j *job[S]) (r R, shared bool, err error) {
 	for {
 		e.mu.Lock()
@@ -400,13 +399,13 @@ func (e *Engine[S, R]) executeShared(ctx context.Context, j *job[S]) (r R, share
 			e.mu.Unlock()
 			select {
 			case <-f.done:
-				if f.err == nil {
-					e.mu.Lock()
-					e.stats.Coalesced++
-					e.mu.Unlock()
-					return f.r, true, nil
+				if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+					continue // the leader was stopped: lead our own execution
 				}
-				continue // leader failed: try to lead our own execution
+				e.mu.Lock()
+				e.stats.Coalesced++
+				e.mu.Unlock()
+				return f.r, true, f.err
 			case <-ctx.Done():
 				return r, false, ctx.Err()
 			}

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -30,11 +31,11 @@ func TestCorruptFileModesChangeBytes(t *testing.T) {
 
 func TestCorruptFileDeterministic(t *testing.T) {
 	orig := []byte(`{"key":"k","result":1,"sum":"x"}`)
-	dir := t.TempDir()
-	// Same relative content + same seed on the same path → same damage.
-	p := filepath.Join(dir, "e.json")
+	// Same content + same seed → same damage, whatever the path: a
+	// segment's name carries a random part.
 	var first []byte
-	for i := 0; i < 2; i++ {
+	for i, name := range []string{"rev3-seed0-1.jsonl", "rev3-seed0-2.jsonl"} {
+		p := filepath.Join(t.TempDir(), name)
 		if err := os.WriteFile(p, orig, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestCorruptFileDeterministic(t *testing.T) {
 		if i == 0 {
 			first = got
 		} else if string(got) != string(first) {
-			t.Error("CorruptFile is not deterministic for a fixed (path, seed)")
+			t.Error("CorruptFile is not deterministic for a fixed (content, seed)")
 		}
 	}
 }
@@ -53,5 +54,29 @@ func TestCorruptFileDeterministic(t *testing.T) {
 func TestCorruptFileMissingFile(t *testing.T) {
 	if err := CorruptFile(filepath.Join(t.TempDir(), "nope.json"), 0); err == nil {
 		t.Error("CorruptFile on a missing file must error")
+	}
+}
+
+// TestCorruptFileDamagesOneRecord: in a segment of several records,
+// every mode changes the last record only, so the others stay whole.
+func TestCorruptFileDamagesOneRecord(t *testing.T) {
+	orig := "{\"key\":\"a\",\"result\":1,\"sum\":\"x\"}\n{\"key\":\"b\",\"result\":22,\"sum\":\"y\"}\n{\"key\":\"c\",\"result\":333,\"sum\":\"z\"}\n"
+	for seed := uint64(0); seed < 9; seed++ {
+		p := filepath.Join(t.TempDir(), "segment.jsonl")
+		if err := os.WriteFile(p, []byte(orig), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := CorruptFile(p, seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := strings.Split(strings.TrimSuffix(orig, "\n"), "\n")
+		after := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
+		if len(after) != len(before) || after[0] != before[0] || after[1] != before[1] || after[2] == before[2] {
+			t.Errorf("seed %d: records %q, want only the last of %q damaged", seed, after, before)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,22 +77,22 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	}
 }
 
-// TestSingleFlightLeaderFailureNotShared: a follower must not inherit
-// the leader's failure — it executes the job itself.
-func TestSingleFlightLeaderFailureNotShared(t *testing.T) {
+// TestSingleFlightLeaderFailureShared: a follower waiting on a leader
+// whose job fails gets the leader's error instead of executing the job
+// again — a job is a pure function of its spec and seed, so a second
+// execution would fail the same way.
+func TestSingleFlightLeaderFailureShared(t *testing.T) {
 	var executions atomic.Int64
 	firstArrived := make(chan struct{})
 	failFirst := make(chan struct{})
 	eng := New(
 		func(s string) string { return s },
 		func(ctx context.Context, spec string, seed uint64) (string, error) {
-			n := executions.Add(1)
-			if n == 1 {
+			if executions.Add(1) == 1 {
 				close(firstArrived)
 				<-failFirst
-				return "", fmt.Errorf("injected leader failure")
 			}
-			return "ok:" + spec, nil
+			return "", fmt.Errorf("injected job failure")
 		},
 		Options{Workers: 1},
 	)
@@ -103,30 +104,79 @@ func TestSingleFlightLeaderFailureNotShared(t *testing.T) {
 	}()
 	<-firstArrived
 
-	followerDone := make(chan struct{})
-	var followerOut []string
-	var followerErr error
+	followerErr := make(chan error, 1)
 	go func() {
-		defer close(followerDone)
-		followerOut, followerErr = eng.Run(context.Background(), []string{"spec-b"})
+		_, err := eng.Run(context.Background(), []string{"spec-b"})
+		followerErr <- err
 	}()
-	// The follower is now (or soon will be) waiting on the leader's
-	// flight; fail the leader and watch the follower recover.
-	time.Sleep(20 * time.Millisecond)
+	// Give the follower time to reach the leader's flight before failing
+	// the leader; a follower that arrived late would run the job itself.
+	time.Sleep(50 * time.Millisecond)
 	close(failFirst)
 
 	if err := <-leaderErr; err == nil {
 		t.Fatal("leader Run should have failed")
 	}
+	if err := <-followerErr; err == nil || !strings.Contains(err.Error(), "injected job failure") {
+		t.Fatalf("follower Run returned %v, want the leader's failure", err)
+	}
+	if got := executions.Load(); got != 1 {
+		t.Errorf("executions = %d, want 1 (the follower shares the leader's failure)", got)
+	}
+	if st := eng.Stats(); st.Failed != 1 || st.Coalesced != 1 {
+		t.Errorf("Failed = %d, Coalesced = %d; want 1 and 1", st.Failed, st.Coalesced)
+	}
+}
+
+// TestSingleFlightCancelledLeaderNotShared: a leader stopped by its own
+// Run's cancelled context has not failed the job, so a waiting follower
+// executes it itself instead of inheriting the cancellation.
+func TestSingleFlightCancelledLeaderNotShared(t *testing.T) {
+	var executions atomic.Int64
+	firstArrived := make(chan struct{})
+	eng := New(
+		func(s string) string { return s },
+		func(ctx context.Context, spec string, seed uint64) (string, error) {
+			if executions.Add(1) == 1 {
+				close(firstArrived)
+				<-ctx.Done()
+				return "", ctx.Err()
+			}
+			return "ok:" + spec, nil
+		},
+		Options{Workers: 1},
+	)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := eng.Run(ctx, []string{"spec-d"})
+		leaderErr <- err
+	}()
+	<-firstArrived
+
+	followerDone := make(chan struct{})
+	var followerOut []string
+	var followerErr error
+	go func() {
+		defer close(followerDone)
+		followerOut, followerErr = eng.Run(context.Background(), []string{"spec-d"})
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+
+	if err := <-leaderErr; err != context.Canceled {
+		t.Fatalf("leader Run returned %v, want context.Canceled", err)
+	}
 	<-followerDone
 	if followerErr != nil {
 		t.Fatalf("follower Run failed: %v", followerErr)
 	}
-	if len(followerOut) != 1 || followerOut[0] != "ok:spec-b" {
+	if len(followerOut) != 1 || followerOut[0] != "ok:spec-d" {
 		t.Fatalf("follower got %v", followerOut)
 	}
 	if got := executions.Load(); got != 2 {
-		t.Errorf("executions = %d, want 2 (failed leader + recovering follower)", got)
+		t.Errorf("executions = %d, want 2 (cancelled leader + follower)", got)
 	}
 }
 

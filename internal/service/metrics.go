@@ -32,10 +32,10 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"suitd_engine_ran_total", "Scenarios actually simulated.", "counter", float64(st.Ran)},
 		{"suitd_engine_mem_hits_total", "Unique scenarios served from the in-memory memo.", "counter", float64(st.MemHits)},
 		{"suitd_engine_disk_hits_total", "Unique scenarios served from the on-disk cache.", "counter", float64(st.DiskHits)},
-		{"suitd_engine_coalesced_total", "Scenarios served by another run's in-flight execution.", "counter", float64(st.Coalesced)},
+		{"suitd_engine_coalesced_total", "Scenarios that took their result or failure from another run's in-flight execution.", "counter", float64(st.Coalesced)},
 		{"suitd_engine_failed_total", "Scenarios whose one attempt failed.", "counter", float64(st.Failed)},
 		{"suitd_engine_panics_total", "Failed scenarios that panicked and were contained.", "counter", float64(st.Panicked)},
-		{"suitd_engine_quarantined_total", "Corrupt cache entries quarantined.", "counter", float64(st.Quarantined)},
+		{"suitd_engine_quarantined_total", "Damaged scenario cache records skipped (torn, garbled or failing their digest) and left to recompute.", "counter", float64(st.Quarantined)},
 		{"suitd_engine_cache_hit_rate", "Fraction of unique scenarios served from a cache layer.", "gauge", st.HitRate()},
 		{"suitd_engine_run_seconds_total", "Wall-clock seconds spent inside engine runs.", "counter", st.Elapsed.Seconds()},
 		{"suitd_engine_throughput_scenarios_per_second", "Simulated scenarios per second of engine run time.", "gauge", st.Throughput()},

@@ -133,7 +133,7 @@ func New(cfg Config) (*Service, error) {
 	// the dispatcher first; with no live workers (or a tripped breaker)
 	// the offer declines instantly and the scenario runs locally as
 	// before. Results are content-addressed, so remote and local
-	// execution store byte-identical files.
+	// execution cache byte-identical records.
 	s.dist = dist.NewDispatcher(cfg.Dist)
 	s.eng.SetRemote(s.dist.Execute)
 	for i := 0; i < cfg.ExecJobs; i++ {

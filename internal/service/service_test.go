@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"suit/internal/core"
-	"suit/internal/engine"
 	"suit/internal/engine/faultinject"
 )
 
@@ -314,7 +313,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 // TestRestartReplaysFromCache: a fresh daemon lifetime answers a spec
 // finished in an earlier one from the scenario cache alone — a new job
 // whose every point is a disk hit, with the first lifetime's result
-// bytes — and a damaged cache entry costs one recomputation, never a
+// bytes — and a damaged cache record costs one recomputation, never a
 // different result. The state dir holds nothing but the cache.
 func TestRestartReplaysFromCache(t *testing.T) {
 	dir := t.TempDir()
@@ -347,23 +346,24 @@ func TestRestartReplaysFromCache(t *testing.T) {
 		t.Errorf("replayed result differs from the first lifetime's:\n%s\n%s", got, want)
 	}
 
-	specN, err := spec.Normalize()
+	// Only the first lifetime computed, so cas/ holds its one segment.
+	cas := filepath.Join(dir, "cas")
+	segs, err := os.ReadDir(cas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scs, _, err := specN.Scenarios()
-	if err != nil {
-		t.Fatal(err)
+	if len(segs) != 1 {
+		t.Fatalf("cas/ holds %d files, want the first lifetime's one segment", len(segs))
 	}
-	if err := faultinject.CorruptFile(engine.CachePath(filepath.Join(dir, "cas"), 0, scs[0].Fingerprint()), 1); err != nil {
+	if err := faultinject.CorruptFile(filepath.Join(cas, segs[0].Name()), 1); err != nil {
 		t.Fatal(err)
 	}
 	svc, got = lifetime()
 	if st := svc.EngineStats(); st.Ran != 1 || st.DiskHits != 1 || st.Quarantined != 1 {
-		t.Errorf("after damaging one entry: ran %d, disk hits %d, quarantined %d; want 1, 1, 1", st.Ran, st.DiskHits, st.Quarantined)
+		t.Errorf("after damaging one record: ran %d, disk hits %d, quarantined %d; want 1, 1, 1", st.Ran, st.DiskHits, st.Quarantined)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("result after a damaged cache entry differs:\n%s\n%s", got, want)
+		t.Errorf("result after a damaged cache record differs:\n%s\n%s", got, want)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -145,9 +145,8 @@ func (s Spec) Normalize() (Spec, error) {
 // content address of the work. Every field that influences the result
 // appears; an empty Params means "the chip's full Table 7 grid", which
 // is stable across submissions by construction. The version prefix is
-// engine.ResultsRevision, the simulator's result semantics: v2 results
-// carry per-epoch closed-form energies, so a v1 job ID never answers a
-// v2 submission.
+// engine.ResultsRevision, the simulator's result semantics, so a job ID
+// of one revision never answers a submission of another.
 func (s Spec) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "suitd/v%d|kind=%s|chip=%s|offset=%d|instr=%d|seed=%d|top=%d|benches=%s",

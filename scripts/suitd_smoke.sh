@@ -7,8 +7,8 @@
 # The restart phase boots the daemon again on the same state dir: the
 # resubmitted spec is a new job (201) whose every point replays from
 # the scenario cache (no engine run), its GET view must be
-# byte-identical to the first lifetime's, and the state dir must hold
-# only cas/.
+# byte-identical to the first lifetime's, the state dir must hold only
+# cas/, and cas/ only the one segment the first lifetime appended to.
 #
 # Phase 2 is the distributed kill-a-worker e2e: a second daemon with a
 # fresh state dir executes the same spec through two suitworker
@@ -150,6 +150,10 @@ PID=""
 [ "$RC" = 0 ] || { echo "restarted suitd exited $RC after SIGTERM, want 0" >&2; exit 1; }
 LEFT=$(ls -A "$WORK/state")
 [ "$LEFT" = cas ] || { echo "state dir holds '$LEFT', want only cas" >&2; exit 1; }
+# The scenario cache appends: the first lifetime wrote its 4 points to
+# one segment, and the restarted one, which only hit, wrote nothing.
+SEGS=$(ls -A "$WORK/state/cas" | wc -l)
+[ "$SEGS" = 1 ] || { echo "cas/ holds $SEGS files, want the one segment of the lifetime that computed" >&2; exit 1; }
 echo "suitd restart OK: resubmission replayed $DISK points from cas/, ran $RAN, view bytes identical"
 
 # ---------------------------------------------------------------------
