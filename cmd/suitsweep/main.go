@@ -6,12 +6,16 @@
 // The sweep fans out through the shared parallel experiment engine
 // (internal/engine): -j bounds the worker pool, -cache reuses results
 // across runs, and per-point seeds derive deterministically from the
-// point fingerprint plus -seed, so the report is byte-identical at any
-// parallelism level. Progress and throughput go to stderr; the table
-// itself goes to stdout.
+// point's recording key (workload, cores, instructions) plus -seed, so
+// the report is byte-identical at any parallelism level. Progress and
+// throughput go to stderr; the table itself goes to stdout.
 //
-// Execution: points share content-addressed trace artifacts, and each
-// point runs its base machine and then its run machine over them. The
+// Execution: as in the paper, which records one trace per benchmark and
+// replays it under every setting (§5.1, §6.2), every grid point of one
+// workload replays the same recording. Points share it, and the
+// baseline machine stepped over it, through the content-addressed
+// artifact store, so a sweep generates one trace set and steps one
+// baseline per workload; each point steps only its run machine. The
 // output does not depend on how points are scheduled.
 //
 // Failures: each point is simulated once. The first point that fails
@@ -67,21 +71,26 @@ var (
 	sweepBenches = core.SweepBenches
 )
 
-// sweep evaluates the whole grid × workload matrix through the engine
-// and ranks the points by mean efficiency; the first failed scenario
-// fails the sweep.
-func sweep(chip dvfs.Chip, grid []strategy.Params, benches []workload.Benchmark, spendAging bool, instr uint64) ([]sweepPoint, error) {
+// sweepScenarios lays out the grid × workload matrix, grid-major.
+func sweepScenarios(chip dvfs.Chip, grid []strategy.Params, benches []workload.Benchmark, spendAging bool, instr uint64) []core.Scenario {
 	scs := make([]core.Scenario, 0, len(grid)*len(benches))
 	for i := range grid {
 		for _, b := range benches {
 			scs = append(scs, core.Scenario{
 				Chip: chip, Bench: b, Kind: core.KindFV,
 				SpendAging: spendAging, Instructions: instr,
-				Params: &grid[i], // Seed 0: engine derives the per-point seed
+				Params: &grid[i], // Seed 0: the engine derives it from the recording key
 			})
 		}
 	}
-	outs, err := core.RunAll(scs)
+	return scs
+}
+
+// sweep evaluates the whole grid × workload matrix through the engine
+// and ranks the points by mean efficiency; the first failed scenario
+// fails the sweep.
+func sweep(chip dvfs.Chip, grid []strategy.Params, benches []workload.Benchmark, spendAging bool, instr uint64) ([]sweepPoint, error) {
+	outs, err := core.RunAll(sweepScenarios(chip, grid, benches, spendAging, instr))
 	if err != nil {
 		return nil, err
 	}

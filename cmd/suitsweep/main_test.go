@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
-	"reflect"
+	"fmt"
+	"os"
+	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"suit/internal/dvfs"
 	"suit/internal/engine"
 	"suit/internal/strategy"
+	"suit/internal/units"
 )
 
 func TestChipByName(t *testing.T) {
@@ -46,11 +50,23 @@ func TestSweepGridShape(t *testing.T) {
 	}
 }
 
+// coldVariantEnv names the worker count a re-executed test binary runs
+// one cold variant of TestSweepDeterministicAcrossWorkers at, and
+// coldCacheEnv the cache directory it writes, if any.
+const (
+	coldVariantEnv = "SUITSWEEP_TEST_COLD_WORKERS"
+	coldCacheEnv   = "SUITSWEEP_TEST_COLD_CACHE"
+	coldPrefix     = "cold-sweep: "
+)
+
 // TestSweepDeterministicAcrossWorkers runs a miniature sweep at -j 1 and
 // -j 8, cold and warm (reusing the on-disk result cache), and demands
 // identical ranked results across all four combinations — the acceptance
 // contract of the parallel engine, and the machine-level oracle that the
-// indexed event queue preserved the linear scan's event order.
+// indexed event queue preserved the linear scan's event order. Each cold
+// variant runs in a process of its own, so it is cold in the artifact
+// store too: its grid points share recordings and baselines only with
+// each other.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	chip := dvfs.XeonSilver4208()
 	grid := sweepGrid(chip)[:3]
@@ -59,51 +75,104 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	benches = benches[:2]
-
-	type variant struct {
-		name    string
-		workers int
-		warm    bool
-	}
-	variants := []variant{
-		{"j1-cold", 1, false},
-		{"j8-cold", 8, false},
-		{"j1-warm", 1, true},
-		{"j8-warm", 8, true},
-	}
-	cacheDir := t.TempDir()
-	var runs [][]sweepPoint
-	for _, v := range variants {
-		opts := engine.Options{Workers: v.workers, BaseSeed: 1}
-		if v.warm {
-			// Warm runs read every point back from the cache the cold
-			// runs populated; a decode/encode asymmetry would diverge here.
-			opts.CacheDir = cacheDir
-		} else if v.workers == 1 {
-			// One cold run also writes the cache so the warm runs hit it.
-			opts.CacheDir = cacheDir
-		}
+	miniSweep := func(opts engine.Options) string {
+		t.Helper()
 		core.SetEngineOptions(opts)
 		points, err := sweep(chip, grid, benches, true, 2_000_000)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("%+v: %v", opts, err)
 		}
-		runs = append(runs, points)
+		return fmt.Sprintf("%+v", points) // %v spells floats exactly
+	}
+	if w := os.Getenv(coldVariantEnv); w != "" {
+		workers, err := strconv.Atoi(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Println(coldPrefix + miniSweep(engine.Options{Workers: workers, BaseSeed: 1, CacheDir: os.Getenv(coldCacheEnv)}))
+		return
+	}
+
+	cacheDir := t.TempDir()
+	cold := func(workers int, cache string) string {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSweepDeterministicAcrossWorkers$")
+		cmd.Env = append(os.Environ(), coldVariantEnv+"="+strconv.Itoa(workers), coldCacheEnv+"="+cache)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("cold -j %d: %v\n%s", workers, err, out)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if r, ok := strings.CutPrefix(line, coldPrefix); ok {
+				return r
+			}
+		}
+		t.Fatalf("cold -j %d printed no result:\n%s", workers, out)
+		return ""
+	}
+	variants := []struct {
+		name   string
+		result string
+	}{
+		// One cold run also writes the cache so the warm runs hit it.
+		{"j1-cold", cold(1, cacheDir)},
+		{"j8-cold", cold(8, "")},
+		// Warm runs read every point back from the cache the cold run
+		// populated; a decode/encode asymmetry would diverge here.
+		{"j1-warm", miniSweep(engine.Options{Workers: 1, BaseSeed: 1, CacheDir: cacheDir})},
+		{"j8-warm", miniSweep(engine.Options{Workers: 8, BaseSeed: 1, CacheDir: cacheDir})},
 	}
 	core.SetEngineOptions(engine.Options{}) // restore defaults for other tests
-	for i := 1; i < len(runs); i++ {
-		if !reflect.DeepEqual(runs[0], runs[i]) {
-			t.Fatalf("sweep diverged between %s and %s:\n%+v\n%+v",
-				variants[0].name, variants[i].name, runs[0], runs[i])
+	for _, v := range variants[1:] {
+		if v.result != variants[0].result {
+			t.Fatalf("sweep diverged between %s and %s:\n%s\n%s",
+				variants[0].name, v.name, variants[0].result, v.result)
 		}
 	}
-	// Seeds derive per point, so distinct grid points must not share one.
-	k0 := core.Scenario{Chip: chip, Bench: benches[0], Kind: core.KindFV,
-		SpendAging: true, Instructions: 2_000_000, Params: &grid[0]}.Fingerprint()
-	k1 := core.Scenario{Chip: chip, Bench: benches[0], Kind: core.KindFV,
-		SpendAging: true, Instructions: 2_000_000, Params: &grid[1]}.Fingerprint()
-	if engine.DeriveSeed(1, k0) == engine.DeriveSeed(1, k1) {
-		t.Error("distinct sweep points derived the same seed")
+
+	// Seeds derive from the recording key, through the engine: every
+	// grid point of one workload replays one recording, and the two
+	// workloads replay two.
+	scs := sweepScenarios(chip, grid, benches, true, 2_000_000)
+	seedOf := engine.New(core.Scenario.Fingerprint,
+		func(_ context.Context, _ core.Scenario, seed uint64) (uint64, error) { return seed, nil },
+		engine.Options{Workers: 1, BaseSeed: 1})
+	seeds, err := seedOf.Run(context.Background(), scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range scs {
+		if j := i % len(benches); seeds[i] != seeds[j] {
+			t.Errorf("%s at grid point %d got seed %d, at grid point 0 %d", sc.Bench.Name, i/len(benches), seeds[i], seeds[j])
+		}
+	}
+	if seeds[0] == seeds[1] {
+		t.Errorf("%s and %s derived one seed", benches[0].Name, benches[1].Name)
+	}
+}
+
+// TestTable7DeadlinePrediction is the paper check on the sweep itself:
+// on chip 𝒞 at −97 mV and 5·10⁷ instructions, the top-ranked setting
+// has Table 7's p_dl of 30 µs at each of the fixed base seeds 1, 2 and
+// 3. With one recording per workload the ranking compares settings on
+// common random numbers, so its top row is a prediction, not noise.
+func TestTable7DeadlinePrediction(t *testing.T) {
+	chip := dvfs.XeonSilver4208()
+	benches, err := sweepBenches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer core.SetEngineOptions(engine.Options{})
+	for _, seed := range []uint64{1, 2, 3} {
+		core.SetEngineOptions(engine.Options{BaseSeed: seed})
+		points, err := sweep(chip, sweepGrid(chip), benches, true, 50_000_000)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got, want := points[0].p.Deadline, units.Microseconds(30); got != want {
+			t.Errorf("seed %d: top-ranked setting %+v (mean efficiency %+.4f), want p_dl %v (Table 7)",
+				seed, points[0].p, points[0].eff, want)
+		}
 	}
 }
 

@@ -220,7 +220,8 @@ func Run(s Scenario) (Outcome, error) {
 	// Per-core traces: SPEC-rate style copies with different seeds.
 	bench := s.Bench
 	fam := familyOf(s.Chip)
-	if s.Kind == KindNoSIMD || s.Kind == KindEmul {
+	scalar := s.Kind == KindNoSIMD || s.Kind == KindEmul
+	if scalar {
 		// §6.2: emulation runs behave as if compiled without SIMD (the
 		// replacements are the scalar code paths) plus per-trap costs;
 		// the noSIMD build has the same throughput change and no
@@ -228,13 +229,13 @@ func Run(s Scenario) (Outcome, error) {
 		bench.IPC *= 1 + bench.NoSIMD[fam]
 	}
 	// Trace generation goes through the shared artifact store
-	// (traceartifact.go): the baseline below requests byte-identical
-	// traces and receives the same immutable artifacts instead of a
-	// regeneration, and concurrent sweep points sharing a (workload,
-	// seed) pair coalesce on one build.
-	traces := make([]*trace.Trace, s.Cores, s.Cores+len(s.CoBenches))
-	for i := range traces {
-		tr, err := sharedTrace(bench, total, s.Seed+uint64(i)*7919+1, s.Kind == KindNoSIMD)
+	// (traceartifact.go): every scenario replaying this recording
+	// receives the same immutable artifacts instead of a regeneration,
+	// and concurrent sweep points coalesce on one build.
+	runStreams := s.streams(bench, total, s.Kind == KindNoSIMD)
+	traces := make([]*trace.Trace, len(runStreams))
+	for i, st := range runStreams {
+		tr, err := st.trace()
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -245,23 +246,13 @@ func Run(s Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	imulPerCore := make([]float64, s.Cores, s.Cores+len(s.CoBenches))
+	imulPerCore := make([]float64, s.Cores, len(traces))
 	for i := range imulPerCore {
 		imulPerCore[i] = imulOv
 	}
-	// Heterogeneous co-runners: their own traces and IMUL overheads on
-	// the remaining cores, scaled to the primary stream's duration so all
-	// cores stay busy for the measured interval.
-	for j, cb := range s.CoBenches {
-		coTotal := uint64(float64(total) * cb.IPC / s.Bench.IPC)
-		if coTotal == 0 {
-			coTotal = total
-		}
-		tr, err := sharedTrace(cb, coTotal, s.Seed+uint64(s.Cores+j)*7919+1, false)
-		if err != nil {
-			return Outcome{}, err
-		}
-		traces = append(traces, tr)
+	// Heterogeneous co-runners run their own IMUL overheads on the
+	// remaining cores.
+	for _, cb := range s.CoBenches {
 		coOv, err := IMULOverheadFor(cb)
 		if err != nil {
 			return Outcome{}, err
@@ -293,45 +284,26 @@ func Run(s Scenario) (Outcome, error) {
 	}
 
 	// Baseline: the same workloads (stock compilation, stock IMUL) pinned
-	// to the vendor curve at the TDP-sustainable state. For every kind
-	// except noSIMD/emulation these requests hit the artifacts the run
-	// traces were built from, so base and run machines step the very same
-	// event arrays.
-	baseTraces := make([]*trace.Trace, s.Cores, len(traces))
-	for i := range baseTraces {
-		tr, err := sharedTrace(s.Bench, total, s.Seed+uint64(i)*7919+1, false)
-		if err != nil {
-			return Outcome{}, err
-		}
-		baseTraces[i] = tr
-	}
-	for j, cb := range s.CoBenches {
-		coTotal := uint64(float64(total) * cb.IPC / s.Bench.IPC)
-		if coTotal == 0 {
-			coTotal = total
-		}
-		tr, err := sharedTrace(cb, coTotal, s.Seed+uint64(s.Cores+j)*7919+1, false)
-		if err != nil {
-			return Outcome{}, err
-		}
-		baseTraces = append(baseTraces, tr)
+	// to the vendor curve at the TDP-sustainable state. It reads neither
+	// the strategy kind nor its parameters, so its result comes from the
+	// artifact store, stepped once for every scenario of this chip,
+	// offset and recording. Except under noSIMD and emulation, its
+	// streams are the run's.
+	baseStreams := runStreams
+	if scalar {
+		baseStreams = s.streams(s.Bench, total, false)
 	}
 	baseCfg := runCfg
-	baseCfg.Traces = baseTraces
+	baseCfg.Traces = nil
 	baseCfg.HardenedIMUL = false
 	baseCfg.IMULOverhead = nil
 	baseCfg.AllowUnsafe = false
-
-	baseMachine, err := cpu.New(baseCfg, strategy.Pinned{M: cpu.ModeBase})
+	base, err := sharedBaseline(baseCfg, baseStreams)
 	if err != nil {
 		return Outcome{}, err
 	}
+
 	runMachine, err := cpu.New(runCfg, strat)
-	if err != nil {
-		return Outcome{}, err
-	}
-
-	base, err := baseMachine.Run()
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -356,4 +328,23 @@ func Run(s Scenario) (Outcome, error) {
 		IMULOverhead:   imulOv,
 		Offset:         offset,
 	}, nil
+}
+
+// streams lists one machine's trace requests: b's recording on each of
+// the s.Cores cores, then each co-runner's on one more core, scaled to
+// the primary stream's duration so all cores stay busy for the measured
+// interval. Each core's seed is its own offset from s.Seed.
+func (s Scenario) streams(b workload.Benchmark, total uint64, nosimd bool) []stream {
+	out := make([]stream, 0, s.Cores+len(s.CoBenches))
+	for i := 0; i < s.Cores; i++ {
+		out = append(out, newStream(b, total, s.Seed+uint64(i)*7919+1, nosimd))
+	}
+	for j, cb := range s.CoBenches {
+		coTotal := uint64(float64(total) * cb.IPC / s.Bench.IPC)
+		if coTotal == 0 {
+			coTotal = total
+		}
+		out = append(out, newStream(cb, coTotal, s.Seed+uint64(s.Cores+j)*7919+1, false))
+	}
+	return out
 }

@@ -11,11 +11,11 @@ import (
 )
 
 // Fingerprint returns the canonical description of the scenario used as
-// the engine's memoization key and as the input to deterministic seed
-// derivation. Two scenarios with equal fingerprints produce equal
-// outcomes, so the fingerprint must cover every field that influences the
-// simulation — including a zero Seed, which marks the scenario as wanting
-// an engine-derived seed.
+// the engine's memoization key (its seed derives from SeedKey). Two
+// scenarios with equal fingerprints produce equal outcomes, so the
+// fingerprint must cover every field that influences the simulation —
+// including a zero Seed, which marks the scenario as wanting an
+// engine-derived seed.
 func (s Scenario) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chip=%s|kind=%s|cores=%d|bench=%s", s.Chip.Name, s.Kind, s.Cores, benchFingerprint(s.Bench))
@@ -28,6 +28,28 @@ func (s Scenario) Fingerprint() string {
 		p := s.Params
 		fmt.Fprintf(&b, "|params=%g/%g/%d/%g",
 			float64(p.Deadline), float64(p.TimeSpan), p.MaxExceptions, p.DeadlineFactor)
+	}
+	return b.String()
+}
+
+// SeedKey is the scenario's recording key: what its trace streams
+// depend on besides the seed — the workload, cores, co-runners and
+// instructions, each as Run reads it. Chip, Kind, Params, SpendAging
+// and the recording flags never enter it. The engine derives a job's
+// seed from it (engine.DeriveSeed), so every Seed == 0 scenario that
+// replays one workload's recording takes one seed under one base seed
+// — one recording per workload, replayed under every strategy and
+// setting as the paper does (§5.1, §6.2) — and shares its traces and
+// baseline through the artifact store (traceartifact.go).
+func (s Scenario) SeedKey() string {
+	instr := s.Instructions
+	if instr == 0 {
+		instr = defaultInstructions(s.Bench)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "cores=%d|instr=%d|bench=%s", max(s.Cores, 1), instr, benchFingerprint(s.Bench))
+	for _, cb := range s.CoBenches {
+		fmt.Fprintf(&b, "|co=%s", benchFingerprint(cb))
 	}
 	return b.String()
 }
@@ -47,10 +69,11 @@ func benchFingerprint(b workload.Benchmark) string {
 
 // RunJob adapts Run to the engine's job signature: scenarios with an
 // explicit Seed keep it; a zero Seed takes the engine-derived one (hash
-// of fingerprint + base seed), giving every sweep point its own
-// deterministic stream. The simulator itself is not context-aware, so a
-// cancelled job finishes its current simulation before the worker
-// returns; the event loop's step bound keeps every simulation finite.
+// of SeedKey + base seed), so every sweep point that replays one
+// workload's recording gets the same deterministic streams. The
+// simulator itself is not context-aware, so a cancelled job finishes
+// its current simulation before the worker returns; the event loop's
+// step bound keeps every simulation finite.
 // Exported so callers that need their own engine instance — the suitd
 // service keeps one with its own cache and stats — run scenarios
 // exactly like the process-wide engine does.

@@ -19,8 +19,10 @@ import (
 // IDs (fingerprints prefixed suitd/v<N>) move, and the dispatcher
 // refuses claims from workers built at another revision. Revision 2
 // brought per-epoch closed-form energy; revision 3, append-only cache
-// segments and outcomes without the scenario echo.
-const ResultsRevision = 3
+// segments and outcomes without the scenario echo; revision 4, seeds
+// derived from a scenario's recording key (core.Scenario.SeedKey)
+// instead of its fingerprint, which moves every Seed == 0 result.
+const ResultsRevision = 4
 
 // record is one line of a segment. Its digest over key and result makes
 // damage that still parses as JSON — a bit-flip inside a cached number

@@ -6,9 +6,11 @@
 //
 //   - a bounded worker pool (GOMAXPROCS-sized by default, -j overridable)
 //     consuming a queue of simulation specs;
-//   - per-job deterministic seed derivation (a hash of the spec
-//     fingerprint mixed with a base seed), so results are identical at
-//     any parallelism level;
+//   - per-job deterministic seed derivation (a hash of the spec's seed
+//     key — its SeedKey method where the spec type has one, else its
+//     fingerprint — mixed with a base seed), so results are identical at
+//     any parallelism level, and specs that replay one recording (every
+//     grid point of one workload) share one seed;
 //   - a memoized result store — always in memory, optionally on disk
 //     (-cache dir) — keyed by the canonical spec fingerprint, so repeated
 //     table/sweep runs skip already-computed points;
@@ -189,7 +191,8 @@ type flight[R any] struct {
 // New builds an engine. key must return a canonical fingerprint: equal
 // fingerprints are assumed to denote identical work and are computed only
 // once. run receives the spec plus its derived seed (DeriveSeed of the
-// fingerprint); callers whose specs carry explicit seeds may ignore it.
+// spec's SeedKey if S has that method, else of the fingerprint); callers
+// whose specs carry explicit seeds may ignore it.
 func New[S, R any](key func(S) string, run RunFunc[S, R], opts Options) *Engine[S, R] {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -300,7 +303,12 @@ func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	jobs := make(chan *job[S])
+	// Workers claim pending jobs in order through one shared cursor, so
+	// this goroutine sleeps until they are done. Fed through a channel
+	// from here, it would be readied after every job, and the scheduler
+	// would wake an idle OS thread to run it: a cost per job that
+	// dominates short jobs and varies with the host's load.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -308,10 +316,12 @@ func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				if runCtx.Err() != nil {
-					continue // drain the queue without working
+			for {
+				n := next.Add(1) - 1
+				if n >= int64(len(pending)) || runCtx.Err() != nil {
+					return // queue done, or sweep stopped: no more work
 				}
+				j := pending[n]
 				r, shared, err := e.executeShared(runCtx, j)
 				if err != nil {
 					if runCtx.Err() != nil && errors.Is(err, context.Canceled) {
@@ -345,15 +355,6 @@ func (e *Engine[S, R]) RunProgress(ctx context.Context, specs []S, resolved func
 			}
 		}()
 	}
-feed:
-	for _, j := range pending {
-		select {
-		case jobs <- j:
-		case <-runCtx.Done():
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	stopProgress()
 
@@ -476,13 +477,14 @@ func (e *Engine[S, R]) startProgress(done *atomic.Int64, total int, start time.T
 	}
 }
 
-// DeriveSeed maps (base seed, spec fingerprint) to the job's simulation
-// seed: an FNV-1a hash of the fingerprint mixed with the base seed and
-// finalized with splitmix64. The derivation depends only on its inputs —
-// never on worker count or completion order — which is
-// what makes sweep output reproducible at any parallelism level. The
-// result is never 0 so downstream code can keep treating a zero seed as
-// "unset".
+// DeriveSeed maps (base seed, key) to a simulation seed: an FNV-1a hash
+// of the key mixed with the base seed and finalized with splitmix64. A
+// job's key is its spec's SeedKey where the spec type has one — for
+// core.Scenario the recording key, which many fingerprints share — and
+// its fingerprint otherwise. The derivation depends only on its inputs
+// — never on worker count or completion order — which is what makes
+// sweep output reproducible at any parallelism level. The result is
+// never 0 so downstream code can keep treating a zero seed as "unset".
 func DeriveSeed(base uint64, key string) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, key)

@@ -198,6 +198,28 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestOneWorkerClaimsInOrderAndStopsAtFailure pins the job cursor: one
+// worker runs the pending jobs in spec order and claims none after the
+// first failure.
+func TestOneWorkerClaimsInOrderAndStopsAtFailure(t *testing.T) {
+	boom := errors.New("boom")
+	var ran []int
+	failing := func(ctx context.Context, s testSpec, seed uint64) (testResult, error) {
+		ran = append(ran, s.ID)
+		if s.ID == 3 {
+			return testResult{}, boom
+		}
+		return computeFn(ctx, s, seed)
+	}
+	e := New(specKey, failing, Options{Workers: 1})
+	if _, err := e.Run(context.Background(), specs(8)); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped boom", err)
+	}
+	if want := []int{0, 1, 2, 3}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+}
+
 // TestCancellationLeavesNoGoroutines cancels mid-sweep and asserts the
 // goroutine count returns to its pre-Run level.
 func TestCancellationLeavesNoGoroutines(t *testing.T) {

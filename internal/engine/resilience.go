@@ -41,14 +41,25 @@ func RetryDelay(base time.Duration, key string, attempt int) time.Duration {
 	return d + jitter
 }
 
-// executeJob runs one job once. When a remote hook is installed the job
-// is offered there first; a handled job returns without local work, a
-// declined one (no live workers, tripped dispatcher, exhausted remote
-// attempts) runs locally — the graceful-degradation contract that keeps
-// a daemon with zero workers exactly as capable as before. A local run
-// is panic-contained: a panic becomes a *PanicError.
+// seedKeyer is a spec type whose seed derives from a key of its own
+// instead of its fingerprint: core.Scenario's recording key, which
+// several fingerprints share.
+type seedKeyer interface{ SeedKey() string }
+
+// executeJob runs one job once. Its seed derives from the spec's
+// SeedKey when the spec type has one, else from its fingerprint. When a
+// remote hook is installed the job is offered there first; a handled
+// job returns without local work, a declined one (no live workers,
+// tripped dispatcher, exhausted remote attempts) runs locally — the
+// graceful-degradation contract that keeps a daemon with zero workers
+// exactly as capable as before. A local run is panic-contained: a
+// panic becomes a *PanicError.
 func (e *Engine[S, R]) executeJob(ctx context.Context, j *job[S]) (r R, err error) {
-	seed := DeriveSeed(e.opts.BaseSeed, j.key)
+	key := j.key
+	if sk, ok := any(j.spec).(seedKeyer); ok {
+		key = sk.SeedKey()
+	}
+	seed := DeriveSeed(e.opts.BaseSeed, key)
 	if e.remote != nil {
 		if r, handled, err := e.remote(ctx, j.spec, j.key, seed); handled {
 			if err == nil {

@@ -1,7 +1,7 @@
 // Package service wraps internal/engine in a sweep-as-a-service layer:
 // the suitd daemon's HTTP/JSON API submits sweep and sim specs, every
-// spec is content-addressed by its canonical fingerprint (PR 1's
-// fingerprint→seed contract), and identical submissions — concurrent or
+// spec is content-addressed by its canonical fingerprint (the engine's
+// fingerprint and seed contract), and identical submissions — concurrent or
 // repeated — coalesce onto one engine execution via the job registry
 // and the engine's single-flight dedup. The engine's scenario cache is
 // the one record of finished work: a result is rebuilt from its points,
@@ -187,7 +187,7 @@ func (s Spec) grid() []strategy.Params {
 // Scenarios expands a normalized spec into the engine's job list: one
 // scenario per (grid point, workload), each carrying an explicit seed
 // derived exactly like the engine would under BaseSeed = Spec.Seed —
-// DeriveSeed over the zero-seed scenario fingerprint — so a served
+// DeriveSeed over the scenario's recording key (SeedKey) — so a served
 // sweep is point-for-point identical to `suitsweep -seed N`.
 func (s Spec) Scenarios() ([]core.Scenario, []strategy.Params, error) {
 	chip, err := core.ChipByName(s.Chip)
@@ -199,20 +199,24 @@ func (s Spec) Scenarios() ([]core.Scenario, []strategy.Params, error) {
 		return nil, nil, err
 	}
 	grid := s.grid()
+	// The explicit seeds make the shared service engine (BaseSeed 0)
+	// reproduce what a dedicated engine with BaseSeed = s.Seed would
+	// derive. A scenario's seed key leaves out its parameters, so one
+	// seed per workload serves every grid point.
+	seeds := make([]uint64, len(benches))
+	for j, b := range benches {
+		seeds[j] = engine.DeriveSeed(s.Seed, core.Scenario{Bench: b, Instructions: s.Instructions}.SeedKey())
+	}
 	scs := make([]core.Scenario, 0, len(grid)*len(benches))
 	for i := range grid {
-		for _, b := range benches {
-			sc := core.Scenario{
+		for j, b := range benches {
+			scs = append(scs, core.Scenario{
 				Chip: chip, Bench: b, Kind: core.KindFV,
 				SpendAging:   s.OffsetMV == 97,
 				Instructions: s.Instructions,
 				Params:       &grid[i],
-			}
-			// The explicit seed makes the shared service engine
-			// (BaseSeed 0) reproduce what a dedicated engine with
-			// BaseSeed = s.Seed would derive for this scenario.
-			sc.Seed = engine.DeriveSeed(s.Seed, sc.Fingerprint())
-			scs = append(scs, sc)
+				Seed:         seeds[j],
+			})
 		}
 	}
 	return scs, grid, nil

@@ -81,13 +81,18 @@ func TestSpecContentAddressing(t *testing.T) {
 }
 
 // TestSpecScenarioSeeds: the explicit per-scenario seeds must equal
-// what a dedicated engine with BaseSeed = Spec.Seed would derive, so a
-// served sweep matches `suitsweep -seed N` point for point.
+// what a dedicated engine with BaseSeed = Spec.Seed would derive —
+// DeriveSeed over the scenario's recording key — so a served sweep
+// matches `suitsweep -seed N` point for point; and the grid points of
+// one workload replay one recording, so they share a seed.
 func TestSpecScenarioSeeds(t *testing.T) {
 	s, err := Spec{
-		Benches: []string{"VLC"},
-		Params:  []ParamSpec{{DeadlineUS: 30, TimeSpanUS: 450, MaxExceptions: 3, DeadlineFactor: 14}},
-		Seed:    7,
+		Benches: []string{"VLC", "557.xz"},
+		Params: []ParamSpec{
+			{DeadlineUS: 30, TimeSpanUS: 450, MaxExceptions: 3, DeadlineFactor: 14},
+			{DeadlineUS: 50, TimeSpanUS: 900, MaxExceptions: 2, DeadlineFactor: 9},
+		},
+		Seed: 7,
 	}.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -96,14 +101,20 @@ func TestSpecScenarioSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scs) != 1 || len(grid) != 1 {
+	if len(scs) != 4 || len(grid) != 2 {
 		t.Fatalf("expansion: %d scenarios, %d grid points", len(scs), len(grid))
 	}
-	sc := scs[0]
-	zero := sc
-	zero.Seed = 0
-	want := engine.DeriveSeed(7, zero.Fingerprint())
-	if sc.Seed != want {
-		t.Errorf("scenario seed %d, want DeriveSeed(spec.Seed, zero-seed fingerprint) = %d", sc.Seed, want)
+	for i, sc := range scs {
+		if want := engine.DeriveSeed(7, sc.SeedKey()); sc.Seed != want {
+			t.Errorf("scenario %d seed %d, want DeriveSeed(spec.Seed, recording key) = %d", i, sc.Seed, want)
+		}
+	}
+	// scs is grid-major: [p0/VLC, p0/xz, p1/VLC, p1/xz].
+	if scs[0].Seed != scs[2].Seed || scs[1].Seed != scs[3].Seed {
+		t.Errorf("two grid points of one workload got different seeds: %d/%d, %d/%d",
+			scs[0].Seed, scs[2].Seed, scs[1].Seed, scs[3].Seed)
+	}
+	if scs[0].Seed == scs[1].Seed {
+		t.Error("two workloads got one seed")
 	}
 }
