@@ -10,7 +10,10 @@
 // safe because every result is a pure function of its work unit, so
 // duplicates verify against the recorded digest and dedup. A worker
 // whose leases keep failing is quarantined by the daemon; stopping one
-// (SIGTERM/SIGINT) just stops polling and lets in-flight leases lapse.
+// (SIGTERM/SIGINT) just stops claiming and lets in-flight leases lapse.
+// The daemon holds each claim until a unit is ready, so an idle worker
+// waits there instead of polling; it backs off only after a failed
+// claim, such as the 503 of a draining daemon.
 // Daemons running with -worker-token require the matching -token (or
 // $SUITD_WORKER_TOKEN) on every request.
 //
@@ -34,7 +37,6 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
 	"suit/internal/dist"
 )
@@ -61,7 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		daemon  = fs.String("daemon", "", "base URL of the suitd daemon to pull work from; required")
 		id      = fs.String("id", "", "worker ID for lease accounting and quarantine (default host/pid derived)")
 		slots   = fs.Int("slots", runtime.GOMAXPROCS(0), "units simulated concurrently")
-		poll    = fs.Duration("poll", 250*time.Millisecond, "pause between empty claim polls")
 		retries = fs.Int("result-attempts", 4, "delivery attempts per result on transport/5xx failures (the daemon dedups duplicates by digest)")
 		token   = fs.String("token", os.Getenv("SUITD_WORKER_TOKEN"), "bearer token for daemons running with -worker-token (default $SUITD_WORKER_TOKEN)")
 	)
@@ -85,7 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ID:             *id,
 		Token:          *token,
 		Slots:          *slots,
-		PollInterval:   *poll,
 		ResultAttempts: *retries,
 	})
 	if err != nil {

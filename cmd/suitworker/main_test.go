@@ -33,7 +33,9 @@ func TestUsageErrors(t *testing.T) {
 
 // TestTokenFromEnvironmentAndFlag points the worker at a daemon stub that
 // has no work and records the bearer header of the first claim:
-// $SUITD_WORKER_TOKEN is the default token, and -token overrides it.
+// $SUITD_WORKER_TOKEN is the default token, and -token overrides it. Like
+// the daemon, the stub holds a claim until the worker's request goes
+// away.
 func TestTokenFromEnvironmentAndFlag(t *testing.T) {
 	t.Setenv("SUITD_WORKER_TOKEN", "from-env")
 	cases := []struct {
@@ -52,11 +54,14 @@ func TestTokenFromEnvironmentAndFlag(t *testing.T) {
 				default:
 				}
 			}
-			w.WriteHeader(http.StatusNoContent) // no work
+			// No work: hold the claim. The server notices the worker go
+			// away only once the request body has been read.
+			_, _ = io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
 		}))
 		ctx, cancel := context.WithCancel(context.Background())
 		code := make(chan int, 1)
-		args := append([]string{"-daemon", daemon.URL, "-id", "w1", "-slots", "1", "-poll", "5ms"}, tc.flags...)
+		args := append([]string{"-daemon", daemon.URL, "-id", "w1", "-slots", "1"}, tc.flags...)
 		go func() { code <- run(ctx, args, io.Discard, io.Discard) }()
 
 		select {

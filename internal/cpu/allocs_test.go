@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"suit/internal/trace"
@@ -23,6 +24,12 @@ func stepAllocs(t *testing.T, cfg Config, s Strategy) float64 {
 		m.runInit()
 		ms[i] = m
 	}
+	// Rings that machines run by earlier tests handed to excRings would
+	// spare some measured runs their ring allocation (go test -count=2).
+	// A GC moves a sync.Pool's contents to its victim cache, and the next
+	// drops them.
+	runtime.GC()
+	runtime.GC()
 	next := 0
 	return testing.AllocsPerRun(runs, func() {
 		m := ms[next]

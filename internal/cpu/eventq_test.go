@@ -223,7 +223,9 @@ func TestDifferentialHeapVsLinear(t *testing.T) {
 // TestExceptionRingSteadyStateFlat is the regression test for the old
 // unbounded-growth-then-copy d.exceptions pattern: over a dense-trap
 // 10⁷-instruction run the ring must stay at its fixed capacity.
-// TestStepLoopAllocations holds the ring to its one allocation.
+// TestStepLoopAllocations holds the ring to its one allocation. The test
+// steps the machine itself, as stepAllocs does, because Run hands the
+// ring to excRings once the result is final.
 func TestExceptionRingSteadyStateFlat(t *testing.T) {
 	tr := hotPathTrace(10_000_000, 500) // ~20k traps, > excRingCap
 	cfg := testConfig(tr)
@@ -231,10 +233,13 @@ func TestExceptionRingSteadyStateFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
+	m.runInit()
+	for !m.runDone {
+		if err := m.runStep(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	res := m.finishRun()
 	d := m.domains[0]
 	if d.excTotal <= excRingCap {
 		t.Fatalf("want the ring to wrap (> %d traps), got %d", excRingCap, d.excTotal)

@@ -363,7 +363,7 @@ type domain struct {
 
 	// exceptions holds recent #DO timestamps for thrashing prevention.
 	// It fills to excRingCap entries and then becomes a ring indexed by
-	// excTotal (see recordException/excKept/excNth in run.go).
+	// excTotal (see takeRing/recordException/excKept/excNth in run.go).
 	exceptions []units.Second
 	excTotal   uint64 // total #DO recorded over the run
 
@@ -608,9 +608,10 @@ func newDomain(id int, cores []*core, start Point) *domain {
 		target: ModeBase,
 		freq:   start.F,
 		ramp:   ramp{volt: start.V, voltGoal: start.V},
-		// The exception ring (64 KiB per domain at excRingCap) is
-		// allocated lazily on the first #DO in recordException: trap-free
-		// runs — every non-SUIT baseline machine — never pay for it.
+		// The exception ring (64 KiB per domain at excRingCap) is taken
+		// lazily on the first #DO (takeRing), from a finished machine
+		// when one has handed its ring back: trap-free runs — every
+		// non-SUIT baseline machine — never pay for it.
 	}
 }
 

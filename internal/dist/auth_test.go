@@ -21,7 +21,11 @@ import (
 // The result digest only proves transport integrity, so this token is
 // what keeps an exposed daemon from accepting forged outcomes.
 func TestWorkerTokenRequired(t *testing.T) {
-	d := newTestDispatcher(t, Config{WorkerToken: "s3cret"})
+	// A short lease TTL keeps the authorized claim's hold short, and a
+	// clock that moves only when told to keeps the claimer live after it.
+	cfg := Config{WorkerToken: "s3cret", LeaseTTL: 20 * time.Millisecond}
+	fakeClock(&cfg)
+	d := newTestDispatcher(t, cfg)
 	mux := http.NewServeMux()
 	d.Register(mux)
 	srv := httptest.NewServer(mux)
@@ -57,7 +61,7 @@ func TestWorkerTokenRequired(t *testing.T) {
 	}
 
 	// The right token passes through to the real handler: an empty
-	// queue answers an authorized claim with 204.
+	// queue answers an authorized claim with 204 once its hold passes.
 	if resp := post("/v1/work/claim", "s3cret", claimBody); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("authorized claim: status %d, want 204", resp.StatusCode)
 	}
@@ -83,10 +87,10 @@ func TestWorkerTokenEndToEnd(t *testing.T) {
 	}
 
 	stopDenied := runWorker(t, WorkerConfig{
-		BaseURL: srv.URL, ID: "no-token", PollInterval: 5 * time.Millisecond, runFn: run,
+		BaseURL: srv.URL, ID: "no-token", runFn: run,
 	})
 	stopAllowed := runWorker(t, WorkerConfig{
-		BaseURL: srv.URL, ID: "with-token", Token: "s3cret", PollInterval: 5 * time.Millisecond, runFn: run,
+		BaseURL: srv.URL, ID: "with-token", Token: "s3cret", runFn: run,
 	})
 	defer stopDenied()
 	defer stopAllowed()
@@ -128,7 +132,7 @@ func TestClaimRevisionMismatchRefused(t *testing.T) {
 		t.Fatalf("RevisionRefusals = %d, LiveWorkers = %d, want 2 and 0", st.RevisionRefusals, st.LiveWorkers)
 	}
 
-	stop := runWorker(t, WorkerConfig{BaseURL: srv.URL, ID: "current", PollInterval: 5 * time.Millisecond,
+	stop := runWorker(t, WorkerConfig{BaseURL: srv.URL, ID: "current",
 		runFn: func(context.Context, core.Scenario, uint64) (core.Outcome, error) {
 			return core.Outcome{Efficiency: 3}, nil
 		}})

@@ -117,7 +117,6 @@ func TestDistributedChaosByteIdentical(t *testing.T) {
 			BaseURL:        srv.URL,
 			ID:             fmt.Sprintf("chaos-w%d", i),
 			Slots:          2,
-			PollInterval:   10 * time.Millisecond,
 			ResultAttempts: 6,
 			RetryBackoff:   5 * time.Millisecond,
 			Client:         &http.Client{Transport: tr, Timeout: 10 * time.Second},
@@ -184,10 +183,9 @@ func TestWorkerKilledMidSweep(t *testing.T) {
 	// until the worker is killed, so it dies holding a lease.
 	victimCtx, killVictim := context.WithCancel(context.Background())
 	victim, err := NewWorker(WorkerConfig{
-		BaseURL:      srv.URL,
-		ID:           "victim",
-		Slots:        2,
-		PollInterval: 5 * time.Millisecond,
+		BaseURL: srv.URL,
+		ID:      "victim",
+		Slots:   2,
 		runFn: func(ctx context.Context, sc core.Scenario, seed uint64) (core.Outcome, error) {
 			<-ctx.Done() // holds the lease until killed
 			return core.Outcome{}, ctx.Err()
@@ -229,10 +227,9 @@ func TestWorkerKilledMidSweep(t *testing.T) {
 
 	// A healthy worker arrives; expired leases reassign to it.
 	stop := runWorker(t, WorkerConfig{
-		BaseURL:      srv.URL,
-		ID:           "survivor",
-		Slots:        2,
-		PollInterval: 10 * time.Millisecond,
+		BaseURL: srv.URL,
+		ID:      "survivor",
+		Slots:   2,
 	})
 	defer stop()
 
@@ -266,7 +263,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	d := NewDispatcher(Config{LeaseTTL: 200 * time.Millisecond, RetryBackoff: 5 * time.Millisecond})
 	defer d.Close()
 	srv := startServer(t, d)
-	stop := runWorker(t, WorkerConfig{BaseURL: srv.URL, ID: "w1", Slots: 1, PollInterval: 5 * time.Millisecond})
+	stop := runWorker(t, WorkerConfig{BaseURL: srv.URL, ID: "w1", Slots: 1})
 	defer stop()
 
 	var wg sync.WaitGroup

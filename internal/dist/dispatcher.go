@@ -14,7 +14,7 @@ import (
 )
 
 // Config sizes the dispatcher. The zero value of every field means "use
-// the default"; the defaults suit a LAN of workers polling a daemon.
+// the default"; the defaults suit a LAN of workers pulling from a daemon.
 type Config struct {
 	// LeaseTTL is how long a claimed unit may go without a heartbeat
 	// before it is reassigned. Default 3s.
@@ -39,7 +39,7 @@ type Config struct {
 	// TripFor default 10s.
 	TripAfter int
 	TripFor   time.Duration
-	// LiveWindow is how recently a worker must have polled to count as
+	// LiveWindow is how recently a worker must have claimed to count as
 	// live; with zero live workers Execute declines immediately instead
 	// of parking units nobody will claim, and a unit already offered is
 	// pulled back to local execution if every worker goes silent
@@ -63,6 +63,10 @@ type Config struct {
 	// nowFn overrides the wall clock in tests.
 	nowFn func() time.Time
 }
+
+// maxClaimHold caps how long an empty claim waits at the daemon, below
+// the HTTP client timeouts of the workers (30 s in suitworker).
+const maxClaimHold = 5 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
@@ -123,6 +127,10 @@ var (
 // errExhausted completes a unit whose remote attempts are spent; under
 // the default config the caller falls back to local execution.
 var errExhausted = errors.New("dist: remote attempts exhausted")
+
+// errClosed answers a claim at a closed dispatcher; the HTTP layer maps
+// it to 503, so a draining daemon releases its held claims at once.
+var errClosed = errors.New("dist: dispatcher closed")
 
 // Stats is a snapshot of the dispatcher's accounting: counters since
 // creation plus point-in-time gauges.
@@ -198,7 +206,7 @@ type workerState struct {
 }
 
 // Dispatcher is the daemon side of the distributed tier: it queues
-// fingerprint-addressed units, leases them to polling workers, verifies
+// fingerprint-addressed units, leases them to pulling workers, verifies
 // and dedups results, and degrades to local execution whenever the
 // remote tier cannot be trusted to make progress.
 type Dispatcher struct {
@@ -216,6 +224,10 @@ type Dispatcher struct {
 	tripUntil time.Time
 	closed    bool
 	stats     Stats
+	// wake is closed and replaced (wakeLocked) whenever a held claim or a
+	// remote-only Execute waiting for a worker may now proceed: a unit is
+	// offered or requeued, a worker becomes live (seeLocked), or Close.
+	wake chan struct{}
 
 	janitorStop chan struct{}
 	janitorWG   sync.WaitGroup
@@ -234,6 +246,7 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		leases:      make(map[string]*lease),
 		workers:     make(map[string]*workerState),
 		completed:   make(map[string]string),
+		wake:        make(chan struct{}),
 		janitorStop: make(chan struct{}),
 	}
 	interval := d.cfg.LeaseTTL / 4
@@ -258,8 +271,9 @@ func (d *Dispatcher) Close() {
 		return
 	}
 	d.closed = true
+	d.wakeLocked()
 	for _, u := range d.units {
-		u.err = errors.New("dist: dispatcher closed")
+		u.err = errClosed
 		close(u.done)
 	}
 	d.units = make(map[string]*unit)
@@ -313,7 +327,7 @@ func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, 
 		if d.closed {
 			d.mu.Unlock()
 			if d.cfg.RemoteOnly {
-				return zero, true, errors.New("dist: dispatcher closed")
+				return zero, true, errClosed
 			}
 			return zero, false, nil
 		}
@@ -345,6 +359,7 @@ func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, 
 			d.units[key] = u
 			d.pending = append(d.pending, u)
 			d.stats.Offered++
+			d.wakeLocked()
 			d.mu.Unlock()
 			break
 		}
@@ -353,9 +368,14 @@ func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, 
 			d.mu.Unlock()
 			return zero, false, nil
 		}
+		// Remote-only: wait for a worker to become live (seeLocked wakes
+		// this wait), or for a tripped breaker to close (tripUntil is zero
+		// when untripped).
+		wake, tripEnd := d.wake, d.tripUntil
 		d.mu.Unlock()
-		if !sleepCtx(ctx, 50*time.Millisecond) {
-			return zero, true, ctx.Err()
+		waitWake(ctx, wake, tripEnd.Sub(now))
+		if err := ctx.Err(); err != nil {
+			return zero, true, err
 		}
 	}
 
@@ -366,13 +386,13 @@ func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, 
 	// budget, so without the recheck the wait would be unbounded. Under
 	// the default config a dead fleet hands the unit back to local
 	// execution; under RemoteOnly the wait-for-workers contract holds and
-	// only ctx bounds it.
-	recheck := d.cfg.LiveWindow / 4
-	if recheck < 10*time.Millisecond {
-		recheck = 10 * time.Millisecond
+	// only ctx bounds it, so there is nothing to recheck.
+	var recheck <-chan time.Time
+	if !d.cfg.RemoteOnly {
+		tick := time.NewTicker(max(d.cfg.LiveWindow/4, 10*time.Millisecond)) //lint:allow determinism liveness recheck pacing for a parked offer — scheduling only, results are content-addressed
+		defer tick.Stop()
+		recheck = tick.C
 	}
-	tick := time.NewTicker(recheck) //lint:allow determinism liveness recheck pacing for a parked offer — scheduling only, results are content-addressed
-	defer tick.Stop()
 	for {
 		select {
 		case <-u.done:
@@ -389,10 +409,7 @@ func (d *Dispatcher) Execute(ctx context.Context, sc core.Scenario, key string, 
 		case <-ctx.Done():
 			d.abandon(u)
 			return zero, true, ctx.Err()
-		case <-tick.C:
-			if d.cfg.RemoteOnly {
-				continue
-			}
+		case <-recheck:
 			d.mu.Lock()
 			// units[key] == u rules out completion (results land under
 			// this lock); a silent fleet means no claim can ever come.
@@ -421,11 +438,11 @@ func (d *Dispatcher) eligibleLocked(now time.Time) bool {
 	return d.hasLiveWorkerLocked(now)
 }
 
-// hasLiveWorkerLocked: has any non-quarantined worker polled within the
-// liveness window? When false, nothing will ever claim a pending unit —
-// the signal Execute's wait loop uses to stop parking work nobody can
-// take. (A worker with a lease in flight keeps itself live through its
-// heartbeats.)
+// hasLiveWorkerLocked: has any non-quarantined worker claimed within
+// the liveness window? When false, nothing will ever claim a pending
+// unit — the signal Execute's wait loop uses to stop parking work nobody
+// can take. (A worker with a lease in flight keeps itself live through
+// its heartbeats, and one waiting in a held claim through that claim.)
 func (d *Dispatcher) hasLiveWorkerLocked(now time.Time) bool {
 	for _, w := range d.workers {
 		if now.Before(w.quarantinedUntil) {
@@ -464,29 +481,90 @@ func (d *Dispatcher) abandonLocked(u *unit) {
 	}
 }
 
-// Claim hands the next ready unit to a worker under a fresh lease. A
-// claim — successful or empty — also registers the worker as live.
-// ok=false means no work (or the worker is quarantined): poll again
-// after a short interval.
-func (d *Dispatcher) Claim(workerID string) (Grant, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return Grant{}, false
+// claimHold bounds how long handleClaim holds an empty claim: one
+// LeaseTTL, capped at maxClaimHold and at LiveWindow, so the worker a
+// claim marks seen stays live for the whole hold. The bound paces an
+// empty answer only; which unit a worker gets never depends on it.
+func (d *Dispatcher) claimHold() time.Duration {
+	return min(d.cfg.LeaseTTL, d.cfg.LiveWindow, maxClaimHold)
+}
+
+// awaitClaim hands the next ready unit to workerID under a fresh lease,
+// holding the claim up to hold when none is ready. A claim, granted or
+// not, registers its worker as live. The claim waits until a unit is
+// offered or requeued and ready, the dispatcher closes (errClosed), ctx
+// ends (ctx's error: no lease goes to a request that has gone away) or
+// the hold passes (ok=false, nil: the worker claims again); a zero hold
+// makes one attempt. A quarantined worker's claim waits out the hold or
+// its quarantine, whichever ends first, and is counted as one refusal.
+func (d *Dispatcher) awaitClaim(ctx context.Context, workerID string, hold time.Duration) (Grant, bool, error) {
+	held, cancel := context.WithTimeout(ctx, hold)
+	defer cancel()
+	refused := false
+	for {
+		if err := ctx.Err(); err != nil {
+			return Grant{}, false, err
+		}
+		d.mu.Lock()
+		if d.closed {
+			d.mu.Unlock()
+			return Grant{}, false, errClosed
+		}
+		now := d.cfg.now()
+		var next time.Time // when a unit may next be claimable; zero: none pending
+		if w := d.seeLocked(workerID, now); now.Before(w.quarantinedUntil) {
+			if !refused {
+				d.stats.QuarantineRefusals++
+				refused = true
+			}
+			next = w.quarantinedUntil
+		} else if g, ok, at := d.grantLocked(workerID, now); ok {
+			d.mu.Unlock()
+			return g, true, nil
+		} else {
+			next = at
+		}
+		wake := d.wake
+		d.mu.Unlock()
+		if held.Err() != nil {
+			return Grant{}, false, nil
+		}
+		waitWake(held, wake, next.Sub(now))
 	}
-	now := d.cfg.now()
+}
+
+// seeLocked records that workerID was heard from at now: a claim, a
+// heartbeat or a result. Every such record goes through here, so one
+// that makes its worker live — its first, its first after a silence
+// longer than LiveWindow, or its first since its quarantine ended —
+// always wakes a remote-only Execute waiting for a live worker. (A
+// quarantine that ends between two records wakes nobody itself; the
+// next record does.)
+func (d *Dispatcher) seeLocked(workerID string, now time.Time) *workerState {
 	w := d.workers[workerID]
 	if w == nil {
 		w = &workerState{}
 		d.workers[workerID] = w
 	}
+	wasLive := now.Sub(w.lastSeen) <= d.cfg.LiveWindow && !w.lastSeen.Before(w.quarantinedUntil)
 	w.lastSeen = now
-	if now.Before(w.quarantinedUntil) {
-		d.stats.QuarantineRefusals++
-		return Grant{}, false
+	if !wasLive && !now.Before(w.quarantinedUntil) {
+		d.wakeLocked()
 	}
+	return w
+}
+
+// grantLocked leases the first ready pending unit to workerID. When none
+// is ready it returns the earliest notBefore among the pending units
+// (zero when none is pending), which is when the next claim can succeed
+// without a new offer.
+func (d *Dispatcher) grantLocked(workerID string, now time.Time) (Grant, bool, time.Time) {
+	var next time.Time
 	for i, u := range d.pending {
 		if u.notBefore.After(now) {
+			if next.IsZero() || u.notBefore.Before(next) {
+				next = u.notBefore
+			}
 			continue
 		}
 		d.pending = append(d.pending[:i], d.pending[i+1:]...)
@@ -495,9 +573,32 @@ func (d *Dispatcher) Claim(workerID string) (Grant, bool) {
 		id := fmt.Sprintf("l%08d-%s", d.seq, shortKey(u.key))
 		d.leases[id] = &lease{id: id, seq: d.seq, u: u, worker: workerID, deadline: now.Add(d.cfg.LeaseTTL)}
 		d.stats.Leases++
-		return Grant{LeaseID: id, TTLMillis: d.cfg.LeaseTTL.Milliseconds(), Unit: u.wire}, true
+		return Grant{LeaseID: id, TTLMillis: d.cfg.LeaseTTL.Milliseconds(), Unit: u.wire}, true, time.Time{}
 	}
-	return Grant{}, false
+	return Grant{}, false, next
+}
+
+// wakeLocked wakes everything waiting on the wake channel by closing it,
+// and puts a fresh one in its place for the next wait.
+func (d *Dispatcher) wakeLocked() {
+	close(d.wake)
+	d.wake = make(chan struct{})
+}
+
+// waitWake waits until wake is closed, ctx ends, or after passes when it
+// is positive.
+func waitWake(ctx context.Context, wake <-chan struct{}, after time.Duration) {
+	var timer <-chan time.Time
+	if after > 0 {
+		t := time.NewTimer(after) //lint:allow determinism wakes a held claim or a remote-only offer when a backoff, quarantine or trip ends; scheduling only, unit results are content-addressed
+		defer t.Stop()
+		timer = t.C
+	}
+	select {
+	case <-wake:
+	case <-timer:
+	case <-ctx.Done():
+	}
 }
 
 // Heartbeat extends a lease. ok=false tells the worker the lease is
@@ -512,9 +613,7 @@ func (d *Dispatcher) Heartbeat(leaseID string) (ttl time.Duration, ok bool) {
 	}
 	now := d.cfg.now()
 	l.deadline = now.Add(d.cfg.LeaseTTL)
-	if w := d.workers[l.worker]; w != nil {
-		w.lastSeen = now
-	}
+	d.seeLocked(l.worker, now)
 	return d.cfg.LeaseTTL, true
 }
 
@@ -545,9 +644,7 @@ func (d *Dispatcher) Result(leaseID string, msg ResultMsg) (string, error) {
 	}
 	delete(d.leases, leaseID)
 	u := l.u
-	if w := d.workers[l.worker]; w != nil {
-		w.lastSeen = now
-	}
+	w := d.seeLocked(l.worker, now)
 	if msg.Error != "" {
 		d.stats.ErrorResults++
 		d.failLeaseLocked(l, now, "worker reported: "+msg.Error)
@@ -572,9 +669,7 @@ func (d *Dispatcher) Result(leaseID string, msg ResultMsg) (string, error) {
 	// duplicate verification, and reset both breakers' failure streaks.
 	delete(d.units, u.key)
 	d.recordCompletedLocked(u.key, msg.Digest)
-	if w := d.workers[l.worker]; w != nil {
-		w.consecFailures = 0
-	}
+	w.consecFailures = 0
 	d.consec = 0
 	d.stats.Completed++
 	u.res, u.err = out, nil
@@ -616,6 +711,7 @@ func (d *Dispatcher) failLeaseLocked(l *lease, now time.Time, reason string) {
 	u.notBefore = now.Add(engine.RetryDelay(d.cfg.RetryBackoff, u.key, u.attempts-1))
 	d.pending = append(d.pending, u)
 	d.stats.Reassigned++
+	d.wakeLocked()
 }
 
 // recordCompletedLocked remembers a completed fingerprint's digest for
@@ -680,18 +776,3 @@ func (d *Dispatcher) expireLeases() {
 // that a partitioned worker usually finds its failure history waiting
 // when it returns; a quarantined worker is never forgotten early.
 const workerForgetAfter = 4
-
-// sleepCtx pauses for d, returning false if ctx is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d) //lint:allow determinism poll/backoff pacing for remote-only waits; unit results are content-addressed and timing-independent
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}

@@ -132,16 +132,28 @@ func waitVerdict(t *testing.T, ch <-chan execVerdict) execVerdict {
 	}
 }
 
-// claimSoon polls Claim until a grant appears (reassigned units carry a
-// notBefore backoff, so an immediate claim can legitimately miss).
+// claim makes one claim attempt, without holding it, so a test can step
+// the dispatcher: the daemon's claim path with a zero hold.
+func (d *Dispatcher) claim(workerID string) (Grant, bool) {
+	g, ok, _ := d.awaitClaim(context.Background(), workerID, 0)
+	return g, ok
+}
+
+// claimSoon claims through awaitClaim until a grant appears: a
+// reassigned unit carries a notBefore backoff, and a short LeaseTTL can
+// end a hold before the unit is ready.
 func claimSoon(t *testing.T, d *Dispatcher, worker string) Grant {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if g, ok := d.Claim(worker); ok {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for ctx.Err() == nil {
+		g, ok, err := d.awaitClaim(ctx, worker, d.claimHold())
+		if ok {
 			return g
 		}
-		time.Sleep(5 * time.Millisecond)
+		if errors.Is(err, errClosed) {
+			break
+		}
 	}
 	t.Fatal("no grant appeared")
 	return Grant{}
@@ -161,7 +173,7 @@ func newTestDispatcher(t *testing.T, cfg Config) *Dispatcher {
 // verified outcome as a handled remote execution.
 func TestDispatcherHappyPath(t *testing.T) {
 	d := newTestDispatcher(t, Config{})
-	d.Claim("w1") // registers w1 as live so Execute offers remotely
+	d.claim("w1") // registers w1 as live so Execute offers remotely
 	sc := testScenario(t, 1)
 	vch := startExecute(d, sc)
 
@@ -219,7 +231,7 @@ func TestDeclineSkipsEncoding(t *testing.T) {
 // reassigned after TTL, and the second lease can complete it.
 func TestLeaseExpiryReassigns(t *testing.T) {
 	d := newTestDispatcher(t, Config{LeaseTTL: 40 * time.Millisecond, QuarantineAfter: 100, TripAfter: 100})
-	d.Claim("w1")
+	d.claim("w1")
 	sc := testScenario(t, 3)
 	vch := startExecute(d, sc)
 
@@ -278,7 +290,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 		cfg := Config{LeaseTTL: 50 * time.Millisecond}
 		advance := fakeClock(&cfg)
 		d := newTestDispatcher(t, cfg)
-		d.Claim("w1")
+		d.claim("w1")
 		vch := startExecute(d, testScenario(t, 4))
 		g := claimSoon(t, d, "w1")
 		for i := 0; i < 8; i++ {
@@ -313,7 +325,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 // retried elsewhere.
 func TestBadDigestReassigns(t *testing.T) {
 	d := newTestDispatcher(t, Config{QuarantineAfter: 100, TripAfter: 100})
-	d.Claim("w1")
+	d.claim("w1")
 	sc := testScenario(t, 5)
 	vch := startExecute(d, sc)
 	g1 := claimSoon(t, d, "w1")
@@ -339,7 +351,7 @@ func TestBadDigestReassigns(t *testing.T) {
 // runs it locally — remote trouble never fails a sweep.
 func TestErrorResultsExhaustToLocalFallback(t *testing.T) {
 	d := newTestDispatcher(t, Config{RemoteAttempts: 2, QuarantineAfter: 100, TripAfter: 100})
-	d.Claim("w1")
+	d.claim("w1")
 	sc := testScenario(t, 6)
 	vch := startExecute(d, sc)
 	for i := 0; i < 2; i++ {
@@ -363,7 +375,7 @@ func TestErrorResultsExhaustToLocalFallback(t *testing.T) {
 // is a real error, not a silent fallback.
 func TestRemoteOnlySurfacesExhaustion(t *testing.T) {
 	d := newTestDispatcher(t, Config{RemoteAttempts: 1, RemoteOnly: true, QuarantineAfter: 100, TripAfter: 100})
-	d.Claim("w1")
+	d.claim("w1")
 	sc := testScenario(t, 7)
 	vch := startExecute(d, sc)
 	g := claimSoon(t, d, "w1")
@@ -380,7 +392,7 @@ func TestRemoteOnlySurfacesExhaustion(t *testing.T) {
 // worker; its claims are refused until the window passes.
 func TestWorkerQuarantine(t *testing.T) {
 	d := newTestDispatcher(t, Config{QuarantineAfter: 2, QuarantineFor: time.Hour, TripAfter: 100, RemoteAttempts: 10})
-	d.Claim("bad")
+	d.claim("bad")
 	sc := testScenario(t, 8)
 	startExecute(d, sc)
 	for i := 0; i < 2; i++ {
@@ -389,7 +401,7 @@ func TestWorkerQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := d.Claim("bad"); ok {
+	if _, ok := d.claim("bad"); ok {
 		t.Fatal("quarantined worker was granted a lease")
 	}
 	st := d.Stats()
@@ -408,7 +420,7 @@ func TestWorkerQuarantine(t *testing.T) {
 // passes, then remote eligibility returns.
 func TestTripBreaker(t *testing.T) {
 	d := newTestDispatcher(t, Config{TripAfter: 2, TripFor: 60 * time.Millisecond, QuarantineAfter: 100, RemoteAttempts: 10})
-	d.Claim("w1")
+	d.claim("w1")
 	sc := testScenario(t, 9)
 	vch := startExecute(d, sc)
 	for i := 0; i < 2; i++ {
@@ -440,7 +452,7 @@ func TestTripBreaker(t *testing.T) {
 // queue forgets it and a late claim finds nothing.
 func TestExecuteCancellation(t *testing.T) {
 	d := newTestDispatcher(t, Config{})
-	d.Claim("w1")
+	d.claim("w1")
 	sc := testScenario(t, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -457,7 +469,7 @@ func TestExecuteCancellation(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Execute error = %v, want context.Canceled", err)
 	}
-	if _, ok := d.Claim("w1"); ok {
+	if _, ok := d.claim("w1"); ok {
 		t.Fatal("abandoned unit was still claimable")
 	}
 }
@@ -469,7 +481,7 @@ func TestExecuteCancellation(t *testing.T) {
 // waiting forever.
 func TestNoLiveWorkersAbandonsToLocal(t *testing.T) {
 	d := newTestDispatcher(t, Config{LeaseTTL: 30 * time.Millisecond, RemoteAttempts: 100, QuarantineAfter: 100, TripAfter: 100})
-	d.Claim("w1")
+	d.claim("w1")
 	sc := testScenario(t, 13)
 	vch := startExecute(d, sc)
 	claimSoon(t, d, "w1")
@@ -487,7 +499,7 @@ func TestNoLiveWorkersAbandonsToLocal(t *testing.T) {
 		t.Errorf("Expired=%d, want the crashed worker's lease expired", st.Expired)
 	}
 	// The abandoned unit must be gone, not claimable by a late worker.
-	if _, ok := d.Claim("late"); ok {
+	if _, ok := d.claim("late"); ok {
 		t.Fatal("abandoned unit was still claimable")
 	}
 }
@@ -497,7 +509,7 @@ func TestNoLiveWorkersAbandonsToLocal(t *testing.T) {
 // offer went remote, and then every worker vanished before claiming.
 func TestNoLiveWorkersAbandonsQueuedUnit(t *testing.T) {
 	d := newTestDispatcher(t, Config{LeaseTTL: 30 * time.Millisecond, RemoteAttempts: 100, QuarantineAfter: 100, TripAfter: 100})
-	d.Claim("w1") // registers w1 as live; w1 never polls again
+	d.claim("w1") // registers w1 as live; w1 never polls again
 	sc := testScenario(t, 14)
 	v := waitVerdict(t, startExecute(d, sc))
 	if v.handled || v.err != nil {
@@ -518,14 +530,14 @@ func TestStaleWorkersPruned(t *testing.T) {
 	d := newTestDispatcher(t, cfg)
 	now := d.cfg.now()
 
-	d.Claim("old")
+	d.claim("old")
 	d.mu.Lock()
 	d.workers["quarantined"] = &workerState{lastSeen: now, quarantinedUntil: now.Add(time.Hour)}
 	d.mu.Unlock()
 
 	// Far past the forget horizon, but inside the quarantine window.
 	advance(workerForgetAfter*d.cfg.LiveWindow + time.Second)
-	d.Claim("fresh")
+	d.claim("fresh")
 	d.expireLeases()
 	d.mu.Lock()
 	_, hasOld := d.workers["old"]
@@ -579,7 +591,7 @@ func TestExpiredLeaseOrderFollowsSeq(t *testing.T) {
 // a decline (local fallback) rather than hanging the daemon's drain.
 func TestCloseFailsQueuedUnits(t *testing.T) {
 	d := NewDispatcher(Config{})
-	d.Claim("w1")
+	d.claim("w1")
 	sc := testScenario(t, 12)
 	vch := startExecute(d, sc)
 	deadline := time.Now().Add(5 * time.Second)

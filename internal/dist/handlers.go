@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -17,10 +18,16 @@ import (
 // the cap turns a runaway or malicious body into a clean 413.
 const maxResultBytes = 4 << 20
 
+// claimHeldHeader marks a 204 claim answer that the daemon held for its
+// bound. A daemon that answers an empty claim at once sends no such
+// header, and a worker treats that 204 as a failed claim and backs off
+// instead of claiming again in a loop.
+const claimHeldHeader = "Suit-Claim-Held"
+
 // Register mounts the work-distribution endpoints on mux (Go 1.22
 // method+pattern routing):
 //
-//	POST /v1/work/claim              → claim one leased unit (204 if none, 409 on a revision mismatch)
+//	POST /v1/work/claim              → claim one leased unit, held until one is ready (204 with Suit-Claim-Held if none within the hold, 409 on a revision mismatch, 503 once the dispatcher closes)
 //	POST /v1/work/{lease}/heartbeat  → extend a lease (410 if gone)
 //	POST /v1/work/{lease}/result     → deliver a result (202/200/409/410/422)
 //
@@ -56,11 +63,16 @@ func (d *Dispatcher) auth(h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (d *Dispatcher) handleClaim(w http.ResponseWriter, r *http.Request) {
+	body := http.MaxBytesReader(w, r.Body, 4096)
 	var req ClaimRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad claim body: "+err.Error())
 		return
 	}
+	// Read the body to its end: only then does the server watch the
+	// connection, so that a worker that goes away mid-hold ends
+	// r.Context() and is granted nothing.
+	_, _ = io.Copy(io.Discard, body)
 	if req.WorkerID == "" {
 		httpError(w, http.StatusBadRequest, "claim must name a worker_id")
 		return
@@ -75,12 +87,18 @@ func (d *Dispatcher) handleClaim(w http.ResponseWriter, r *http.Request) {
 			"worker results revision %d, daemon results revision %d: rebuild the worker", req.Revision, engine.ResultsRevision))
 		return
 	}
-	grant, ok := d.Claim(req.WorkerID)
-	if !ok {
-		w.WriteHeader(http.StatusNoContent) // nothing to do; poll again
-		return
+	grant, ok, err := d.awaitClaim(r.Context(), req.WorkerID, d.claimHold())
+	switch {
+	case errors.Is(err, errClosed):
+		httpError(w, http.StatusServiceUnavailable, "dispatcher closed: the daemon is draining")
+	case err != nil:
+		// The worker's request went away; nobody reads an answer.
+	case !ok:
+		w.Header().Set(claimHeldHeader, "1")
+		w.WriteHeader(http.StatusNoContent) // no work within the hold; claim again
+	default:
+		writeJSON(w, http.StatusOK, grant)
 	}
-	writeJSON(w, http.StatusOK, grant)
 }
 
 func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

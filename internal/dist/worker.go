@@ -29,13 +29,18 @@ type WorkerConfig struct {
 	Token string
 	// Slots is how many units run concurrently. Default 1.
 	Slots int
-	// PollInterval is the pause after an empty claim. Default 250ms.
+	// PollInterval was the pause after an empty claim. The daemon now
+	// holds a claim until work is ready, and the worker claims again at
+	// once after an empty one.
+	//
+	// Deprecated: not read; kept only because bench/served.go sets it.
 	PollInterval time.Duration
 	// ResultAttempts bounds result-post retries on transport and 5xx
 	// failures (a 4xx is final). Default 4.
 	ResultAttempts int
-	// RetryBackoff is the base of the deterministic fingerprint-derived
-	// backoff between result-post retries. Default 100ms.
+	// RetryBackoff is the base of the deterministic backoff after a
+	// failed claim (keyed by the worker ID) and between result-post
+	// retries (keyed by the fingerprint). Default 100ms.
 	RetryBackoff time.Duration
 	// Client overrides the HTTP client — the chaos tests inject a
 	// fault-laden transport here. Default: http.Client with a 30s
@@ -49,9 +54,6 @@ type WorkerConfig struct {
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.Slots <= 0 {
 		c.Slots = 1
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 250 * time.Millisecond
 	}
 	if c.ResultAttempts <= 0 {
 		c.ResultAttempts = 4
@@ -71,7 +73,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // WorkerStats counts one worker's lifetime activity.
 type WorkerStats struct {
 	Claims        int64 // granted leases
-	EmptyPolls    int64 // 204 responses
+	EmptyPolls    int64 // 204 responses: a claim held to its bound without work
 	Completed     int64 // accepted or deduped results
 	Errors        int64 // error results posted (mismatch, failed run)
 	LeaseLost     int64 // heartbeats answered 410 (run cancelled)
@@ -111,7 +113,7 @@ func (w *Worker) Stats() WorkerStats {
 	return w.stats
 }
 
-// Run polls, executes and reports until ctx is cancelled, then drains
+// Run claims, executes and reports until ctx is cancelled, then drains
 // its slots and returns ctx's error.
 func (w *Worker) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
@@ -126,21 +128,29 @@ func (w *Worker) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// slotLoop claims and executes units one at a time. The daemon holds a
+// claim until work is ready, so an empty answer is followed by the next
+// claim at once; only a failed claim (transport error, unexpected
+// status such as 503 from a draining daemon, or a 204 the daemon did not
+// hold) backs off, by the deterministic schedule keyed by the worker ID.
 func (w *Worker) slotLoop(ctx context.Context, slot int) {
+	failures := 0
 	for ctx.Err() == nil {
 		grant, ok, err := w.claim(ctx)
 		if err != nil {
-			w.count(func(s *WorkerStats) { s.ClaimFailures++ })
-			if !sleepCtx(ctx, w.cfg.PollInterval) {
+			if ctx.Err() != nil {
 				return
 			}
+			w.count(func(s *WorkerStats) { s.ClaimFailures++ })
+			if !sleepCtx(ctx, engine.RetryDelay(w.cfg.RetryBackoff, w.cfg.ID, failures)) {
+				return
+			}
+			failures++
 			continue
 		}
+		failures = 0
 		if !ok {
 			w.count(func(s *WorkerStats) { s.EmptyPolls++ })
-			if !sleepCtx(ctx, w.cfg.PollInterval) {
-				return
-			}
 			continue
 		}
 		w.count(func(s *WorkerStats) { s.Claims++ })
@@ -148,7 +158,7 @@ func (w *Worker) slotLoop(ctx context.Context, slot int) {
 	}
 }
 
-// claim asks for one unit. ok=false with a nil error is an empty poll.
+// claim asks for one unit. ok=false with a nil error is an empty claim.
 func (w *Worker) claim(ctx context.Context) (Grant, bool, error) {
 	body, _ := json.Marshal(ClaimRequest{WorkerID: w.cfg.ID, Revision: engine.ResultsRevision})
 	resp, err := w.post(ctx, w.cfg.BaseURL+"/v1/work/claim", body)
@@ -158,6 +168,11 @@ func (w *Worker) claim(ctx context.Context) (Grant, bool, error) {
 	defer drainClose(resp)
 	switch resp.StatusCode {
 	case http.StatusNoContent:
+		if resp.Header.Get(claimHeldHeader) == "" {
+			// A daemon that does not hold claims: claiming again at once
+			// would loop, so this counts as a failed claim.
+			return Grant{}, false, errors.New("dist: claim: the daemon answered 204 without holding the claim; upgrade it")
+		}
 		return Grant{}, false, nil
 	case http.StatusOK:
 		var g Grant
@@ -321,6 +336,21 @@ func (w *Worker) count(f func(*WorkerStats)) {
 	w.mu.Lock()
 	f(&w.stats)
 	w.mu.Unlock()
+}
+
+// sleepCtx pauses for d, returning false if ctx is cancelled first.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d) //lint:allow determinism heartbeat and backoff pacing; unit results are content-addressed and timing-independent
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // drainClose finishes a response body so the connection can be reused.

@@ -132,10 +132,9 @@ func TestDistributedServiceByteIdentical(t *testing.T) {
 		Dist: dist.Config{LeaseTTL: time.Second},
 	})
 	w, err := dist.NewWorker(dist.WorkerConfig{
-		BaseURL:      ts.URL,
-		ID:           "svc-test-worker",
-		Slots:        2,
-		PollInterval: 10 * time.Millisecond,
+		BaseURL: ts.URL,
+		ID:      "svc-test-worker",
+		Slots:   2,
 	})
 	if err != nil {
 		t.Fatal(err)

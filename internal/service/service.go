@@ -278,7 +278,8 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.cancelRuns()
 	// Executors are stopped; shut the dispatcher so in-flight remote
 	// offers resolve (to local fallback — already moot) and its janitor
-	// exits. Workers polling a drained daemon just see empty claims.
+	// exits. Claims held at a drained daemon are answered 503 at once, so
+	// the HTTP server's shutdown does not wait on them.
 	s.dist.Close()
 	return interrupted
 }

@@ -14,7 +14,10 @@
 # fresh state dir executes the same spec through two suitworker
 # processes, one of which is SIGKILLed mid-sweep; the sweep must still
 # complete (lease reassignment or local fallback) and its GET view must
-# be byte-identical to the single-process daemon's.
+# be byte-identical to the single-process daemon's. The daemon holds an
+# idle worker's claim until work is ready, so the surviving worker is
+# waiting in a claim when the daemon gets SIGTERM: the drain must answer
+# that claim and exit 0 within 5 s.
 #
 # Run from the repository root: scripts/suitd_smoke.sh
 set -euo pipefail
@@ -180,9 +183,9 @@ CODE=$(curl -sS -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: applica
   -d '{"worker_id":"intruder"}' "$BASE2/v1/work/claim")
 [ "$CODE" = 401 ] || { echo "tokenless claim got HTTP $CODE, want 401" >&2; exit 1; }
 
-"$WORK/suitworker" -daemon "$BASE2" -id smoke-w1 -token "$TOKEN" -slots 1 -poll 50ms &
+"$WORK/suitworker" -daemon "$BASE2" -id smoke-w1 -token "$TOKEN" -slots 1 &
 W1=$!
-"$WORK/suitworker" -daemon "$BASE2" -id smoke-w2 -token "$TOKEN" -slots 1 -poll 50ms &
+"$WORK/suitworker" -daemon "$BASE2" -id smoke-w2 -token "$TOKEN" -slots 1 &
 W2=$!
 
 # Both workers must be live before submitting, or the engine's first
@@ -228,12 +231,24 @@ CONFLICTS=$(metric "$M2" suitd_dist_conflicts_total)
 [ "$CONFLICTS" = 0 ] || { echo "suitd_dist_conflicts_total = $CONFLICTS — determinism violation" >&2; exit 1; }
 echo "distributed sweep OK: remote-completed=$COMPLETED expired-leases=$EXPIRED local-fallbacks=$FALLBACKS conflicts=0"
 
-kill -TERM "$W2" 2>/dev/null || true
-wait "$W2" 2>/dev/null || true
-W2=""
+# smoke-w2 is idle now, so its claim waits at the daemon. The drain
+# closes the dispatcher, which answers that claim 503 at once, so
+# neither the drain nor the HTTP server's shutdown waits on it.
+kill -0 "$W2" 2>/dev/null || { echo "worker smoke-w2 died before the drain" >&2; exit 1; }
 kill -TERM "$PID2"
+for _ in $(seq 1 50); do
+  kill -0 "$PID2" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$PID2" 2>/dev/null; then
+  echo "second suitd still running 5 s after SIGTERM, with smoke-w2 waiting in a claim" >&2
+  exit 1
+fi
 RC=0
 wait "$PID2" || RC=$?
 PID2=""
 [ "$RC" = 0 ] || { echo "second suitd exited $RC after SIGTERM, want 0" >&2; exit 1; }
-echo "suitd distributed smoke OK: worker killed mid-sweep, view bytes identical, clean drain"
+kill -TERM "$W2" 2>/dev/null || true
+wait "$W2" 2>/dev/null || true
+W2=""
+echo "suitd distributed smoke OK: worker killed mid-sweep, view bytes identical, clean drain with a claim held"
