@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"go/ast"
+	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -125,72 +127,76 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestVettoolProtocol builds the binary and drives it through the real
-// cmd/go vet-tool handshake (-V=full, then per-package .cfg files) over
-// the whole module, as CI does. The module spans fact edges — internal/
-// cpu's hot path calls into internal/isa and internal/power, whose facts
-// reach it through .vetx files — and cmd/go also runs the tool over the
-// standard library, so a vet run that disagrees with in-process suitlint
-// (clean by TestRepoIsLintClean) fails here.
-func TestVettoolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "suitlint")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building suitlint: %v\n%s", err, out)
-	}
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = "../.."
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool failed: %v\n%s", err, out)
-	}
-
-	// Positive control: a synthetic two-package module where the hot
-	// package can ONLY be flagged if the dependency's Allocates fact
-	// survived the .vetx round-trip. A silent fact-plumbing regression
-	// would make this vet run pass, so demand the failure.
-	mod := t.TempDir()
-	write := func(rel, content string) {
+// TestRunExitCodes drives suitlint in-process over temporary modules:
+// exit 0 and an empty JSON list on a clean module, 1 on a usage error,
+// and 2 on a finding that only a fact crossing a package boundary can
+// produce. In the seeded module, hot's //suit:hotpath Step calls
+// dep.Grow, whose append dep's pass records as an Allocates fact; a
+// driver that gave each package a session of its own would pass it.
+func TestRunExitCodes(t *testing.T) {
+	module := func(files ...string) string {
 		t.Helper()
-		p := filepath.Join(mod, rel)
-		if err := os.MkdirAll(filepath.Dir(p), 0o777); err != nil {
-			t.Fatal(err)
+		dir := t.TempDir()
+		for i := 0; i < len(files); i += 2 {
+			p := filepath.Join(dir, files[i])
+			if err := os.MkdirAll(filepath.Dir(p), 0o777); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, []byte(files[i+1]), 0o666); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(p, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
+		return dir
+	}
+	dep := []string{
+		"go.mod", "module vx\n\ngo 1.22\n",
+		"dep/dep.go", "package dep\n\nfunc Grow(s []int) []int { return append(s, 1) }\n",
+	}
+	clean := module(dep...)
+	seeded := module(append(dep,
+		"hot/hot.go", "package hot\n\nimport \"vx/dep\"\n\n//suit:hotpath\nfunc Step(s []int) []int {\n\treturn dep.Grow(s)\n}\n")...)
+
+	cases := []struct {
+		name           string
+		dir            string
+		args           []string
+		code           int
+		stdout, stderr string // substrings the streams must hold
+	}{
+		{"clean", clean, []string{"-json", "./..."}, 0, "[]", ""},
+		{"unknown flag", clean, []string{"-bogus"}, 1, "", "flag provided but not defined: -bogus"},
+		{"unknown analyzer", clean, []string{"-only=nosuch"}, 1, "", `unknown analyzer "nosuch"`},
+		{"cross-package fact", seeded, nil, 2, "", "hot/hot.go:7:17: [allocfree] hot path: calls dep.Grow which may allocate"},
+	}
+	for _, c := range cases {
+		var stdout, stderr bytes.Buffer
+		code := run(c.dir, c.args, &stdout, &stderr)
+		if code != c.code || !strings.Contains(stdout.String(), c.stdout) || !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("%s: suitlint %v exited %d, want %d\nstdout:\n%s\nstderr:\n%s",
+				c.name, c.args, code, c.code, stdout.String(), stderr.String())
 		}
-	}
-	write("go.mod", "module vx\n\ngo 1.22\n")
-	write("dep/dep.go", "package dep\n\nfunc Grow(s []int) []int { return append(s, 1) }\n")
-	write("hot/hot.go", "package hot\n\nimport \"vx/dep\"\n\n//suit:hotpath\nfunc Step(s []int) []int {\n\treturn dep.Grow(s)\n}\n")
-	cmd = exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = mod
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet on the seeded module passed; dependency facts did not cross the .vetx boundary\n%s", out)
-	}
-	if !strings.Contains(string(out), "calls dep.Grow which may allocate") {
-		t.Fatalf("vet failed but not with the fact-derived finding:\n%s", out)
 	}
 }
 
 // TestInternalExportsHaveProductionCallers fails on an exported
-// identifier under internal/ that no non-test file of the module or of
-// bench/ references: code that only its tests reach ships for nothing.
-// A declaration's references to itself (recursion, a method's receiver)
-// do not count, nor do references to a type or its constants from the
-// type's own methods and typed constant specs, so an enum read only by
-// its own String is flagged; a used constant counts as a use of its
-// type. Exempt are the test-support packages, struct fields
-// (some are serialized results), a method that a called repo interface
-// method or a referenced marker interface dispatches to, and the
-// methods standard-library interfaces call implicitly.
+// identifier or an unexported package-level function under internal/
+// that no non-test file of the module or of bench/ references: code
+// that only its tests reach ships for nothing. A declaration's
+// references to itself (recursion, a method's receiver) do not count,
+// nor do references to a type or its constants from the type's own
+// methods and typed constant specs, so an enum read only by its own
+// String is flagged; a used constant counts as a use of its type.
+// Exempt are the test-support packages, struct fields (some are
+// serialized results), unexported methods, a method that a called repo
+// interface method or a referenced marker interface dispatches to, and
+// a method that a standard-library interface its type implements calls
+// implicitly (Len on a sort.Interface, Close on an io.Closer).
 func TestInternalExportsHaveProductionCallers(t *testing.T) {
 	pkgs, err := load.Packages("../../bench", ".", "suit/...")
 	if err != nil {
 		t.Fatalf("loading packages: %v", err)
 	}
+	implicit := stdInterfaces(t)
 	used := make(map[string]bool)
 	var ifaces []*types.Named
 	for _, pkg := range pkgs {
@@ -254,7 +260,9 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 	}
 	// dispatched reports whether a repo interface that recv satisfies
 	// has a method name that non-test code calls, or that is a marker
-	// (no arguments, no results) on an interface non-test code names.
+	// (no arguments, no results) on an interface non-test code names,
+	// or whether a standard-library interface that calls name
+	// implicitly is satisfied by recv.
 	dispatched := func(recv types.Type, name string) bool {
 		for _, n := range ifaces {
 			it := n.Underlying().(*types.Interface)
@@ -263,6 +271,13 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 				sig := m.Type().(*types.Signature)
 				marker := sig.Params().Len() == 0 && sig.Results().Len() == 0 && used[exportKey(n.Obj())]
 				if m.Name() == name && (used[exportKey(m)] || marker) && implements(recv, it) {
+					return true
+				}
+			}
+		}
+		for _, it := range implicit {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == name && implements(recv, it) {
 					return true
 				}
 			}
@@ -283,7 +298,7 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 		scope := pkg.Pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() {
+			if _, isFunc := obj.(*types.Func); obj.Exported() || isFunc {
 				check(pkg, obj, name)
 			}
 			n, ok := obj.Type().(*types.Named)
@@ -300,7 +315,7 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 				}
 			}
 			for _, m := range methods {
-				if m.Exported() && !implicitMethods[m.Name()] && !dispatched(n, m.Name()) {
+				if m.Exported() && !dispatched(n, m.Name()) {
 					check(pkg, m, name+"."+m.Name())
 				}
 			}
@@ -308,14 +323,58 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 	}
 }
 
-// implicitMethods are the method names standard-library interfaces
-// call without the caller naming them.
-var implicitMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"Read": true, "Write": true, "Close": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"ServeHTTP": true, "RoundTrip": true,
+// implicitCallers declares the standard-library interfaces whose
+// methods the standard library calls without the caller naming them.
+const implicitCallers = `package std
+
+import (
+	"container/heap"
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+)
+
+type (
+	stringer        fmt.Stringer
+	errorer         error
+	unwrapper       interface{ Unwrap() error }
+	unwrapperMulti  interface{ Unwrap() []error }
+	jsonMarshaler   json.Marshaler
+	jsonUnmarshaler json.Unmarshaler
+	textMarshaler   encoding.TextMarshaler
+	textUnmarshaler encoding.TextUnmarshaler
+	reader          io.Reader
+	writer          io.Writer
+	closer          io.Closer
+	sorter          sort.Interface
+	heaper          heap.Interface
+	handler         http.Handler
+	roundTripper    http.RoundTripper
+)
+`
+
+// stdInterfaces type-checks implicitCallers against the standard
+// library's export data and returns its interfaces.
+func stdInterfaces(t *testing.T) []*types.Interface {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "std.go", implicitCallers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", nil)}
+	pkg, err := conf.Check("std", fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatalf("type-checking the standard interfaces: %v", err)
+	}
+	var out []*types.Interface
+	for _, name := range pkg.Scope().Names() {
+		out = append(out, pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface))
+	}
+	return out
 }
 
 // exportKey names a package-level object or method independently of the

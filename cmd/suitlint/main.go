@@ -29,10 +29,13 @@
 // nothing is itself reported (staleallow), so dead suppressions cannot
 // accumulate.
 //
-// It runs in two modes:
+// Usage:
 //
-//	suitlint [-only=a,b] [-json] [packages]   standalone
-//	go vet -vettool=suitlint pkgs             as a vet tool (cmd/go protocol)
+//	suitlint [-only=a,b] [-json] [packages]
+//
+// It loads the packages (default ./...) and their dependencies with
+// go list and runs every analyzer over them in one session, in
+// dependency order, so facts flow from callee packages to callers.
 //
 // -json emits machine-readable findings on stdout, stably sorted by
 // (file, line, col, analyzer, message), for CI annotation.
@@ -42,8 +45,8 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,7 +62,6 @@ import (
 	"suit/internal/analysis/hotpath"
 	"suit/internal/analysis/load"
 	"suit/internal/analysis/panicpath"
-	"suit/internal/analysis/unitchecker"
 	"suit/internal/analysis/unitsafe"
 )
 
@@ -75,27 +77,7 @@ func analyzers() []*analysis.Analyzer {
 }
 
 func main() {
-	args := os.Args[1:]
-
-	// Vet tool protocol, part 1: `suitlint -V=full` prints a version
-	// line whose content hash the go command uses as a cache key.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V=") {
-		printVersion()
-		return
-	}
-	// Vet tool protocol, part 2: `suitlint -flags` describes the flags
-	// the go command may forward. The analyzers take none.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	// Vet tool protocol, part 3: one JSON config file per package.
-	if len(args) > 0 && strings.HasSuffix(args[len(args)-1], ".cfg") {
-		unitchecker.Run(args[len(args)-1], analyzers())
-		return
-	}
-
-	os.Exit(standalone(args))
+	os.Exit(run("", os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // A finding is the JSON wire form of one diagnostic. Suppressible is
@@ -110,17 +92,26 @@ type finding struct {
 	Suppressible bool   `json:"suppressible"`
 }
 
-func standalone(args []string) int {
-	fs := flag.NewFlagSet("suitlint", flag.ExitOnError)
+// run is main with the module directory (empty: the working
+// directory), arguments, streams and exit status lifted out, so tests
+// can drive suitlint in-process.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	// ContinueOnError so a flag typo exits 1, the usage status, and not
+	// with the flag package's 2, which suitlint reserves for findings.
+	fs := flag.NewFlagSet("suitlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout (stable sort: file, line, col, analyzer, message)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: suitlint [-only=a,b] [-json] [packages]")
+		fmt.Fprintln(stderr, "usage: suitlint [-only=a,b] [-json] [packages]")
 		for _, a := range analyzers() {
-			fmt.Fprintf(os.Stderr, "\n%s:\n  %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "\n%s:\n  %s\n", a.Name, a.Doc)
 		}
 	}
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 1
 	}
 	patterns := fs.Args()
@@ -128,26 +119,26 @@ func standalone(args []string) int {
 		patterns = []string{"./..."}
 	}
 
-	run := analyzers()
+	selected := analyzers()
 	if *only != "" {
 		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range run {
+		for _, a := range selected {
 			byName[a.Name] = a
 		}
-		run = run[:0]
+		selected = selected[:0]
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "suitlint: unknown analyzer %q\n", name)
+				fmt.Fprintf(stderr, "suitlint: unknown analyzer %q\n", name)
 				return 1
 			}
-			run = append(run, a)
+			selected = append(selected, a)
 		}
 	}
 
-	pkgs, err := load.Packages("", patterns...)
+	pkgs, err := load.Packages(dir, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "suitlint:", err)
+		fmt.Fprintln(stderr, "suitlint:", err)
 		return 1
 	}
 
@@ -155,24 +146,24 @@ func standalone(args []string) int {
 	// dependency order, so facts flow bottom-up. Stale-allow detection
 	// is only sound when every analyzer runs — under -only, an unused
 	// allow may belong to an analyzer that simply did not execute.
-	session := analysis.NewSession(run)
+	session := analysis.NewSession(selected)
 	session.ReportStale = *only == ""
 
-	// Findings are reported relative to the working directory when they
+	// Findings are reported relative to the module directory when they
 	// fall under it, so CI annotations map onto repository paths.
-	wd, _ := os.Getwd()
+	root, _ := filepath.Abs(dir)
 
 	var all []finding
 	for _, pkg := range pkgs {
 		diags, err := session.RunPackage(pkg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "suitlint:", err)
+			fmt.Fprintln(stderr, "suitlint:", err)
 			return 1
 		}
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
 			all = append(all, finding{
-				File:     relPath(wd, pos.Filename),
+				File:     relPath(root, pos.Filename),
 				Line:     pos.Line,
 				Col:      pos.Column,
 				Analyzer: d.Analyzer,
@@ -199,52 +190,38 @@ func standalone(args []string) int {
 	})
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if all == nil {
 			all = []finding{}
 		}
 		if err := enc.Encode(all); err != nil {
-			fmt.Fprintln(os.Stderr, "suitlint:", err)
+			fmt.Fprintln(stderr, "suitlint:", err)
 			return 1
 		}
 	} else {
 		for _, f := range all {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+			fmt.Fprintf(stderr, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	}
 	if len(all) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "suitlint: %d finding(s)\n", len(all))
+			fmt.Fprintf(stderr, "suitlint: %d finding(s)\n", len(all))
 		}
 		return 2
 	}
 	return 0
 }
 
-// relPath returns name relative to wd when it lies underneath it, and
-// name unchanged otherwise (including when wd is empty).
-func relPath(wd, name string) string {
-	if wd == "" {
+// relPath returns name relative to root when it lies underneath it,
+// and name unchanged otherwise (including when root is empty).
+func relPath(root, name string) string {
+	if root == "" {
 		return name
 	}
-	rel, err := filepath.Rel(wd, name)
+	rel, err := filepath.Rel(root, name)
 	if err != nil || strings.HasPrefix(rel, "..") {
 		return name
 	}
 	return rel
-}
-
-// printVersion emits "<name> version <id>" where id hashes the binary,
-// so the go command's vet cache invalidates when suitlint changes.
-func printVersion() {
-	name := "suitlint"
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil)[:16])
 }

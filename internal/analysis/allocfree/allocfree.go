@@ -59,13 +59,11 @@ const HotAnnotation = "suit:hotpath"
 // some path, and Site is a representative site ("run.go:103: append may
 // grow the backing array") for the eventual diagnostic.
 type Allocates struct {
-	Site string `json:"site"`
+	Site string
 }
 
 // AFact marks Allocates as a fact type.
 func (*Allocates) AFact() {}
-
-func init() { facts.Register(&Allocates{}) }
 
 // Analyzer is the allocfree pass.
 var Analyzer = &analysis.Analyzer{

@@ -99,8 +99,8 @@ type Diagnostic struct {
 }
 
 // Package is one loaded, type-checked package ready for analysis.
-// Drivers (the standalone loader, the vet unitchecker, analysistest)
-// construct it and hand it to Run.
+// Drivers (the go-list loader, analysistest) construct it and hand it
+// to a Session.
 type Package struct {
 	Fset      *token.FileSet
 	Files     []*ast.File
@@ -136,11 +136,10 @@ const (
 // A Session drives the analyzers over a sequence of packages sharing
 // one fact store. Packages must be presented in dependency order
 // (dependencies first) for cross-package facts to flow; the go-list
-// loader and the vet protocol both guarantee that.
+// loader guarantees that.
 type Session struct {
-	// Facts carries cross-package analysis state. A fresh store is
-	// created by NewSession; drivers reviving dependency facts (the vet
-	// unitchecker) may replace it before the first RunPackage.
+	// Facts carries cross-package analysis state, from an empty store
+	// created by NewSession.
 	Facts *facts.Store
 
 	// ReportStale, when set, reports //lint:allow comments that neither
@@ -256,13 +255,7 @@ func (s *Session) RunPackage(pkg *Package) ([]Diagnostic, error) {
 
 // PkgPathMatches reports whether a package import path ends in one of
 // the given suffixes (e.g. "internal/cpu" matches "suit/internal/cpu").
-// Vet analyzes test variants under synthesized paths like
-// "suit/internal/cpu [suit/internal/cpu.test]"; the bracketed part is
-// ignored.
 func PkgPathMatches(path string, suffixes []string) bool {
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
 	for _, s := range suffixes {
 		if path == s || strings.HasSuffix(path, "/"+s) {
 			return true

@@ -56,7 +56,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 // RunDeps analyzes the fixture packages in the given order through ONE
 // shared analysis.Session, so facts exported while analyzing an earlier
 // package are importable when a later one calls into it — the same
-// cross-package path the standalone loader and the vet protocol take.
+// cross-package path suitlint takes over go-list packages.
 // List dependencies before dependents. Each fixture is type-checked in
 // its own session (separate FileSet, separate types.Package identities),
 // which is exactly what makes this a real test of the string-keyed fact

@@ -35,13 +35,11 @@ import (
 // through transitive carriers, so the eventual diagnostic points at the
 // original sin, not the nearest link.
 type Tainted struct {
-	Source string `json:"source"`
+	Source string
 }
 
 // AFact marks Tainted as a fact type.
 func (*Tainted) AFact() {}
-
-func init() { facts.Register(&Tainted{}) }
 
 // taintSite is one direct nondeterminism source in a function body.
 type taintSite struct {

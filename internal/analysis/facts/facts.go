@@ -7,79 +7,37 @@
 //
 // Facts are keyed by (package import path, object name) rather than by
 // *types.Object identity, because the same function is a different
-// object in different type-checking sessions: the standalone loader
-// shares one importer, but the cmd/go vet protocol type-checks every
-// package in a separate process and revives dependency facts from .vetx
-// files. String keys survive both. Only package-level functions and
-// methods are addressable; closures have no stable name and must be
+// object on each side of a package boundary: the loader type-checks a
+// package from source, and its dependents see it through compiler
+// export data. String keys survive both. Only package-level functions
+// and methods are addressable; closures have no stable name and must be
 // summarized into their enclosing declaration by the analyzer.
-//
-// The wire encoding (Encode/Decode) is deterministic JSON sorted by
-// key, so identical analysis inputs produce identical .vetx bytes —
-// the same reproducibility contract the rest of the repo holds its
-// outputs to.
 package facts
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 	"sync"
 )
 
 // A Fact is one deduction about a function. Concrete fact types are
-// pointers to plain structs with exported JSON-serializable fields and
-// must be Register-ed (in the analyzer's init) before a Store can
-// decode them from wire form.
+// pointers to plain structs.
 type Fact interface {
 	// AFact is a marker so arbitrary values cannot be stored by
 	// accident.
 	AFact()
 }
 
-// registry maps a fact's wire name (the concrete type's
-// "pkgname.TypeName" string) to its type, for Decode.
-var (
-	registryMu sync.Mutex
-	registry   = map[string]reflect.Type{}
-)
-
-// Register records a fact type for wire decoding. The zero value passed
-// in is only used for its type; call from the analyzer package's init.
-func Register(f Fact) {
-	t := reflect.TypeOf(f)
-	if t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
-		panic(fmt.Sprintf("facts: Register(%T): facts must be pointers to structs", f))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[factName(f)] = t.Elem()
-}
-
-// factName is the wire name of a fact's concrete type, e.g.
-// "allocfree.Allocates".
+// factName names a fact's concrete type, e.g. "allocfree.Allocates", so
+// one function can carry one fact of each type.
 func factName(f Fact) string {
 	return reflect.TypeOf(f).Elem().String()
 }
 
-// A Key addresses one function across type-checking sessions.
+// A Key addresses one function across type-checking passes.
 type Key struct {
-	Pkg string // normalized package import path
+	Pkg string // package import path
 	Obj string // "F" for functions, "(T).M" / "(*T).M" for methods
-}
-
-// NormPkgPath canonicalizes a package path: cmd/go analyzes test
-// variants under synthesized paths like "suit/internal/cpu
-// [suit/internal/cpu.test]"; the bracketed suffix is dropped so facts
-// from the variant and the plain package coincide.
-func NormPkgPath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
 }
 
 // FuncKey derives the stable key for a function or method, reporting
@@ -111,12 +69,11 @@ func FuncKey(fn *types.Func) (Key, bool) {
 	} else if name == "init" || name == "_" {
 		return Key{}, false
 	}
-	return Key{Pkg: NormPkgPath(fn.Pkg().Path()), Obj: name}, true
+	return Key{Pkg: fn.Pkg().Path(), Obj: name}, true
 }
 
-// A Store holds facts for one analysis session. Drivers create one
-// Store per run (or revive one from dependency .vetx files) and every
-// analyzed package reads and writes through it.
+// A Store holds the facts of one analysis session; every analyzed
+// package reads and writes through it.
 type Store struct {
 	mu sync.Mutex
 	m  map[Key]map[string]Fact
@@ -160,88 +117,4 @@ func (s *Store) Import(fn *types.Func, ptr Fact) bool {
 	}
 	reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
 	return true
-}
-
-// Len returns the number of (function, fact) pairs held.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, byType := range s.m {
-		n += len(byType)
-	}
-	return n
-}
-
-// wireFact is the serialized form of one (key, fact) pair.
-type wireFact struct {
-	Pkg  string          `json:"pkg"`
-	Obj  string          `json:"obj"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// Encode serializes every fact in the store, deterministically sorted
-// by (package, object, fact type). The whole store is written — not
-// just the current package's facts — so a dependent package's .vetx
-// transitively carries everything it learned, whichever subset of
-// dependency files the driver was handed.
-func (s *Store) Encode() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var wire []wireFact
-	for key, byType := range s.m {
-		for name, f := range byType {
-			data, err := json.Marshal(f)
-			if err != nil {
-				return nil, fmt.Errorf("facts: encoding %s for %s.%s: %v", name, key.Pkg, key.Obj, err)
-			}
-			wire = append(wire, wireFact{Pkg: key.Pkg, Obj: key.Obj, Type: name, Data: data})
-		}
-	}
-	sort.Slice(wire, func(i, j int) bool {
-		if wire[i].Pkg != wire[j].Pkg {
-			return wire[i].Pkg < wire[j].Pkg
-		}
-		if wire[i].Obj != wire[j].Obj {
-			return wire[i].Obj < wire[j].Obj
-		}
-		return wire[i].Type < wire[j].Type
-	})
-	return json.Marshal(wire)
-}
-
-// Decode merges serialized facts into the store. Facts of unregistered
-// types are an error: the vet cache keys on the suitlint binary hash,
-// so a type mismatch means a driver bug, not a stale file.
-func (s *Store) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var wire []wireFact
-	if err := json.Unmarshal(data, &wire); err != nil {
-		return fmt.Errorf("facts: decoding store: %v", err)
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, w := range wire {
-		t, ok := registry[w.Type]
-		if !ok {
-			return fmt.Errorf("facts: decoding store: unregistered fact type %q", w.Type)
-		}
-		ptr := reflect.New(t)
-		if err := json.Unmarshal(w.Data, ptr.Interface()); err != nil {
-			return fmt.Errorf("facts: decoding %s for %s.%s: %v", w.Type, w.Pkg, w.Obj, err)
-		}
-		key := Key{Pkg: w.Pkg, Obj: w.Obj}
-		byType := s.m[key]
-		if byType == nil {
-			byType = map[string]Fact{}
-			s.m[key] = byType
-		}
-		byType[w.Type] = ptr.Interface().(Fact)
-	}
-	return nil
 }

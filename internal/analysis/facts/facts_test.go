@@ -9,21 +9,16 @@ import (
 )
 
 type testFact struct {
-	Note string `json:"note"`
+	Note string
 }
 
 func (*testFact) AFact() {}
 
 type otherFact struct {
-	N int `json:"n"`
+	N int
 }
 
 func (*otherFact) AFact() {}
-
-func init() {
-	Register(&testFact{})
-	Register(&otherFact{})
-}
 
 const factSrc = `package p
 
@@ -97,15 +92,6 @@ func TestFuncKey(t *testing.T) {
 	}
 }
 
-func TestNormPkgPath(t *testing.T) {
-	if got := NormPkgPath("suit/internal/cpu [suit/internal/cpu.test]"); got != "suit/internal/cpu" {
-		t.Errorf("NormPkgPath test variant = %q", got)
-	}
-	if got := NormPkgPath("suit/internal/cpu"); got != "suit/internal/cpu" {
-		t.Errorf("NormPkgPath plain = %q", got)
-	}
-}
-
 func TestExportImport(t *testing.T) {
 	pkg := checkSrc(t, factSrc)
 	f := lookupFunc(t, pkg, "F")
@@ -137,59 +123,5 @@ func TestExportImport(t *testing.T) {
 	p := lookupMethod(t, pkg, "T", "P")
 	if s.Import(p, &got) {
 		t.Error("Import(P) should miss")
-	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d, want 3", s.Len())
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	pkg := checkSrc(t, factSrc)
-	f := lookupFunc(t, pkg, "F")
-	m := lookupMethod(t, pkg, "T", "P")
-
-	s := NewStore()
-	s.Export(f, &testFact{Note: "alpha"})
-	s.Export(m, &otherFact{N: 42})
-
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic: encoding twice yields identical bytes.
-	data2, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Error("Encode is not deterministic")
-	}
-
-	revived := NewStore()
-	if err := revived.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	var got testFact
-	if !revived.Import(f, &got) || got.Note != "alpha" {
-		t.Errorf("revived Import(F) = %+v", got)
-	}
-	var other otherFact
-	if !revived.Import(m, &other) || other.N != 42 {
-		t.Errorf("revived Import(P) = %+v", other)
-	}
-
-	// Decoding into a non-empty store merges.
-	s2 := NewStore()
-	s2.Export(f, &otherFact{N: 1})
-	if err := s2.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 3 {
-		t.Errorf("merged Len = %d, want 3", s2.Len())
-	}
-
-	// Empty input is a no-op.
-	if err := NewStore().Decode(nil); err != nil {
-		t.Errorf("Decode(nil) = %v", err)
 	}
 }

@@ -59,11 +59,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isCmd reports whether the import path is under the module's cmd/
-// tree (also matching vet's bracketed test-variant paths).
+// isCmd reports whether the import path is under the module's cmd/ tree.
 func isCmd(path string) bool {
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
 	return strings.HasPrefix(path, "cmd/") || strings.Contains(path, "/cmd/")
 }

@@ -76,21 +76,6 @@ var traceArtifacts = &artifactStore{
 	entries: map[string]*artifact{},
 }
 
-// traceArtifactStats is a snapshot of the store's counters.
-type traceArtifactStats struct {
-	Hits, Misses, Evictions uint64
-	ResidentEvents          uint64
-}
-
-// traceArtifactStatsNow snapshots the shared artifact store
-// (telemetry for tests; results never depend on it).
-func traceArtifactStatsNow() traceArtifactStats {
-	s := traceArtifacts
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return traceArtifactStats{Hits: s.hits, Misses: s.misses, Evictions: s.evictions, ResidentEvents: s.usage}
-}
-
 // shared returns the artifact under key, building it on a miss.
 // Concurrent requests for one key wait for one build. A build that
 // fails or panics leaves no entry, so a later request builds afresh;

@@ -25,6 +25,21 @@ func resetTraceArtifacts() {
 	s.usage = 0
 }
 
+// traceArtifactStats is a snapshot of the store's counters.
+type traceArtifactStats struct {
+	Hits, Misses, Evictions uint64
+	ResidentEvents          uint64
+}
+
+// traceArtifactStatsNow snapshots the shared artifact store; results
+// never depend on its counters.
+func traceArtifactStatsNow() traceArtifactStats {
+	s := traceArtifacts
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return traceArtifactStats{Hits: s.hits, Misses: s.misses, Evictions: s.evictions, ResidentEvents: s.usage}
+}
+
 // TestTraceArtifactCacheSecondRunHitsOnly asserts the tentpole cache
 // property: re-running an identical scenario performs zero trace
 // generation — every trace request hits an existing artifact — and the

@@ -1,47 +1,9 @@
 package emul
 
 import (
-	"fmt"
-
 	"suit/internal/isa"
 	"suit/internal/units"
 )
-
-// emulate dispatches one disabled instruction to its software replacement.
-// imm carries the immediate operand where the instruction has one
-// (VPCLMULQDQ source selector, VPSRAD shift count). It returns an error
-// for opcodes that have no emulation (IMUL is hardened in hardware and
-// never trapped; background opcodes never trap). The simulator charges
-// an emulation's cost (CostModel) without executing it; TestEmulateDispatch
-// holds this table to every faultable opcode.
-func emulate(op isa.Opcode, a, b Vec128, imm uint8) (Vec128, error) {
-	switch op {
-	case isa.OpVOR:
-		return VOR(a, b), nil
-	case isa.OpVXOR:
-		return VXOR(a, b), nil
-	case isa.OpVAND:
-		return VAND(a, b), nil
-	case isa.OpVANDN:
-		return VANDN(a, b), nil
-	case isa.OpVPADDQ:
-		return VPADDQ(a, b), nil
-	case isa.OpVPSRAD:
-		return VPSRAD(a, uint(imm)), nil
-	case isa.OpVPCMP:
-		return VPCMPEQD(a, b), nil
-	case isa.OpVPMAX:
-		return VPMAXSD(a, b), nil
-	case isa.OpVSQRTPD:
-		return VSQRTPD(a), nil
-	case isa.OpVPCLMULQDQ:
-		return VPCLMULQDQ(a, b, imm), nil
-	case isa.OpAESENC:
-		return AESENC(a, b), nil
-	default:
-		return Vec128{}, fmt.Errorf("emul: no emulation for %v", op)
-	}
-}
 
 // CostModel prices an emulated execution: the fixed emulation-call delay
 // (two kernel transitions, §5.3 — 0.77 µs on the i9-9900K, 0.27 µs on the

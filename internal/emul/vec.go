@@ -3,68 +3,16 @@
 // user space instead of switching DVFS curves. The paper prescribes
 // non-vectorised alternatives for the SIMD instructions and a
 // side-channel-resilient (table-free, constant-time) AES implementation
-// for AESENC. This package provides those replacements as real, executable
-// Go code — validated against reference semantics — plus the cost model
-// used by the simulator (§5.3 call delays, per-instruction cycle counts).
+// for AESENC. This package holds the constant-time AES replacement, which
+// the security experiments execute, and the cost model the simulator
+// charges for every emulation (§5.3 call delays, per-instruction cycle
+// counts). The scalar SIMD replacements live in the package's tests,
+// which execute one for every faultable opcode.
 package emul
 
-import (
-	"fmt"
-	"math"
-)
-
-// Vec128 is a 128-bit SSE register value. Lane helpers expose the views
-// the emulated instructions operate on; lane 0 is the least significant.
+// Vec128 is a 128-bit SSE register value; Lo holds bits 63:0.
 type Vec128 struct {
 	Lo, Hi uint64
-}
-
-// U32 returns the 32-bit lane i (0..3).
-func (v Vec128) U32(i int) uint32 {
-	switch i {
-	case 0:
-		return uint32(v.Lo)
-	case 1:
-		return uint32(v.Lo >> 32)
-	case 2:
-		return uint32(v.Hi)
-	case 3:
-		return uint32(v.Hi >> 32)
-	}
-	panic(fmt.Sprintf("emul: lane %d out of range", i))
-}
-
-// WithU32 returns v with 32-bit lane i replaced.
-func (v Vec128) WithU32(i int, x uint32) Vec128 {
-	switch i {
-	case 0:
-		v.Lo = v.Lo&^0xFFFFFFFF | uint64(x)
-	case 1:
-		v.Lo = v.Lo&0xFFFFFFFF | uint64(x)<<32
-	case 2:
-		v.Hi = v.Hi&^0xFFFFFFFF | uint64(x)
-	case 3:
-		v.Hi = v.Hi&0xFFFFFFFF | uint64(x)<<32
-	default:
-		panic(fmt.Sprintf("emul: lane %d out of range", i))
-	}
-	return v
-}
-
-// F64 returns the 64-bit float lane i (0..1).
-func (v Vec128) F64(i int) float64 {
-	switch i {
-	case 0:
-		return math.Float64frombits(v.Lo)
-	case 1:
-		return math.Float64frombits(v.Hi)
-	}
-	panic(fmt.Sprintf("emul: lane %d out of range", i))
-}
-
-// FromF64 packs two float64 lanes.
-func FromF64(lo, hi float64) Vec128 {
-	return Vec128{Lo: math.Float64bits(lo), Hi: math.Float64bits(hi)}
 }
 
 // Bytes returns the 16 bytes little-endian (byte 0 = bits 7:0 of Lo).
@@ -87,97 +35,6 @@ func FromBytes(b [16]byte) Vec128 {
 	return v
 }
 
-// The scalar emulations. Each function implements the architectural
-// semantics of the corresponding x86 instruction using only general-
-// purpose operations — what a compiler would emit without SSE/AVX.
-
-// VOR emulates POR/VPOR: bitwise or.
-func VOR(a, b Vec128) Vec128 { return Vec128{a.Lo | b.Lo, a.Hi | b.Hi} }
-
-// VXOR emulates PXOR/VPXOR: bitwise xor.
+// VXOR emulates PXOR/VPXOR: bitwise xor, the AddRoundKey step of the
+// AES emulation.
 func VXOR(a, b Vec128) Vec128 { return Vec128{a.Lo ^ b.Lo, a.Hi ^ b.Hi} }
-
-// VAND emulates PAND/VPAND: bitwise and.
-func VAND(a, b Vec128) Vec128 { return Vec128{a.Lo & b.Lo, a.Hi & b.Hi} }
-
-// VANDN emulates PANDN/VPANDN: ~a & b (note the x86 operand order).
-func VANDN(a, b Vec128) Vec128 { return Vec128{^a.Lo & b.Lo, ^a.Hi & b.Hi} }
-
-// VPADDQ emulates PADDQ: lane-wise 64-bit wrapping add.
-func VPADDQ(a, b Vec128) Vec128 { return Vec128{a.Lo + b.Lo, a.Hi + b.Hi} }
-
-// VPSRAD emulates PSRAD: arithmetic right shift of each 32-bit lane by
-// count bits. Counts ≥ 32 fill with the sign bit, as the hardware does.
-func VPSRAD(a Vec128, count uint) Vec128 {
-	if count > 31 {
-		count = 31
-	}
-	var out Vec128
-	for i := 0; i < 4; i++ {
-		out = out.WithU32(i, uint32(int32(a.U32(i))>>count))
-	}
-	return out
-}
-
-// VPCMPEQD emulates PCMPEQD: lane-wise 32-bit equality producing all-ones
-// or all-zeros masks.
-func VPCMPEQD(a, b Vec128) Vec128 {
-	var out Vec128
-	for i := 0; i < 4; i++ {
-		var m uint32
-		if a.U32(i) == b.U32(i) {
-			m = 0xFFFFFFFF
-		}
-		out = out.WithU32(i, m)
-	}
-	return out
-}
-
-// VPMAXSD emulates PMAXSD: lane-wise signed 32-bit maximum.
-func VPMAXSD(a, b Vec128) Vec128 {
-	var out Vec128
-	for i := 0; i < 4; i++ {
-		x, y := int32(a.U32(i)), int32(b.U32(i))
-		if y > x {
-			x = y
-		}
-		out = out.WithU32(i, uint32(x))
-	}
-	return out
-}
-
-// VSQRTPD emulates SQRTPD: lane-wise double-precision square root.
-func VSQRTPD(a Vec128) Vec128 {
-	return FromF64(math.Sqrt(a.F64(0)), math.Sqrt(a.F64(1)))
-}
-
-// VPCLMULQDQ emulates PCLMULQDQ: the carry-less (GF(2)[x]) product of two
-// 64-bit operands, yielding a 128-bit result. imm selects the source
-// quadwords as in the hardware encoding: bit 0 picks a.Hi, bit 4 picks
-// b.Hi.
-func VPCLMULQDQ(a, b Vec128, imm uint8) Vec128 {
-	x := a.Lo
-	if imm&0x01 != 0 {
-		x = a.Hi
-	}
-	y := b.Lo
-	if imm&0x10 != 0 {
-		y = b.Hi
-	}
-	return clmul64(x, y)
-}
-
-// clmul64 computes the 128-bit carry-less product of two 64-bit values
-// with a branch-free shift-and-xor loop (constant-time: the loop trip
-// count and memory access pattern are data-independent).
-func clmul64(x, y uint64) Vec128 {
-	var lo, hi uint64
-	for i := 0; i < 64; i++ {
-		mask := -(y >> i & 1) // all-ones if bit i of y is set
-		lo ^= (x << i) & mask
-		if i > 0 {
-			hi ^= (x >> (64 - i)) & mask
-		}
-	}
-	return Vec128{Lo: lo, Hi: hi}
-}

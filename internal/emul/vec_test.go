@@ -1,6 +1,7 @@
 package emul
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -9,6 +10,182 @@ import (
 	"suit/internal/isa"
 	"suit/internal/units"
 )
+
+// U32 returns the 32-bit lane i (0..3).
+func (v Vec128) U32(i int) uint32 {
+	switch i {
+	case 0:
+		return uint32(v.Lo)
+	case 1:
+		return uint32(v.Lo >> 32)
+	case 2:
+		return uint32(v.Hi)
+	case 3:
+		return uint32(v.Hi >> 32)
+	}
+	panic(fmt.Sprintf("emul: lane %d out of range", i))
+}
+
+// WithU32 returns v with 32-bit lane i replaced.
+func (v Vec128) WithU32(i int, x uint32) Vec128 {
+	switch i {
+	case 0:
+		v.Lo = v.Lo&^0xFFFFFFFF | uint64(x)
+	case 1:
+		v.Lo = v.Lo&0xFFFFFFFF | uint64(x)<<32
+	case 2:
+		v.Hi = v.Hi&^0xFFFFFFFF | uint64(x)
+	case 3:
+		v.Hi = v.Hi&0xFFFFFFFF | uint64(x)<<32
+	default:
+		panic(fmt.Sprintf("emul: lane %d out of range", i))
+	}
+	return v
+}
+
+// F64 returns the 64-bit float lane i (0..1).
+func (v Vec128) F64(i int) float64 {
+	switch i {
+	case 0:
+		return math.Float64frombits(v.Lo)
+	case 1:
+		return math.Float64frombits(v.Hi)
+	}
+	panic(fmt.Sprintf("emul: lane %d out of range", i))
+}
+
+// FromF64 packs two float64 lanes.
+func FromF64(lo, hi float64) Vec128 {
+	return Vec128{Lo: math.Float64bits(lo), Hi: math.Float64bits(hi)}
+}
+
+// The scalar emulations. Each function implements the architectural
+// semantics of the corresponding x86 instruction using only general-
+// purpose operations — what a compiler would emit without SSE/AVX.
+
+// VOR emulates POR/VPOR: bitwise or.
+func VOR(a, b Vec128) Vec128 { return Vec128{a.Lo | b.Lo, a.Hi | b.Hi} }
+
+// VAND emulates PAND/VPAND: bitwise and.
+func VAND(a, b Vec128) Vec128 { return Vec128{a.Lo & b.Lo, a.Hi & b.Hi} }
+
+// VANDN emulates PANDN/VPANDN: ~a & b (note the x86 operand order).
+func VANDN(a, b Vec128) Vec128 { return Vec128{^a.Lo & b.Lo, ^a.Hi & b.Hi} }
+
+// VPADDQ emulates PADDQ: lane-wise 64-bit wrapping add.
+func VPADDQ(a, b Vec128) Vec128 { return Vec128{a.Lo + b.Lo, a.Hi + b.Hi} }
+
+// VPSRAD emulates PSRAD: arithmetic right shift of each 32-bit lane by
+// count bits. Counts ≥ 32 fill with the sign bit, as the hardware does.
+func VPSRAD(a Vec128, count uint) Vec128 {
+	if count > 31 {
+		count = 31
+	}
+	var out Vec128
+	for i := 0; i < 4; i++ {
+		out = out.WithU32(i, uint32(int32(a.U32(i))>>count))
+	}
+	return out
+}
+
+// VPCMPEQD emulates PCMPEQD: lane-wise 32-bit equality producing all-ones
+// or all-zeros masks.
+func VPCMPEQD(a, b Vec128) Vec128 {
+	var out Vec128
+	for i := 0; i < 4; i++ {
+		var m uint32
+		if a.U32(i) == b.U32(i) {
+			m = 0xFFFFFFFF
+		}
+		out = out.WithU32(i, m)
+	}
+	return out
+}
+
+// VPMAXSD emulates PMAXSD: lane-wise signed 32-bit maximum.
+func VPMAXSD(a, b Vec128) Vec128 {
+	var out Vec128
+	for i := 0; i < 4; i++ {
+		x, y := int32(a.U32(i)), int32(b.U32(i))
+		if y > x {
+			x = y
+		}
+		out = out.WithU32(i, uint32(x))
+	}
+	return out
+}
+
+// VSQRTPD emulates SQRTPD: lane-wise double-precision square root.
+func VSQRTPD(a Vec128) Vec128 {
+	return FromF64(math.Sqrt(a.F64(0)), math.Sqrt(a.F64(1)))
+}
+
+// VPCLMULQDQ emulates PCLMULQDQ: the carry-less (GF(2)[x]) product of two
+// 64-bit operands, yielding a 128-bit result. imm selects the source
+// quadwords as in the hardware encoding: bit 0 picks a.Hi, bit 4 picks
+// b.Hi.
+func VPCLMULQDQ(a, b Vec128, imm uint8) Vec128 {
+	x := a.Lo
+	if imm&0x01 != 0 {
+		x = a.Hi
+	}
+	y := b.Lo
+	if imm&0x10 != 0 {
+		y = b.Hi
+	}
+	return clmul64(x, y)
+}
+
+// clmul64 computes the 128-bit carry-less product of two 64-bit values
+// with a branch-free shift-and-xor loop (constant-time: the loop trip
+// count and memory access pattern are data-independent).
+func clmul64(x, y uint64) Vec128 {
+	var lo, hi uint64
+	for i := 0; i < 64; i++ {
+		mask := -(y >> i & 1) // all-ones if bit i of y is set
+		lo ^= (x << i) & mask
+		if i > 0 {
+			hi ^= (x >> (64 - i)) & mask
+		}
+	}
+	return Vec128{Lo: lo, Hi: hi}
+}
+
+// emulate dispatches one disabled instruction to its software replacement.
+// imm carries the immediate operand where the instruction has one
+// (VPCLMULQDQ source selector, VPSRAD shift count). It returns an error
+// for opcodes that have no emulation (IMUL is hardened in hardware and
+// never trapped; background opcodes never trap). The simulator charges
+// an emulation's cost (CostModel) without executing it; TestEmulateDispatch
+// holds this table to every faultable opcode.
+func emulate(op isa.Opcode, a, b Vec128, imm uint8) (Vec128, error) {
+	switch op {
+	case isa.OpVOR:
+		return VOR(a, b), nil
+	case isa.OpVXOR:
+		return VXOR(a, b), nil
+	case isa.OpVAND:
+		return VAND(a, b), nil
+	case isa.OpVANDN:
+		return VANDN(a, b), nil
+	case isa.OpVPADDQ:
+		return VPADDQ(a, b), nil
+	case isa.OpVPSRAD:
+		return VPSRAD(a, uint(imm)), nil
+	case isa.OpVPCMP:
+		return VPCMPEQD(a, b), nil
+	case isa.OpVPMAX:
+		return VPMAXSD(a, b), nil
+	case isa.OpVSQRTPD:
+		return VSQRTPD(a), nil
+	case isa.OpVPCLMULQDQ:
+		return VPCLMULQDQ(a, b, imm), nil
+	case isa.OpAESENC:
+		return AESENC(a, b), nil
+	default:
+		return Vec128{}, fmt.Errorf("emul: no emulation for %v", op)
+	}
+}
 
 func TestLaneAccessors(t *testing.T) {
 	v := Vec128{Lo: 0x1111111122222222, Hi: 0x3333333344444444}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"sync"
+
 	"suit/internal/isa"
 )
 
@@ -134,14 +136,21 @@ func All() []Benchmark {
 	return append(SPEC(), Nginx(), VLC())
 }
 
+// byName indexes All once. Lookups share its values: nothing writes to
+// a Benchmark's NoSIMD map once it is built.
+var byName = sync.OnceValue(func() map[string]Benchmark {
+	all := All()
+	m := make(map[string]Benchmark, len(all))
+	for _, b := range all {
+		m[b.Name] = b
+	}
+	return m
+})
+
 // ByName returns the named workload.
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
+	b, ok := byName()[name]
+	return b, ok
 }
 
 // SuiteMeanNoSIMD returns the mean noSIMD impact over the given suite,

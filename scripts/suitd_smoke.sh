@@ -11,13 +11,15 @@
 # cas/, and cas/ only the one segment the first lifetime appended to.
 #
 # Phase 2 is the distributed kill-a-worker e2e: a second daemon with a
-# fresh state dir executes the same spec through two suitworker
-# processes, one of which is SIGKILLed mid-sweep; the sweep must still
-# complete (lease reassignment or local fallback) and its GET view must
-# be byte-identical to the single-process daemon's. The daemon holds an
-# idle worker's claim until work is ready, so the surviving worker is
-# waiting in a claim when the daemon gets SIGTERM: the drain must answer
-# that claim and exit 0 within 5 s.
+# fresh state dir executes the same spec through suitworker processes.
+# The first worker is SIGSTOPped while its claim is held at the daemon,
+# so the sweep's first offer leases it a unit it never runs; it is then
+# SIGKILLed holding that lease. The lease must expire, the second
+# worker must finish the sweep, and its GET view must be byte-identical
+# to the single-process daemon's. The daemon holds an idle worker's
+# claim until work is ready, so the surviving worker is waiting in a
+# claim when the daemon gets SIGTERM: the drain must answer that claim
+# and exit 0 within 5 s.
 #
 # Run from the repository root: scripts/suitd_smoke.sh
 set -euo pipefail
@@ -33,7 +35,8 @@ W1=""
 W2=""
 cleanup() {
   for p in "$PID" "$PID2" "$W1" "$W2"; do
-    [ -n "$p" ] && kill "$p" 2>/dev/null || true
+    # A stopped worker acts on its SIGTERM once continued.
+    [ -n "$p" ] && { kill "$p"; kill -CONT "$p"; } 2>/dev/null || true
   done
   rm -rf "$WORK"
 }
@@ -161,13 +164,13 @@ echo "suitd restart OK: resubmission replayed $DISK points from cas/, ran $RAN, 
 
 # ---------------------------------------------------------------------
 # Phase 2: distributed kill-a-worker e2e. A second daemon (fresh state,
-# short lease TTL) runs the SAME spec through two pull workers; one
-# worker is SIGKILLed while leases are out. The sweep must complete via
-# lease reassignment (or local fallback) and its GET view must be
-# byte-identical to the single-process daemon's.
+# short lease TTL) runs the SAME spec through pull workers; one worker
+# is SIGKILLed while it holds a lease. The sweep must complete via lease
+# expiry and reassignment, and its GET view must be byte-identical to
+# the single-process daemon's.
 # ---------------------------------------------------------------------
 TOKEN=smoke-worker-secret
-"$WORK/suitd" -addr "$ADDR2" -state "$WORK/state2" -lease-ttl 1s -worker-token "$TOKEN" -drain-timeout 30s &
+"$WORK/suitd" -addr "$ADDR2" -state "$WORK/state2" -lease-ttl 2s -worker-token "$TOKEN" -drain-timeout 30s &
 PID2=$!
 up=""
 for _ in $(seq 1 100); do
@@ -185,35 +188,41 @@ CODE=$(curl -sS -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: applica
 
 "$WORK/suitworker" -daemon "$BASE2" -id smoke-w1 -token "$TOKEN" -slots 1 &
 W1=$!
-"$WORK/suitworker" -daemon "$BASE2" -id smoke-w2 -token "$TOKEN" -slots 1 &
-W2=$!
 
-# Both workers must be live before submitting, or the engine's first
-# offers decline straight to local and nothing is distributed.
+# smoke-w1 counts as live from its first claim, which the daemon holds
+# for one lease TTL (2 s) since no work is pending. Stopping it within
+# that hold leaves the claim open at the daemon, so the sweep's first
+# offer is leased to a worker that will never run it or heartbeat.
 live=""
 for _ in $(seq 1 100); do
   live=$(metric "$(curl -fsS "$BASE2/metrics")" suitd_dist_live_workers)
-  [ "${live:-0}" = 2 ] && break
-  sleep 0.1
+  [ "${live:-0}" = 1 ] && break
+  sleep 0.05
 done
-[ "$live" = 2 ] || { echo "workers never registered (live=$live)" >&2; exit 1; }
+[ "$live" = 1 ] || { echo "smoke-w1 never registered (live=$live)" >&2; exit 1; }
+kill -STOP "$W1"
 
 ID2=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC" "$BASE2/v1/sweeps" |
   python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')
 [ "$ID2" = "$ID" ] || { echo "content addressing drifted: job $ID2 vs $ID" >&2; exit 1; }
 
-# SIGKILL one worker the moment leases are out — a real crash: no
-# goodbye, no result post, just a lease that stops heartbeating.
-for _ in $(seq 1 200); do
-  leases=$(metric "$(curl -fsS "$BASE2/metrics")" suitd_dist_leases_total)
-  if [ "${leases:-0}" != 0 ] && [ "${leases:-0}" != "" ]; then break; fi
-  [ "$(job_state "$BASE2" "$ID2")" = done ] && break
+leased=""
+for _ in $(seq 1 100); do
+  leased=$(metric "$(curl -fsS "$BASE2/metrics")" suitd_dist_leased_units)
+  [ "${leased:-0}" -ge 1 ] && break
   sleep 0.05
 done
+[ "${leased:-0}" -ge 1 ] || { echo "no unit was leased to the stopped smoke-w1 (leased=$leased)" >&2; exit 1; }
+
+# A real crash: no goodbye, no result post, just a lease that stops
+# heartbeating. smoke-w2 then takes the pending units and, once the
+# dead lease expires, its requeued unit.
 kill -9 "$W1" 2>/dev/null || true
 wait "$W1" 2>/dev/null || true
 W1=""
-echo "SIGKILLed worker smoke-w1 (leases granted so far: ${leases:-0})"
+echo "SIGKILLed worker smoke-w1 holding $leased lease(s)"
+"$WORK/suitworker" -daemon "$BASE2" -id smoke-w2 -token "$TOKEN" -slots 1 &
+W2=$!
 
 wait_done "$BASE2" "$ID2" 600
 
@@ -229,6 +238,7 @@ EXPIRED=$(metric "$M2" suitd_dist_leases_expired_total)
 FALLBACKS=$(metric "$M2" suitd_dist_local_fallbacks_total)
 CONFLICTS=$(metric "$M2" suitd_dist_conflicts_total)
 [ "$CONFLICTS" = 0 ] || { echo "suitd_dist_conflicts_total = $CONFLICTS — determinism violation" >&2; exit 1; }
+[ "${EXPIRED:-0}" -ge 1 ] || { echo "suitd_dist_leases_expired_total = '$EXPIRED', want >= 1: smoke-w1 died holding a lease" >&2; exit 1; }
 echo "distributed sweep OK: remote-completed=$COMPLETED expired-leases=$EXPIRED local-fallbacks=$FALLBACKS conflicts=0"
 
 # smoke-w2 is idle now, so its claim waits at the daemon. The drain
